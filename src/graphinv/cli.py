@@ -97,7 +97,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_mtransform(args) -> int:
     p = _poset_for(args.n, args.max_degree, args.cache_dir)
-    m = mtransform.build_mtransform(p, jobs=args.jobs)
+    m = mtransform.build_mtransform(p)
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
         sys.stdout.write(_matrix_csv(m, labels, labels))
@@ -108,7 +108,7 @@ def _cmd_mtransform(args) -> int:
 
 def _cmd_invert(args) -> int:
     p = _poset_for(args.n, args.max_degree, args.cache_dir)
-    m = mtransform.build_mtransform(p, jobs=args.jobs)
+    m = mtransform.build_mtransform(p)
     inv = mtransform.inverse_mtransform(m, p.degrees(), complete=p.complete)
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
@@ -155,7 +155,7 @@ def _cmd_product(args) -> int:
             for cls, classes in refined.items()
         ]
     if args.method in ("mtransform", "all"):
-        e = mtransform.build_mtransform(p, jobs=args.jobs)
+        e = mtransform.build_mtransform(p)
         results["mtransform"] = algebra.product_mtransform(a, b, p, e)
     combos = list(results.values())
     out["agreement"] = all(c == combos[0] for c in combos[1:]) if len(combos) > 1 else True
@@ -180,7 +180,7 @@ def _cmd_general_product(args) -> int:
 def _cmd_express(args) -> int:
     p = _poset_for(args.n, None, args.cache_dir)
     values = [Fraction(tok) for tok in args.values.split(",")]
-    e = mtransform.build_mtransform(p, jobs=args.jobs)
+    e = mtransform.build_mtransform(p)
     comb = algebra.express_invariant(values, p, e)
     _emit({"n": args.n, "terms": comb.to_json_obj()}, args.format)
     return 0
@@ -272,7 +272,7 @@ def _cmd_rank_minor(args) -> int:
         if args.n is None:
             raise PreconditionError("need --n or --trivial-vars")
         p = _poset_for(args.n, None, args.cache_dir)
-        e = mtransform.build_mtransform(p, jobs=args.jobs)
+        e = mtransform.build_mtransform(p)
         m = mtransform.minor_by_degree(e, p.degrees(), args.delta, args.big_delta)
     _emit(
         {"rows": m.rows, "cols": m.cols, "rank": mtransform.exact_rank(m),
@@ -339,7 +339,7 @@ def _cmd_verify_relation(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
-    results = selftest.run_all(cache_dir=args.cache_dir)
+    results = selftest.run_all()
     ok = True
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -352,7 +352,6 @@ def _cmd_selftest(args) -> int:
 
 def _add_common(sp, cache: bool = True) -> None:
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    sp.add_argument("--jobs", type=int, default=1)
     if cache:
         sp.add_argument("--cache-dir", default=None)
 
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_relation)
 
     sp = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common(sp, cache=True)
+    _add_common(sp, cache=False)
     sp.set_defaults(func=_cmd_selftest)
 
     return ap

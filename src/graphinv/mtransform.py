@@ -9,15 +9,15 @@ elimination so no floating point ever enters.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations as _combinations, permutations as _permutations, product as _product
 
 from .algebra import LinComb
 from .errors import PosetError, PreconditionError
-from .graph import IsoClass, canonicalize, complement, subgraph_class_counts
+from .graph import IsoClass, canonicalize, canonicalize_bits, complement, subgraph_class_counts
 from .poset import GPoset
-from .util import pmap
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,17 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
+
+    @classmethod
+    def from_sparse(cls, rows, ncols: int) -> IntMatrix:
+        """Dense matrix from one {column: value} dict per row."""
+        dense = []
+        for row in rows:
+            line = [0] * ncols
+            for j, x in row.items():
+                line[j] = x
+            dense.append(tuple(line))
+        return cls(tuple(dense))
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -80,24 +91,71 @@ def is_lower_unitriangular(m: IntMatrix) -> bool:
     return True
 
 
-def build_mtransform(poset: GPoset, jobs: int = 1) -> IntMatrix:
-    """Matrix with entry (i, j) = number of copies of member j inside member i."""
+def _one_edge_covers(members) -> list[tuple[IsoClass, Counter]]:
+    """Closure of the members under one-edge deletion, in (degree, bits) order.
+
+    Each class comes with the multiset, keyed by canonical bits, of the classes
+    its one-edge deletions land in.
+    """
+    covers: list[tuple[IsoClass, Counter]] = []
+    seen = {m.bits for m in members}
+    stack = list(members)
+    while stack:
+        g = stack.pop()
+        down: Counter = Counter()
+        rest = g.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = canonicalize_bits(g.bits ^ low)
+            down[k.bits] += 1
+            if k.bits not in seen:
+                seen.add(k.bits)
+                stack.append(k)
+        covers.append((g, down))
+    return sorted(covers, key=lambda gd: gd[0].sort_key)
+
+
+def build_mtransform(poset: GPoset) -> IntMatrix:
+    """Matrix with entry (i, j) = number of copies of member j inside member i.
+
+    Rows come from the one-edge cover recursion, a double count of the chains
+    J < K < g with J a copy of member j and K = g minus one edge:
+        (|g| - |g_j|) * e_gj = sum_k c_gk * e_kj,
+    where c_gk counts the one-edge deletions of g that land in class k.  The
+    recursion runs over the closure of the members under one-edge deletion, so
+    it needs no completeness flag; classes outside the poset only serve as
+    helper rows.  `_mtransform_by_subsets` is the subset-counting oracle.
+    """
     members = poset.members
+    degs = poset.degrees()
+    rows: dict[int, dict[int, int]] = {}
+    for g, down in _one_edge_covers(members):
+        acc: dict[int, int] = {}
+        for k_bits, c in down.items():
+            for j, e in rows[k_bits].items():
+                acc[j] = acc.get(j, 0) + c * e
+        row = {}
+        for j, total in acc.items():
+            q, r = divmod(total, g.degree - degs[j])
+            if r:
+                raise AssertionError(f"cover recursion: inexact division in row {g.graph6!r}")
+            row[j] = q
+        if g.bits in poset.index:
+            row[poset.index[g.bits]] = 1
+        rows[g.bits] = row
+    return IntMatrix.from_sparse([rows[m.bits] for m in members], len(members))
 
-    def row(i: int) -> list[int]:
-        host = members[i]
-        counts_by_degree = {
-            d: subgraph_class_counts(host, d) for d in range(host.degree + 1)
-        }
-        out = []
-        for m in members:
-            if m.degree > host.degree:
-                out.append(0)
-            else:
-                out.append(counts_by_degree[m.degree].get(m, 0))
-        return out
 
-    return IntMatrix.from_rows(pmap(row, range(len(members)), jobs))
+def _subset_count_row(host: IsoClass, members) -> list[int]:
+    """Row of host counted directly, by classifying every edge subset of host."""
+    counts = {d: subgraph_class_counts(host, d) for d in range(host.degree + 1)}
+    return [counts[m.degree].get(m, 0) if m.degree <= host.degree else 0 for m in members]
+
+
+def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
+    """Oracle for build_mtransform: every row counted directly from its 2^|g_i| edge subsets."""
+    return IntMatrix.from_rows([_subset_count_row(m, poset.members) for m in poset.members])
 
 
 def mnukhin_power(matrix: IntMatrix, degrees, k: int, complete: bool = True) -> IntMatrix:
@@ -109,31 +167,30 @@ def mnukhin_power(matrix: IntMatrix, degrees, k: int, complete: bool = True) -> 
         raise PosetError("closed-form power law requires a subgraph-closed poset")
     if matrix.rows != matrix.cols or matrix.rows != len(degrees):
         raise PreconditionError("matrix/degree dimensions do not match")
-    rows = []
-    for i, row in enumerate(matrix.data):
-        new_row = []
-        for j, e in enumerate(row):
-            new_row.append(e * k ** (degrees[i] - degrees[j]) if e else 0)
-        rows.append(new_row)
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(tuple(
+        tuple(e * k ** (d_i - d_j) if e else 0 for e, d_j in zip(row, degrees))
+        for row, d_i in zip(matrix.data, degrees)
+    ))
 
 
 def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
-    """Exact inverse of a lower unitriangular integer matrix by forward substitution."""
+    """Exact inverse of a lower unitriangular integer matrix by forward substitution.
+
+    Row by row over the nonzeros: inv_i = e_i - sum_{j<i, a_ij != 0} a_ij * inv_j.
+    """
     n = matrix.rows
     if n != matrix.cols:
         raise PreconditionError("inverse requires a square matrix")
-    a = matrix.data
-    inv = [[0] * n for _ in range(n)]
-    for col in range(n):
-        inv[col][col] = 1
-        for i in range(col + 1, n):
-            acc = 0
-            for j in range(col, i):
-                if a[i][j] and inv[j][col]:
-                    acc += a[i][j] * inv[j][col]
-            inv[i][col] = -acc  # a_ii = 1
-    return IntMatrix.from_rows(inv)
+    inv_rows: list[dict[int, int]] = []
+    for i, row in enumerate(matrix.data):
+        acc = {i: 1}
+        for j in range(i):
+            a = row[j]
+            if a:
+                for k, v in inv_rows[j].items():
+                    acc[k] = acc.get(k, 0) - a * v
+        inv_rows.append({k: v for k, v in acc.items() if v})
+    return IntMatrix.from_sparse(inv_rows, n)
 
 
 def inverse_mtransform(matrix: IntMatrix, degrees=None, complete: bool = False) -> IntMatrix:
@@ -206,10 +263,7 @@ def solve_upper_half(
     rows: list[list[int] | None] = [None] * size
     for i, m in enumerate(members):
         if degs[i] <= cap and i not in withheld:
-            counts = {d: subgraph_class_counts(m, d) for d in range(degs[i] + 1)}
-            rows[i] = [
-                counts[x.degree].get(x, 0) if x.degree <= degs[i] else 0 for x in members
-            ]
+            rows[i] = _subset_count_row(m, members)
     for i in range(size):
         if rows[i] is not None:
             continue
@@ -218,28 +272,26 @@ def solve_upper_half(
             raise PosetError(
                 f"cannot solve row {i}: complement row of degree {degs[ci]} unknown"
             )
+        terms = [
+            (k, (stab[k] if degs[k] % 2 == 0 else -stab[k]) * e_ck)
+            for k, e_ck in enumerate(rows[ci])
+            if e_ck
+        ]
         row: list[int] = []
-        for j in range(size):
-            if j > i:
-                row.append(0)
-                continue
-            acc = Fraction(0)
-            row_j = rows[j] if j < i else row  # j == i uses the prefix just solved
-            for k in range(j + 1):
-                e_ck = rows[ci][k]
-                if not e_ck:
-                    continue  # also skips k == j == i, where the prefix has no entry yet
-                e_jk = row_j[k]
-                if not e_jk:
-                    continue
-                term = Fraction(e_jk * stab[k] * e_ck, stab[j])
-                acc += term if degs[k] % 2 == 0 else -term
-            if acc.denominator != 1:
+        for j in range(i + 1):
+            row_j = rows[j] if j < i else row + [1]  # j == i: the prefix just solved, e_ii = 1
+            acc = 0
+            for k, w in terms:
+                if k > j:
+                    break
+                acc += row_j[k] * w
+            q, r = divmod(acc, stab[j])
+            if r:
                 raise PosetError(f"inconsistent partial data at entry ({i},{j})")
-            row.append(int(acc))
+            row.append(q)
         if row[i] != 1:
             raise PosetError(f"inconsistent partial data: diagonal at row {i} is {row[i]}")
-        rows[i] = row
+        rows[i] = row + [0] * (size - i - 1)
     return IntMatrix.from_rows(rows)
 
 

@@ -607,6 +607,5 @@ def run_one(ident: str) -> CheckResult:
     raise PreconditionError(f"unknown check {ident!r}")
 
 
-def run_all(cache_dir: str | None = None) -> list[CheckResult]:
-    del cache_dir  # reserved; the cache check provisions its own directory
+def run_all() -> list[CheckResult]:
     return [run_one(cid) for cid, _name, _budget, _fn in CHECKS]

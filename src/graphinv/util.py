@@ -1,28 +1,14 @@
-"""Small shared helpers: deterministic parallel map, seeded random graphs, file cache."""
+"""Small shared helpers: seeded random graphs, file cache."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .graph import LabeledGraph
 from .perm import pair_slot
-
-
-def pmap(fn, items, jobs: int = 1) -> list:
-    """Map a pure function over items, preserving order.
-
-    With jobs > 1 the work runs on a thread pool; results are collected in the
-    original order so output never depends on the pool width.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def random_labeled_graph(rng: random.Random, n: int, p: float = 0.5) -> LabeledGraph:

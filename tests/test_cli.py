@@ -56,11 +56,23 @@ def test_enumerate_and_determinism(capsys):
     assert out1 == out2
 
 
-def test_mtransform_jobs_determinism(capsys):
-    _, out1, _ = run_cli(capsys, "mtransform", "--n", "4", "--format", "csv", "--jobs", "1")
-    _, out2, _ = run_cli(capsys, "mtransform", "--n", "4", "--format", "csv", "--jobs", "4")
-    assert out1 == out2
+def test_mtransform_csv_and_no_jobs_flag(capsys):
+    code, out1, _ = run_cli(capsys, "mtransform", "--n", "4", "--format", "csv")
+    _, out2, _ = run_cli(capsys, "mtransform", "--n", "4", "--format", "csv")
+    assert code == 0 and out1 == out2
     assert out1.splitlines()[1].startswith("?,1,0")
+    with pytest.raises(SystemExit) as exc:
+        main(["mtransform", "--n", "4", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_selftest_rejects_cache_dir(tmp_path, capsys):
+    target = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--cache-dir", str(target)])
+    assert exc.value.code == 2
+    assert not target.exists()
 
 
 def test_invert_csv(capsys):
