@@ -29,6 +29,7 @@ from .graph import (
     count_subgraphs,
     pattern_copies,
     permute_bits,
+    stab_order,
     support_automorphisms,
 )
 from .perm import pair_slot
@@ -124,10 +125,6 @@ def _distinct_copies(cls: IsoClass, m: int) -> list[int]:
             bits |= 1 << pair_slot(images[i], images[j])
         seen.add(bits)
     return sorted(seen)
-
-
-def _stab_order(cls: IsoClass, n: int) -> int:
-    return math.factorial(n - cls.cv) * cls.aut_support
 
 
 def union_class_distribution(a: IsoClass, b: IsoClass, m: int) -> Counter:
@@ -304,10 +301,10 @@ def general_product(a: IsoClass, b: IsoClass) -> LinComb:
     if m == 0:
         return LinComb.from_terms({EMPTY_CLASS: 1})
     dist = union_class_distribution(a, b, m)
-    stab_a = _stab_order(a, m)
+    stab_a = stab_order(a, m)
     terms = {}
     for cls, placements in dist.items():
-        coeff = Fraction(placements * _stab_order(cls, m), stab_a)
+        coeff = Fraction(placements * stab_order(cls, m), stab_a)
         if coeff.denominator != 1:
             raise AssertionError(f"non-integer product coefficient for {cls.graph6!r}")
         terms[cls] = int(coeff)

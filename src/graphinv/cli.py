@@ -59,6 +59,41 @@ def _parse_graph_arg(text: str, n: int | None = None) -> graph.LabeledGraph:
     return graph.parse_graph(text, n)
 
 
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise FormatError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+
+
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{flag}: bad fraction {text!r}") from exc
+
+
+def _parse_relation(text: str) -> list[tuple[Fraction, dict]]:
+    """--relation JSON as (coefficient, {class: power}) terms."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"--relation: malformed JSON ({exc.msg})") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("terms"), list):
+        raise FormatError('--relation: expected an object with a "terms" list')
+    terms = []
+    for rec in payload["terms"]:
+        if not isinstance(rec, dict) or "coeff" not in rec or not isinstance(rec.get("monomial"), dict):
+            raise FormatError(f'--relation: each term needs "coeff" and a "monomial" object, got {rec!r}')
+        mono = {}
+        for g6, power in rec["monomial"].items():
+            if type(power) is not int or power < 0:
+                raise FormatError(f"--relation: power of {g6!r} must be a nonnegative integer, got {power!r}")
+            mono[graph.canonicalize(graph.parse_graph6(g6))] = power
+        terms.append((_parse_fraction(str(rec["coeff"]), "--relation coeff"), mono))
+    return terms
+
+
 def _poset_for(n: int, max_degree: int | None, cache_dir: str | None) -> poset.GPoset:
     key = f"poset:n={n}:d={max_degree}"
     obj = cache_fetch(cache_dir, key, lambda: poset.poset_sidecar(poset.build_full_poset(n, max_degree)))
@@ -179,7 +214,7 @@ def _cmd_general_product(args) -> int:
 
 def _cmd_express(args) -> int:
     p = _poset_for(args.n, None, args.cache_dir)
-    values = [Fraction(tok) for tok in args.values.split(",")]
+    values = [_parse_fraction(tok, "--values") for tok in args.values.split(",")]
     e = mtransform.build_mtransform(p)
     comb = algebra.express_invariant(values, p, e)
     _emit({"n": args.n, "terms": comb.to_json_obj()}, args.format)
@@ -303,8 +338,8 @@ def _cmd_ulam_check(args) -> int:
 
 
 def _cmd_multiset_eval(args) -> int:
-    m = tuple(int(t) for t in args.m.split(","))
-    w = tuple(int(t) for t in args.w.split(","))
+    m = _parse_ints(args.m, "--m")
+    w = _parse_ints(args.w, "--w")
     group = _group_for(args.group, len(m))
     if args.op == "invariant":
         value = multiset.multiset_invariant(m, w, group)
@@ -316,15 +351,7 @@ def _cmd_multiset_eval(args) -> int:
 
 def _cmd_verify_relation(args) -> int:
     p = _poset_for(args.n, None, args.cache_dir)
-    payload = json.loads(args.relation)
-    terms = []
-    for rec in payload["terms"]:
-        mono = {
-            graph.canonicalize(graph.parse_graph6(g6)): power
-            for g6, power in rec["monomial"].items()
-        }
-        terms.append((Fraction(str(rec["coeff"])), mono))
-    report = generators.verify_relation(terms, p)
+    report = generators.verify_relation(_parse_relation(args.relation), p)
     _emit(
         {
             "n": args.n,

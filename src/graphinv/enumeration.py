@@ -177,24 +177,6 @@ def graph_count(n: int, d: int) -> int:
     return graph_count_series(n, d)[d]
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """h(n, d) on a rectangle of parameters."""
-
-    h: dict
-
-    def __getitem__(self, key) -> int:
-        return self.h[key]
-
-
-def build_count_table(max_n: int, max_d: int) -> CountTable:
-    table = {}
-    for n in range(1, max_n + 1):
-        for d in range(max_d + 1):
-            table[(n, d)] = graph_count(n, d)
-    return CountTable(table)
-
-
 def ulam_difference_entry(n: int, d: int) -> int:
     return -graph_count(n, d) + graph_count(n - 1, d) + graph_count(n, d - 1)
 

@@ -2,28 +2,23 @@
 
 A graph on [0..n) is a bitset over the C(n,2) pair slots in colex order (the
 same bit order graph6 uses).  Canonical forms take the minimum bitset over all
-relabelings of the support, with isolated vertices dropped; the sweep over
-support permutations doubles as the automorphism oracle.  Sweeps are
-vectorized with precomputed slot-permutation tables for supports up to 9
-vertices and fall back to a plain loop at 10.
+relabelings of the support, with isolated vertices dropped, found by an exact
+pruned search that also counts the support automorphisms; the plain sweep
+over all support permutations is kept as its oracle.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-
-import numpy as np
 
 from .errors import CapError, FormatError, PreconditionError
 from .perm import Permutation, pair_from_slot, pair_slot
 
 MAX_VERTICES = 16
-MAX_SUPPORT = 10        # canonical-form brute force refuses larger supports
-_TABLE_SUPPORT_MAX = 9  # vectorized permutation tables kept up to this size
-
-_POW2 = np.left_shift(np.int64(1), np.arange(50, dtype=np.int64))
+MAX_SUPPORT = 10  # canonical forms refuse larger supports
 
 
 def _bits_to_slots(bits: int) -> list[int]:
@@ -127,53 +122,56 @@ EMPTY_CLASS = IsoClass(0, 0, 0, 1)
 # ── canonical-form machinery ─────────────────────────────────────────────
 
 _canon_memo: dict[tuple[int, int], IsoClass] = {}
-_perm_tables: dict[int, np.ndarray] = {}
 _aut_perm_memo: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
-
-def _perm_table(cv: int) -> np.ndarray:
-    """Slot-image table: row per permutation of [0..cv), column per pair slot."""
-    tbl = _perm_tables.get(cv)
-    if tbl is None:
-        perms = np.array(list(permutations(range(cv))), dtype=np.int16)
-        nslots = cv * (cv - 1) // 2
-        tbl = np.empty((len(perms), nslots), dtype=np.int8)
-        for s in range(nslots):
-            i, j = pair_from_slot(s)
-            pi, pj = perms[:, i], perms[:, j]
-            lo = np.minimum(pi, pj).astype(np.int32)
-            hi = np.maximum(pi, pj).astype(np.int32)
-            tbl[:, s] = (hi * (hi - 1) // 2 + lo).astype(np.int8)
-        _perm_tables[cv] = tbl
-    return tbl
+_SLOT_PAIRS = tuple(pair_from_slot(s) for s in range(MAX_VERTICES * (MAX_VERTICES - 1) // 2))
 
 
 def _pack_support(bits: int) -> tuple[int, int]:
     """Relabel the support onto [0..cv) preserving order; returns (cv, packed bits)."""
-    slots = _bits_to_slots(bits)
-    verts = set()
-    pairs = []
-    for s in slots:
-        i, j = pair_from_slot(s)
-        verts.add(i)
-        verts.add(j)
-        pairs.append((i, j))
-    rank = {v: k for k, v in enumerate(sorted(verts))}
+    verts = 0
+    b = bits
+    while b:
+        low = b & -b
+        i, j = _SLOT_PAIRS[low.bit_length() - 1]
+        verts |= 1 << i | 1 << j
+        b ^= low
+    cv = verts.bit_count()
+    if verts == (1 << cv) - 1:
+        return cv, bits
     packed = 0
-    for i, j in pairs:
-        packed |= 1 << pair_slot(rank[i], rank[j])
-    return len(verts), packed
+    while bits:
+        low = bits & -bits
+        i, j = _SLOT_PAIRS[low.bit_length() - 1]
+        ri = (verts & ((1 << i) - 1)).bit_count()
+        rj = (verts & ((1 << j) - 1)).bit_count()
+        packed |= 1 << (rj * (rj - 1) // 2 + ri)
+        bits ^= low
+    return cv, packed
+
+
+def _adjacency(cv: int, bits: int) -> list[int]:
+    """Neighbour bitmask of each vertex of [0..cv)."""
+    adj = [0] * cv
+    while bits:
+        low = bits & -bits
+        i, j = _SLOT_PAIRS[low.bit_length() - 1]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        bits ^= low
+    return adj
 
 
 def _canon_pure(cv: int, bits: int) -> tuple[int, int]:
-    """Plain-loop minimum-bitset sweep; reference route and cv=10 fallback."""
+    """Plain-loop minimum-bitset sweep over all relabelings; the oracle for _min_labelings."""
     pairs = [pair_from_slot(s) for s in _bits_to_slots(bits)]
     best = None
     count = 0
     for images in permutations(range(cv)):
         val = 0
         for i, j in pairs:
-            val |= 1 << pair_slot(images[i], images[j])
+            a, b = images[i], images[j]
+            val |= 1 << (b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b)
         if best is None or val < best:
             best, count = val, 1
         elif val == best:
@@ -181,16 +179,120 @@ def _canon_pure(cv: int, bits: int) -> tuple[int, int]:
     return (0, 1) if best is None else (best, count)
 
 
+def _min_labelings(adj: list[int], leaves: list | None = None) -> tuple[int, int]:
+    """Exact pruned search for the minimum colex bitset over all relabelings.
+
+    Returns (minimum, number of relabelings reaching it).  In colex order the
+    slots (i, p), i < p, of the top position p outrank everything below it, so
+    positions are filled from p = cv-1 down.  The unplaced vertices form an
+    ordered partition into cells, lowest positions first.  The vertex for p
+    comes from the top cell; its block of slots is least when its neighbours
+    sit at the bottom of each cell, so only candidates with the least block
+    are expanded, each cell is then split into (neighbours, non-neighbours),
+    and a branch whose blocks exceed the best found so far is cut.  A
+    discrete partition fixes the rest of the labeling.
+
+    Two candidates with the same neighbourhood apart from each other are
+    twins: being in one cell, they also agree on every placed vertex, so
+    swapping them is an automorphism fixing the placed vertices, and only one
+    of a twin class is expanded, weighted by the class size.  The
+    minimal relabelings form one coset of the automorphism group, so their
+    weighted count is |Aut|.  With `leaves` given, twins are not merged and
+    every minimal relabeling is appended as a vertex -> position tuple.
+    """
+    cv = len(adj)
+    state = [-1, 0]  # best bitset so far (-1: none yet), weighted count reaching it
+
+    def expand(cells: list[int], p: int, val: int, placed: list[int], weight: int) -> None:
+        shift = p * (p - 1) >> 1
+        least = -1
+        cands: list[int] = []
+        m = cells[-1]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            a = adj[v]
+            block = 0
+            lo = 0
+            for c in cells:
+                k = (a & c).bit_count()
+                if k:
+                    block |= ((1 << k) - 1) << lo
+                lo += c.bit_count()
+            if least < 0 or block < least:
+                least = block
+                cands = [v]
+            elif block == least:
+                cands.append(v)
+        val |= least << shift
+        best = state[0]
+        if best >= 0 and val >> shift > best >> shift:
+            return
+        sizes = [1] * len(cands)
+        if leaves is None and len(cands) > 1:
+            reps: list[int] = []
+            sizes = []
+            for v in cands:
+                a = adj[v]
+                for t, r in enumerate(reps):
+                    if not (a ^ adj[r]) & ~(1 << v | 1 << r):
+                        sizes[t] += 1
+                        break
+                else:
+                    reps.append(v)
+                    sizes.append(1)
+            cands = reps
+        for v, size in zip(cands, sizes):
+            a = adj[v]
+            keep = ~(1 << v)
+            split = []
+            for c in cells:
+                c &= keep
+                x = c & a
+                if x:
+                    split.append(x)
+                y = c ^ x
+                if y:
+                    split.append(y)
+            if len(split) == p:
+                leaf(split, p, val, placed + [v], weight * size)
+            else:
+                expand(split, p - 1, val, placed + [v], weight * size)
+
+    def leaf(cells: list[int], p: int, val: int, placed: list[int], weight: int) -> None:
+        verts = [c.bit_length() - 1 for c in cells]
+        for q in range(1, p):
+            a = adj[verts[q]]
+            block = 0
+            for r in range(q):
+                if a >> verts[r] & 1:
+                    block |= 1 << r
+            val |= block << (q * (q - 1) >> 1)
+        best = state[0]
+        if best < 0 or val < best:
+            state[0], state[1] = val, weight
+            if leaves is not None:
+                leaves.clear()
+        elif val == best:
+            state[1] += weight
+        else:
+            return
+        if leaves is not None:
+            images = [0] * cv
+            for k, v in enumerate(placed):
+                images[v] = cv - 1 - k
+            for q, v in enumerate(verts):
+                images[v] = q
+            leaves.append(tuple(images))
+
+    expand([(1 << cv) - 1], cv - 1, 0, [], 1)
+    return state[0], state[1]
+
+
 def _canon_from_packed(cv: int, bits: int) -> IsoClass:
-    slots = _bits_to_slots(bits)
-    if cv <= _TABLE_SUPPORT_MAX:
-        imgs = _perm_table(cv)[:, slots]
-        vals = _POW2[imgs.astype(np.int64)].sum(axis=1)
-        best = int(vals.min())
-        count = int((vals == best).sum())
-    else:
-        best, count = _canon_pure(cv, bits)
-    return IsoClass(best, len(slots), cv, count)
+    best, count = _min_labelings(_adjacency(cv, bits))
+    return IsoClass(best, bits.bit_count(), cv, count)
 
 
 def canonicalize_bits(bits: int) -> IsoClass:
@@ -214,33 +316,26 @@ def canonicalize(g: LabeledGraph) -> IsoClass:
 
 
 def support_automorphisms(cls: IsoClass) -> tuple[tuple[int, ...], ...]:
-    """All support permutations fixing the canonical edge set (image tuples)."""
+    """All support permutations fixing the canonical edge set (image tuples, sorted)."""
     key = (cls.cv, cls.bits)
     cached = _aut_perm_memo.get(key)
     if cached is not None:
         return cached
     if cls.cv == 0:
         result: tuple[tuple[int, ...], ...] = ((),)
-    elif cls.cv <= _TABLE_SUPPORT_MAX:
-        slots = _bits_to_slots(cls.bits)
-        imgs = _perm_table(cls.cv)[:, slots]
-        vals = _POW2[imgs.astype(np.int64)].sum(axis=1)
-        idx = np.nonzero(vals == cls.bits)[0]
-        all_perms = list(permutations(range(cls.cv)))
-        result = tuple(all_perms[i] for i in idx)
     else:
-        pairs = [pair_from_slot(s) for s in _bits_to_slots(cls.bits)]
-        keep = []
-        for images in permutations(range(cls.cv)):
-            val = 0
-            for i, j in pairs:
-                val |= 1 << pair_slot(images[i], images[j])
-            if val == cls.bits:
-                keep.append(images)
-        result = tuple(keep)
+        leaves: list[tuple[int, ...]] = []
+        best, _ = _min_labelings(_adjacency(cls.cv, cls.bits), leaves)
+        assert best == cls.bits
+        result = tuple(sorted(leaves))
     assert len(result) == cls.aut_support
     _aut_perm_memo[key] = result
     return result
+
+
+def stab_order(cls: IsoClass, n: int) -> int:
+    """|Stab(g)| in S_n for the class placed in K_n: (n - cv)! times |Aut| of the support."""
+    return math.factorial(n - cls.cv) * cls.aut_support
 
 
 def permute_bits(bits: int, images) -> int:
@@ -411,8 +506,6 @@ def connected_component_classes(g: LabeledGraph | IsoClass) -> Counter:
         comps[canonicalize_bits(comp_bits)] += 1
     return comps
 
-
-connected_components = connected_component_classes
 
 
 def is_connected_class(cls: IsoClass) -> bool:

@@ -16,7 +16,14 @@ from itertools import combinations as _combinations, permutations as _permutatio
 
 from .algebra import LinComb
 from .errors import PosetError, PreconditionError
-from .graph import IsoClass, canonicalize, canonicalize_bits, complement, subgraph_class_counts
+from .graph import (
+    IsoClass,
+    canonicalize,
+    canonicalize_bits,
+    complement,
+    stab_order,
+    subgraph_class_counts,
+)
 from .poset import GPoset
 
 
@@ -206,10 +213,6 @@ def inverse_mtransform(matrix: IntMatrix, degrees=None, complete: bool = False) 
 
 # ── complement identities and half-matrix reconstruction ─────────────────
 
-def _stab(cls: IsoClass, n: int) -> int:
-    return math.factorial(n - cls.cv) * cls.aut_support
-
-
 def complement_invariant_expansion(g: IsoClass, poset: GPoset, ambient_n: int) -> LinComb:
     """Linear combination L with L(h) = count of g inside K_n minus h, for every
     h on ambient_n vertices.  Coefficients are exact rationals
@@ -217,14 +220,14 @@ def complement_invariant_expansion(g: IsoClass, poset: GPoset, ambient_n: int) -
     if g.cv > ambient_n:
         raise PreconditionError(f"{g.graph6!r} does not fit in K_{ambient_n}")
     rep = g.rep()
-    stab_g = _stab(g, ambient_n)
+    stab_g = stab_order(g, ambient_n)
     terms = {}
     for d in range(g.degree + 1):
         sign = 1 if d % 2 == 0 else -1
         for sub, cnt in subgraph_class_counts(rep, d).items():
             if sub not in poset:
                 raise PosetError(f"poset lacks subgraph class {sub.graph6!r}")
-            terms[sub] = Fraction(sign * cnt * _stab(sub, ambient_n), stab_g)
+            terms[sub] = Fraction(sign * cnt * stab_order(sub, ambient_n), stab_g)
     return LinComb.from_terms(terms)
 
 
@@ -257,7 +260,7 @@ def solve_upper_half(
     comp = complement_pairing(poset, n)
     members = poset.members
     size = len(members)
-    stab = [_stab(m, n) for m in members]
+    stab = [stab_order(m, n) for m in members]
     degs = poset.degrees()
     withheld = {poset.position(c) for c in extra_unknown}
     rows: list[list[int] | None] = [None] * size

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from pathlib import Path
 
@@ -21,13 +22,24 @@ def random_labeled_graph(rng: random.Random, n: int, p: float = 0.5) -> LabeledG
 
 
 def cache_fetch(cache_dir: str | None, key: str, build):
-    """JSON file cache; the key carries every semantic parameter of the artifact."""
+    """JSON file cache; the key carries every semantic parameter of the artifact.
+
+    Entries are written to a temporary file and renamed into place, so a reader
+    never sees a partial write; an entry that does not parse is rebuilt.
+    """
     if not cache_dir:
         return build()
     path = Path(cache_dir) / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
-    if path.exists():
+    try:
         return json.loads(path.read_text())
+    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+        pass
     obj = build()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(obj, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return obj

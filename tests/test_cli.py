@@ -194,3 +194,41 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
+    code, reference, _ = run_cli(capsys, "enumerate", "--n", "4")
+    assert code == 0
+    args = ["enumerate", "--n", "4", "--cache-dir", str(tmp_path)]
+    code, _, _ = run_cli(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and out == reference and err == ""
+    assert entry.read_text() == text  # rebuilt in place
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
+
+
+def test_relation_malformed_json_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify-relation", "--n", "3", "--relation", '{"terms": [1,')
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_relation_without_terms_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify-relation", "--n", "3", "--relation", '{"coeff": 1}')
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_multiset_eval_non_integer_exits_2(capsys):
+    code, out, err = run_cli(capsys, "multiset-eval", "--m", "1,x", "--w", "2,2")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run_cli(capsys, "multiset-eval", "--m", "1,2", "--w", "2.5,2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_express_bad_fraction_exits_2(capsys):
+    code, out, err = run_cli(capsys, "express", "--n", "3", "--values", "1,2,3,x")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run_cli(capsys, "express", "--n", "3", "--values", "1,2,3,1/0")
+    assert code == 2 and out == "" and err.startswith("error:")

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import permutations
@@ -24,9 +25,13 @@ from graphinv.graph import (
     is_connected_class,
     parse_edge_list,
     parse_graph6,
+    permute_bits,
+    stab_order,
     subgraph_class_counts,
+    support_automorphisms,
 )
-from graphinv.perm import Permutation
+from graphinv.perm import Permutation, stabilizer_order
+from graphinv.poset import build_full_poset
 from graphinv.smallgraphs import named_class
 from graphinv.util import random_labeled_graph
 
@@ -209,3 +214,159 @@ def test_from_edges_validation():
         LabeledGraph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(PreconditionError):
         LabeledGraph.from_edges(3, [(1, 1)])
+
+
+# ── the pruned canonical search against its oracles ─────────────────────
+
+
+@pytest.fixture(scope="module")
+def e6_poset():
+    return build_full_poset(6)
+
+
+@pytest.fixture(scope="module")
+def e7_poset():
+    return build_full_poset(7)
+
+
+def _relabeled(rng, cls, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return permute_bits(cls.bits, images)
+
+
+def _pure_class(bits):
+    cv, packed = _pack_support(bits)
+    return _canon_pure(cv, packed)
+
+
+def test_search_matches_pure_sweep_on_e6(e6_poset):
+    rng = random.Random(61)
+    assert len(e6_poset) == 156
+    for cls in e6_poset.members[1:]:
+        bits = _relabeled(rng, cls, 6)
+        assert _pure_class(bits) == (cls.bits, cls.aut_support)
+        found = canonicalize(LabeledGraph(6, bits))
+        assert (found.bits, found.aut_support) == (cls.bits, cls.aut_support)
+
+
+def test_search_matches_pure_sweep_on_e7_sample(e7_poset):
+    rng = random.Random(71)
+    for cls in rng.sample(e7_poset.members[1:], 50):
+        bits = _relabeled(rng, cls, 7)
+        found = canonicalize(LabeledGraph(7, bits))
+        assert (found.bits, found.aut_support) == _pure_class(bits)
+
+
+def test_search_matches_pure_sweep_at_support_9():
+    rng = random.Random(91)
+    for _ in range(3):
+        # a random spanning tree on 9 vertices plus one extra edge
+        edges = {(rng.randrange(v), v) for v in range(1, 9)}
+        while len(edges) < 9:
+            i, j = sorted(rng.sample(range(9), 2))
+            edges.add((i, j))
+        g = LabeledGraph.from_edges(9, edges)
+        cls = canonicalize(g)
+        assert cls.cv == 9
+        assert (cls.bits, cls.aut_support) == _pure_class(g.bits)
+
+
+def test_orbit_stabilizer_over_e7(e7_poset):
+    # the labeled graphs on 7 vertices with d edges, counted by class orbits
+    labeled = Counter()
+    for cls in e7_poset.members:
+        orbit, rem = divmod(math.factorial(7), stab_order(cls, 7))
+        assert rem == 0
+        labeled[cls.degree] += orbit
+    assert labeled == Counter({d: math.comb(21, d) for d in range(22)})
+
+
+def _edges10(*groups):
+    return LabeledGraph.from_edges(10, [e for group in groups for e in group])
+
+
+SYMMETRIC_SUPPORT_10 = {
+    "Petersen": (_edges10(
+        [(i, (i + 1) % 5) for i in range(5)],
+        [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+        [(i, i + 5) for i in range(5)],
+    ), 120),
+    "5K2": (_edges10([(2 * i, 2 * i + 1) for i in range(5)]), 3840),
+    "C10": (_edges10([(i, (i + 1) % 10) for i in range(10)]), 20),
+    "2C5": (_edges10([(i, (i + 1) % 5) for i in range(5)], [(5 + i, 5 + (i + 1) % 5) for i in range(5)]), 200),
+    "K1,9": (_edges10([(0, i) for i in range(1, 10)]), 362880),
+    "K5,5": (_edges10([(i, j) for i in range(5) for j in range(5, 10)]), 28800),
+    "2K5": (_edges10(
+        [(i, j) for i in range(5) for j in range(i + 1, 5)],
+        [(i, j) for i in range(5, 10) for j in range(i + 1, 10)],
+    ), 28800),
+    "K3,3+2K2": (_edges10([(i, j) for i in range(3) for j in range(3, 6)], [(6, 7), (8, 9)]), 576),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SUPPORT_10))
+def test_symmetric_support_10_graphs(name):
+    g, aut = SYMMETRIC_SUPPORT_10[name]
+    cls = canonicalize(g)
+    assert cls.cv == 10 and cls.aut_support == aut
+    rng = random.Random(name)
+    for _ in range(3):
+        images = list(range(10))
+        rng.shuffle(images)
+        assert canonicalize(apply_permutation(g, Permutation(tuple(images)))) == cls
+    assert canonicalize(cls.rep()) == cls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 45) - 1), st.permutations(range(10)))
+def test_canonical_form_properties_at_support_9_and_10(bits, images):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = LabeledGraph(10, bits)
+    cls = canonicalize(g)
+    if cls.cv < 9:
+        return
+    assert canonicalize(apply_permutation(g, Permutation(tuple(images)))) == cls
+    assert canonicalize(cls.rep()) == cls
+    h = nx.Graph(cls.rep().edge_list())
+    cap = 5000  # automorphisms listed one by one; larger groups only need to exceed it
+    count = 0
+    for _ in GraphMatcher(h, h).isomorphisms_iter():
+        count += 1
+        if count > cap:
+            break
+    if cls.aut_support <= cap:
+        assert count == cls.aut_support
+    else:
+        assert count > cap
+
+
+def test_support_automorphisms_match_brute_force_on_e6(e6_poset):
+    for cls in e6_poset.members:
+        brute = tuple(
+            images
+            for images in permutations(range(cls.cv))
+            if permute_bits(cls.bits, images) == cls.bits
+        )
+        assert support_automorphisms(cls) == brute
+
+
+def test_stab_order_matches_brute_force_stabilizer(e5_poset):
+    for n in (5, 6):
+        for cls in e5_poset.members:
+            assert stab_order(cls, n) == stabilizer_order(cls.rep().edge_list(), n)
+
+
+def test_general_product_at_support_10_on_random_hosts():
+    from graphinv.algebra import general_product
+
+    a, b = named_class("K1,4"), named_class("P5")
+    comb = general_product(a, b)
+    assert max(cls.cv for cls in comb.terms) == 10
+    rng = random.Random(1045)
+    for n, p in ((10, 0.3), (10, 0.35), (9, 0.4)):
+        host = random_labeled_graph(rng, n, p)
+        lhs = count_subgraphs_injective(a, host) * count_subgraphs_injective(b, host)
+        assert comb.evaluate(host) == lhs
