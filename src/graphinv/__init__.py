@@ -4,6 +4,26 @@ Subgraph-type invariant counting, poset transform matrices with closed-form
 powers, invariant products by three mutually checking routes, separator and
 generator analysis, inseparable-pair construction, and cycle-index
 enumeration of unlabeled graphs.
+
+Each job has one production route.  The independent routes kept beside them
+are oracles, each checking one production route:
+
+  * `graph._canon_pure`, the sweep over all support relabelings, checks the
+    bits and automorphism counts of the pruned search in `canonicalize_bits`;
+  * `graph.count_subgraphs_injective`, edge-preserving injections divided by
+    the automorphism order, checks `count_subgraphs`;
+  * `mtransform._mtransform_by_subsets`, which classifies every edge subset of
+    every member, checks the cover recursion in `build_mtransform`;
+  * `inverse_mtransform` cross-asserts the closed form `mnukhin_power(-1)`
+    against the elimination `unitriangular_inverse` on complete posets;
+  * `algebra.product_kocay`, `product_fleischmann` and `product_mtransform`
+    compute every product three ways and must agree;
+  * `enumeration.pair_cycle_index_bruteforce`, an average over all of S_n,
+    checks `pair_group_cycle_index`;
+  * `multiset.hasse_derivative_value`, a tiny polynomial calculus, checks
+    `multiset_invariant`;
+  * `perm.stabilizer_order`, counted on an explicit group, checks
+    `graph.stab_order`.
 """
 
 from .errors import CapError, FormatError, PosetError, PreconditionError

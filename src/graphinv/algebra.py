@@ -336,19 +336,17 @@ def multiplication_table_csv(poset: GPoset) -> str:
 # ── expression in the basic basis and degree identities ──────────────────
 
 def express_invariant(values, poset: GPoset, matrix) -> LinComb:
-    """Solve E c = values by forward substitution (unique by unitriangularity)."""
+    """Solve E c = values as c = E^-1 values (unique by unitriangularity)."""
+    from .mtransform import unitriangular_inverse  # mtransform imports this module
+
     n = len(poset)
     if len(values) != n:
         raise PreconditionError(f"expected {n} values, got {len(values)}")
-    rows = matrix.data
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        acc = Fraction(values[i])
-        for j in range(i):
-            if rows[i][j]:
-                acc -= rows[i][j] * coeffs[j]
-        coeffs[i] = acc  # e_ii = 1
-    return LinComb.from_terms({poset.members[i]: coeffs[i] for i in range(n)})
+    vals = [Fraction(v) for v in values]
+    return LinComb.from_terms({
+        m: sum((x * v for x, v in zip(row, vals) if x), Fraction(0))
+        for m, row in zip(poset.members, unitriangular_inverse(matrix).data)
+    })
 
 
 def degree_sum_identity_check(g_i: IsoClass, big_d: int, poset: GPoset, matrix) -> dict:

@@ -55,10 +55,6 @@ def _matrix_csv(m: mtransform.IntMatrix, row_labels, col_labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_graph_arg(text: str, n: int | None = None) -> graph.LabeledGraph:
-    return graph.parse_graph(text, n)
-
-
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -106,8 +102,7 @@ def _group_for(name: str, n_positions: int):
     if name == "sym":
         return symmetric_group(n_positions)
     if name.startswith("gens:"):
-        gens = [Permutation(tuple(int(t) for t in chunk.split()))
-                for chunk in name[len("gens:"):].split(";") if chunk.strip()]
+        gens = [Permutation.from_line(chunk) for chunk in name[len("gens:"):].split(";") if chunk.strip()]
         return close_generators(n_positions, gens)
     raise FormatError(f"unknown group {name!r} (use trivial, sym, or gens:...)")
 
@@ -154,8 +149,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    pattern = graph.canonicalize(_parse_graph_arg(args.pattern))
-    host = _parse_graph_arg(args.host)
+    pattern = graph.canonicalize(graph.parse_graph(args.pattern))
+    host = graph.parse_graph(args.host)
     result = graph.count_subgraphs(pattern, host)
     if args.oracle and graph.count_subgraphs_injective(pattern, host) != result:
         raise AssertionError("subset and injection counts disagree")
@@ -165,8 +160,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_product(args) -> int:
     p = _poset_for(args.n, None, args.cache_dir)
-    a = graph.canonicalize(_parse_graph_arg(args.a))
-    b = graph.canonicalize(_parse_graph_arg(args.b))
+    a = graph.canonicalize(graph.parse_graph(args.a))
+    b = graph.canonicalize(graph.parse_graph(args.b))
     out: dict = {"n": args.n, "a": a.graph6, "b": b.graph6, "method": args.method}
     results = {}
     if args.method in ("kocay", "all"):
@@ -201,8 +196,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_general_product(args) -> int:
-    a = graph.canonicalize(_parse_graph_arg(args.a))
-    b = graph.canonicalize(_parse_graph_arg(args.b))
+    a = graph.canonicalize(graph.parse_graph(args.a))
+    b = graph.canonicalize(graph.parse_graph(args.b))
     comb = algebra.general_product(a, b)
     out = {"a": a.graph6, "b": b.graph6, "terms": comb.to_json_obj()}
     if args.verify:
@@ -224,7 +219,7 @@ def _cmd_express(args) -> int:
 def _cmd_separators(args) -> int:
     p = _poset_for(args.n, None, args.cache_dir)
     if args.set:
-        invs = [graph.canonicalize(_parse_graph_arg(tok)) for tok in args.set.split(",")]
+        invs = [graph.canonicalize(graph.parse_graph(tok)) for tok in args.set.split(",")]
         rep = generators.is_separator(invs, p)
         out = {
             "n": args.n,
@@ -244,7 +239,7 @@ def _cmd_separators(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    host = graph.canonicalize(_parse_graph_arg(args.host))
+    host = graph.canonicalize(graph.parse_graph(args.host))
     n = min(max(host.cv, 2), 8)
     pool = poset.build_full_poset(n, host.degree).connected_members()
     conn = sorted((c for c in pool if c.degree <= host.degree), key=lambda c: c.sort_key)
@@ -263,7 +258,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_inseparable(args) -> int:
-    gen = graph.canonicalize(_parse_graph_arg(args.generator)) if args.generator else None
+    gen = graph.canonicalize(graph.parse_graph(args.generator)) if args.generator else None
     pair = generators.inseparable_pair(args.d, gen)
     out = {
         "d": pair.d,
@@ -289,11 +284,11 @@ def _cmd_inseparable(args) -> int:
 
 def _cmd_complement_solve(args) -> int:
     p = _poset_for(args.n, None, args.cache_dir)
-    g = graph.canonicalize(_parse_graph_arg(args.g))
+    g = graph.canonicalize(graph.parse_graph(args.g))
     comb = mtransform.complement_invariant_expansion(g, p, args.n)
     out = {"n": args.n, "g": g.graph6, "terms": comb.to_json_obj()}
     if args.host:
-        host = graph.canonicalize(_parse_graph_arg(args.host))
+        host = graph.canonicalize(graph.parse_graph(args.host))
         out["value_at_host"] = _coeff_json(comb.evaluate(host))
         out["direct"] = graph.count_subgraphs(g, graph.complement(host.rep(args.n), args.n))
     _emit(out, args.format)

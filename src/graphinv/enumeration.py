@@ -7,6 +7,7 @@ intermediates, so plain Python integers are mandatory here.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -153,21 +154,17 @@ def pair_cycle_index_bruteforce(n: int) -> CyclePolynomial:
 
 # ── counts and tables ────────────────────────────────────────────────────
 
-_h_series_cache: dict[tuple[int, int], list[int]] = {}
-
-
 def graph_count_series(n: int, trunc: int | None = None) -> list[int]:
     """h_n(0..trunc): unlabeled graphs on n vertices by edge count."""
     if n > GRAPH_COUNT_VERTEX_CAP:
         raise CapError(f"graph counts capped at n <= {GRAPH_COUNT_VERTEX_CAP}")
     nslots = n * (n - 1) // 2
-    trunc = nslots if trunc is None else min(trunc, nslots)
-    key = (n, trunc)
-    series = _h_series_cache.get(key)
-    if series is None:
-        series = pair_group_cycle_index(n).substitute_edge_series(trunc)
-        _h_series_cache[key] = series
-    return series
+    return _edge_series(n, nslots if trunc is None else min(trunc, nslots))
+
+
+@functools.cache
+def _edge_series(n: int, trunc: int) -> list[int]:
+    return pair_group_cycle_index(n).substitute_edge_series(trunc)
 
 
 def graph_count(n: int, d: int) -> int:
@@ -241,17 +238,12 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
 
 # ── connected counts ─────────────────────────────────────────────────────
 
-_connected_cache: dict[int, dict[int, list[IsoClass]]] = {}
-
-
+@functools.cache
 def connected_classes_by_degree(max_degree: int) -> dict[int, list[IsoClass]]:
     """Connected classes grouped by edge count, grown one edge at a time
     (adding an edge to a connected graph never disconnects it)."""
     if max_degree > CONNECTED_DEGREE_CAP:
         raise CapError(f"connected enumeration capped at degree {CONNECTED_DEGREE_CAP}")
-    cached = _connected_cache.get(max_degree)
-    if cached is not None:
-        return cached
     levels: dict[int, list[IsoClass]] = {}
     if max_degree >= 1:
         k2 = canonicalize_bits(1)
@@ -269,7 +261,6 @@ def connected_classes_by_degree(max_degree: int) -> dict[int, list[IsoClass]]:
                         nxt.add(canonicalize_bits(cls.bits | 1 << slot))
             current = nxt
             levels[_d + 1] = sorted(nxt, key=lambda c: c.sort_key)
-    _connected_cache[max_degree] = levels
     return levels
 
 

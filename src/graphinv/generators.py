@@ -237,50 +237,16 @@ def half_degree_system_check(n: int) -> dict:
         m_rows = [[e.data[k][i] for k in unk_idx] for i in eq_idx]
         rank = exact_rank(m_rows)
         full = rank == len(unk_idx)
-        recovered_ok = True
-        for pos, host in enumerate(poset.members):
-            rhs = [(host.degree - d) * e.data[pos][i] for i in eq_idx]
-            sol = _solve_exact(m_rows, rhs)
-            if sol is None or any(
-                sol[t] != e.data[pos][unk_idx[t]] for t in range(len(unk_idx))
-            ):
-                recovered_ok = False
-                break
+        # with full column rank the solution is unique, so it must be the row itself
+        recovered_ok = full and all(
+            _solve(m_rows, [(host.degree - d) * e.data[pos][i] for i in eq_idx])
+            == [e.data[pos][k] for k in unk_idx]
+            for pos, host in enumerate(poset.members)
+        )
         steps.append({"degree": d, "unknowns": len(unk_idx), "rank": rank, "full_rank": full,
                       "recovered": recovered_ok})
         ok = ok and full and recovered_ok
     return {"n": n, "ok": ok, "steps": steps}
-
-
-def _solve_exact(m_rows, rhs):
-    """Unique exact solution of an overdetermined consistent system, or None."""
-    nr = len(m_rows)
-    nc = len(m_rows[0]) if nr else 0
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m_rows, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(nr):
-            if r != rank and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < nc:
-        return None  # underdetermined
-    for r in range(rank, nr):
-        if a[r][nc]:
-            return None  # inconsistent
-    sol = [Fraction(0)] * nc
-    for r, col in enumerate(pivots):
-        sol[col] = a[r][nc]
-    return sol
 
 
 # ── polynomial relations between invariants ──────────────────────────────
@@ -328,14 +294,15 @@ def derive_relation_in_basis(target: IsoClass, basis, poset: GPoset, max_powers)
             [math.prod(v**e for v, e in zip(base_vals, exps)) for exps in monos]
         )
         rhs.append(count_subgraphs(target, host))
-    sol = _solve_least_structured(rows, rhs)
+    sol = _solve(rows, rhs)
     if sol is None:
         return None
     return {exps: c for exps, c in zip(monos, sol) if c}
 
 
-def _solve_least_structured(m_rows, rhs):
-    """Any exact solution of a consistent (possibly underdetermined) system."""
+def _solve(m_rows, rhs):
+    """An exact solution of a linear system by Gauss-Jordan elimination over the
+    rationals (free unknowns set to zero), or None when it is inconsistent."""
     nr = len(m_rows)
     nc = len(m_rows[0]) if nr else 0
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m_rows, rhs)]

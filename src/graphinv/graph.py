@@ -9,6 +9,7 @@ over all support permutations is kept as its oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,6 +48,8 @@ class LabeledGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> LabeledGraph:
+        if not (0 <= n <= MAX_VERTICES):
+            raise CapError(f"vertex count {n} outside [0..{MAX_VERTICES}]")
         bits = 0
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -80,9 +83,6 @@ class LabeledGraph:
     def cv(self) -> int:
         """Number of vertices meeting at least one edge."""
         return len(self.support)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.bits >> pair_slot(i, j) & 1)
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,11 @@ class IsoClass:
 EMPTY_CLASS = IsoClass(0, 0, 0, 1)
 
 # ── canonical-form machinery ─────────────────────────────────────────────
-
-_canon_memo: dict[tuple[int, int], IsoClass] = {}
-_aut_perm_memo: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+#
+# The memos are functools caches on the functions that compute their values:
+# `_canon_from_packed` (keyed by the packed support), `support_automorphisms`
+# (by class) and `_class_counts` (by host bits and degree).  Read them with
+# `cache_info()`, clear them with `cache_clear()`.
 
 _SLOT_PAIRS = tuple(pair_from_slot(s) for s in range(MAX_VERTICES * (MAX_VERTICES - 1) // 2))
 
@@ -290,6 +292,7 @@ def _min_labelings(adj: list[int], leaves: list | None = None) -> tuple[int, int
     return state[0], state[1]
 
 
+@functools.cache
 def _canon_from_packed(cv: int, bits: int) -> IsoClass:
     best, count = _min_labelings(_adjacency(cv, bits))
     return IsoClass(best, bits.bit_count(), cv, count)
@@ -302,12 +305,7 @@ def canonicalize_bits(bits: int) -> IsoClass:
     cv, packed = _pack_support(bits)
     if cv > MAX_SUPPORT:
         raise CapError(f"support size {cv} exceeds canonical-form cap of {MAX_SUPPORT}")
-    key = (cv, packed)
-    cls = _canon_memo.get(key)
-    if cls is None:
-        cls = _canon_from_packed(cv, packed)
-        _canon_memo[key] = cls
-    return cls
+    return _canon_from_packed(cv, packed)
 
 
 def canonicalize(g: LabeledGraph) -> IsoClass:
@@ -315,12 +313,9 @@ def canonicalize(g: LabeledGraph) -> IsoClass:
     return canonicalize_bits(g.bits)
 
 
+@functools.cache
 def support_automorphisms(cls: IsoClass) -> tuple[tuple[int, ...], ...]:
     """All support permutations fixing the canonical edge set (image tuples, sorted)."""
-    key = (cls.cv, cls.bits)
-    cached = _aut_perm_memo.get(key)
-    if cached is not None:
-        return cached
     if cls.cv == 0:
         result: tuple[tuple[int, ...], ...] = ((),)
     else:
@@ -329,7 +324,6 @@ def support_automorphisms(cls: IsoClass) -> tuple[tuple[int, ...], ...]:
         assert best == cls.bits
         result = tuple(sorted(leaves))
     assert len(result) == cls.aut_support
-    _aut_perm_memo[key] = result
     return result
 
 
@@ -356,38 +350,19 @@ def apply_permutation(g: LabeledGraph, p: Permutation | tuple[int, ...]) -> Labe
 
 # ── subgraph counting ────────────────────────────────────────────────────
 
-_hist_cache: dict[tuple[int, int], Counter] = {}
-
-
 def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Counter:
     """Histogram of the isomorphism classes of all degree-edge subsets of host."""
-    bits = host.bits
-    key = (bits, degree)
-    hist = _hist_cache.get(key)
-    if hist is not None:
-        return hist
-    hist = Counter()
+    return _class_counts(host.bits, degree)
+
+
+@functools.cache
+def _class_counts(bits: int, degree: int) -> Counter:
+    hist: Counter = Counter()
     if degree == 0:
         hist[EMPTY_CLASS] = 1
-    else:
-        pairs = [pair_from_slot(s) for s in _bits_to_slots(bits)]
-        if degree <= len(pairs):
-            for combo in combinations(pairs, degree):
-                verts = sorted({v for e in combo for v in e})
-                rank = {v: k for k, v in enumerate(verts)}
-                packed = 0
-                for i, j in combo:
-                    packed |= 1 << pair_slot(rank[i], rank[j])
-                cv = len(verts)
-                ckey = (cv, packed)
-                cls = _canon_memo.get(ckey)
-                if cls is None:
-                    if cv > MAX_SUPPORT:
-                        raise CapError(f"subset support {cv} exceeds cap of {MAX_SUPPORT}")
-                    cls = _canon_from_packed(cv, packed)
-                    _canon_memo[ckey] = cls
-                hist[cls] += 1
-    _hist_cache[key] = hist
+        return hist
+    for combo in combinations([1 << s for s in _bits_to_slots(bits)], degree):
+        hist[canonicalize_bits(sum(combo))] += 1
     return hist
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations as _combinations, permutations as _permutations, product as _product
 
 from .algebra import LinComb
-from .errors import PosetError, PreconditionError
+from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     IsoClass,
     canonicalize,
@@ -25,6 +25,8 @@ from .graph import (
     subgraph_class_counts,
 )
 from .poset import GPoset
+
+SUBSET_MINOR_CAP = 10**6  # C(N, Delta) * C(N, delta) entries of a subset minor
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,6 @@ class IntMatrix:
         for _ in range(k):
             out = out @ self
         return out
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix.from_rows(zip(*self.data))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
@@ -311,9 +310,6 @@ def minor_by_degree(matrix: IntMatrix, degrees, delta: int, big_delta: int) -> I
     )
 
 
-minor = minor_by_degree
-
-
 def exact_rank(matrix: IntMatrix | list) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination."""
     a = [list(r) for r in (matrix.data if isinstance(matrix, IntMatrix) else matrix)]
@@ -338,6 +334,12 @@ def exact_rank(matrix: IntMatrix | list) -> int:
     return rank
 
 
+def _check_subset_minor_size(n_vars: int, delta: int, big_delta: int) -> None:
+    entries = math.comb(n_vars, big_delta) * math.comb(n_vars, delta)
+    if entries > SUBSET_MINOR_CAP:
+        raise CapError(f"subset minor has {entries} entries, over the cap of {SUBSET_MINOR_CAP}")
+
+
 def _colex_subsets(n_vars: int, size: int) -> list[tuple[int, ...]]:
     """All size-subsets of [0..n_vars) in colex order."""
     return sorted(_combinations(range(n_vars), size), key=lambda t: tuple(reversed(t)))
@@ -347,6 +349,7 @@ def subset_inclusion_minor(n_vars: int, delta: int, big_delta: int) -> IntMatrix
     """Trivial-group minor: containment indicators of colex-ordered subsets."""
     if not 0 <= delta <= big_delta <= n_vars:
         raise PreconditionError("need 0 <= delta <= Delta <= n_vars")
+    _check_subset_minor_size(n_vars, delta, big_delta)
     rows = _colex_subsets(n_vars, big_delta)
     cols = _colex_subsets(n_vars, delta)
     return IntMatrix.from_rows(
@@ -359,6 +362,7 @@ def subset_minor_blocks(n_vars: int, delta: int, big_delta: int) -> IntMatrix:
     [[E_d^D(n-1), 0], [E_d^(D-1)(n-1), E_(d-1)^(D-1)(n-1)]]."""
     if n_vars < 1 or not 1 <= delta <= big_delta <= n_vars:
         raise PreconditionError("block recursion needs 1 <= delta <= Delta <= n_vars")
+    _check_subset_minor_size(n_vars, delta, big_delta)
     if delta == big_delta:
         return IntMatrix.identity(math.comb(n_vars, delta))
     if big_delta == n_vars:

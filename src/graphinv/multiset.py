@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as _product
 
 from .errors import CapError, PosetError, PreconditionError
-from .mtransform import IntMatrix
+from .mtransform import IntMatrix, unitriangular_inverse
 from .perm import PermGroup
 
 MEMBER_CAP = 100_000
@@ -159,16 +158,9 @@ def express_orbit_sum(a, p: MultisetPoset, matrix: IntMatrix | None = None) -> l
         raise CapError(f"exponent {max(a)} exceeds poset cap {p.cap}")
     if len(a) != p.group.n:
         raise PreconditionError("monomial length != number of positions")
-    e = (matrix or build_general_mtransform(p)).data
+    inv = unitriangular_inverse(matrix or build_general_mtransform(p)).data
     values = [orbit_sum_value(a, m, p.group) for m in p.members]
-    coeffs: list[Fraction] = []
-    for i in range(len(p.members)):
-        acc = Fraction(values[i])
-        for j in range(i):
-            if e[i][j] and coeffs[j]:
-                acc -= e[i][j] * coeffs[j]
-        coeffs.append(acc)
-    return [int(c) if c.denominator == 1 else c for c in coeffs]
+    return [sum(x * v for x, v in zip(row, values) if x) for row in inv]
 
 
 def verify_orbit_sum_expression(a, p: MultisetPoset, coeffs) -> bool:

@@ -95,6 +95,8 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
         raise PreconditionError("n must be nonnegative")
     if n > FULL_POSET_VERTEX_CAP:
         raise CapError(f"full poset build capped at n <= {FULL_POSET_VERTEX_CAP}")
+    if max_degree is not None and max_degree < 0:
+        raise PreconditionError("max_degree must be nonnegative")
     cap = n * (n - 1) // 2
     max_degree = cap if max_degree is None else min(max_degree, cap)
     classes = {EMPTY_CLASS}
@@ -153,10 +155,6 @@ def build_span_poset(generators, max_degree: int) -> GPoset:
     extend(0, Counter(), 0)
     complete = is_subgraph_closed(classes)
     return _make_poset(classes, None, max_degree, complete)
-
-
-def connected_members(p: GPoset) -> tuple[IsoClass, ...]:
-    return p.connected_members()
 
 
 # ── poset files: one graph6 per line, plus a JSON sidecar ────────────────

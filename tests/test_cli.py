@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from graphinv.cli import main
+from graphinv.cli import _group_for, _parse_relation, main
+from graphinv.errors import PreconditionError
+from graphinv.graph import parse_edge_list, parse_graph, parse_graph6
+from graphinv.perm import Permutation
 from graphinv.smallgraphs import named_class
 
 
@@ -227,8 +232,49 @@ def test_multiset_eval_non_integer_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_multiset_eval_bad_group_exits_2(capsys):
+    for group in ("gens:0 x", "gens:0 0", "gens:0 1 2"):
+        code, out, err = run_cli(capsys, "multiset-eval", "--m", "1,2", "--w", "2,2", "--group", group)
+        assert code == 2 and out == "" and err.startswith("error:"), group
+
+
+def test_oversized_work_refused_before_it_starts(capsys):
+    code, out, err = run_cli(capsys, "rank-minor", "--trivial-vars", "40", "--delta", "1", "--Delta", "20")
+    assert code == 2 and out == "" and "cap" in err
+    code, out, err = run_cli(capsys, "mtransform", "--n", "4", "--max-degree", "-2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_express_bad_fraction_exits_2(capsys):
     code, out, err = run_cli(capsys, "express", "--n", "3", "--values", "1,2,3,x")
     assert code == 2 and out == "" and err.startswith("error:")
     code, out, err = run_cli(capsys, "express", "--n", "3", "--values", "1,2,3,1/0")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+_PARSERS = (
+    parse_graph,
+    parse_graph6,
+    parse_edge_list,
+    Permutation.from_line,
+    _parse_relation,
+)
+
+_parser_text = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789-, "),
+    st.text(alphabet="0123456789 ;x").map(lambda t: "gens:" + t),
+    st.sampled_from(["trivial", "sym"]),
+)
+
+
+@given(text=_parser_text, positions=st.integers(1, 5))
+@example(text="0-99999999", positions=2)
+@example(text="gens:0 x", positions=2)
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_precondition_errors(text, positions):
+    for parse in _PARSERS + (lambda t: _group_for(t, positions),):
+        try:
+            parse(text)
+        except PreconditionError:
+            pass

@@ -214,6 +214,9 @@ def test_from_edges_validation():
         LabeledGraph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(PreconditionError):
         LabeledGraph.from_edges(3, [(1, 1)])
+    # the vertex cap is checked before the edge bitset is built
+    with pytest.raises(CapError):
+        LabeledGraph.from_edges(100_000_000, [(0, 99_999_999)])
 
 
 # ── the pruned canonical search against its oracles ─────────────────────

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinv.errors import PosetError, PreconditionError
+from graphinv.errors import CapError, PosetError, PreconditionError
 from graphinv.graph import complement, count_subgraphs, count_subgraphs_injective
 from graphinv.mtransform import (
     IntMatrix,
@@ -244,6 +244,15 @@ def test_exact_rank_against_fraction_oracle():
 def test_block_recursion_bases():
     assert subset_minor_blocks(3, 2, 2) == IntMatrix.identity(3)
     assert subset_minor_blocks(3, 1, 3).to_lists() == [[1, 1, 1]]
+
+
+def test_subset_minors_refuse_oversized_before_enumerating():
+    # C(N, Delta) * C(N, delta) entries: 40 * C(40, 20) and C(20, 3)^2 are over 10^6
+    for args in ((40, 1, 20), (20, 3, 3)):
+        with pytest.raises(CapError):
+            subset_inclusion_minor(*args)
+        with pytest.raises(CapError):
+            subset_minor_blocks(*args)
 
 
 def test_ordering_search_identity(e3_poset):
