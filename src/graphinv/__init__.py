@@ -5,6 +5,9 @@ powers, invariant products by three mutually checking routes, separator and
 generator analysis, inseparable-pair construction, and cycle-index
 enumeration of unlabeled graphs.
 
+The import surface is `graphinv.<module>`; the package re-exports nothing, so
+importing one layer (or starting the CLI) loads only the layers it uses.
+
 Each job has one production route.  The independent routes kept beside them
 are oracles, each checking one production route:
 
@@ -25,63 +28,3 @@ are oracles, each checking one production route:
   * `perm.stabilizer_order`, counted on an explicit group, checks
     `graph.stab_order`.
 """
-
-from .errors import CapError, FormatError, PosetError, PreconditionError
-from .graph import (
-    EMPTY_CLASS,
-    IsoClass,
-    LabeledGraph,
-    canonicalize,
-    complement,
-    count_subgraphs,
-    count_subgraphs_injective,
-    disjoint_union,
-    connected_component_classes,
-    emit_graph6,
-    parse_graph6,
-)
-from .perm import PermGroup, Permutation, close_generators, pair_action, stabilizer_order
-from .poset import GPoset, build_full_poset, build_span_poset
-from .mtransform import IntMatrix, build_mtransform, exact_rank, mnukhin_power
-from .algebra import LinComb, general_product, product_kocay
-from .generators import inseparable_pair, is_separator, minimal_separators
-from .enumeration import graph_count, pair_group_cycle_index, ulam_difference_table
-
-__all__ = [
-    "CapError",
-    "FormatError",
-    "PosetError",
-    "PreconditionError",
-    "EMPTY_CLASS",
-    "IsoClass",
-    "LabeledGraph",
-    "canonicalize",
-    "complement",
-    "count_subgraphs",
-    "count_subgraphs_injective",
-    "disjoint_union",
-    "connected_component_classes",
-    "emit_graph6",
-    "parse_graph6",
-    "PermGroup",
-    "Permutation",
-    "close_generators",
-    "pair_action",
-    "stabilizer_order",
-    "GPoset",
-    "build_full_poset",
-    "build_span_poset",
-    "IntMatrix",
-    "build_mtransform",
-    "exact_rank",
-    "mnukhin_power",
-    "LinComb",
-    "general_product",
-    "product_kocay",
-    "inseparable_pair",
-    "is_separator",
-    "minimal_separators",
-    "graph_count",
-    "pair_group_cycle_index",
-    "ulam_difference_table",
-]

@@ -337,7 +337,7 @@ def multiplication_table_csv(poset: GPoset) -> str:
 
 def express_invariant(values, poset: GPoset, matrix) -> LinComb:
     """Solve E c = values as c = E^-1 values (unique by unitriangularity)."""
-    from .mtransform import unitriangular_inverse  # mtransform imports this module
+    from .mtransform import unitriangular_inverse  # general-product never loads the transform layer
 
     n = len(poset)
     if len(values) != n:

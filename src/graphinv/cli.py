@@ -2,20 +2,28 @@
 
 JSON is the default interchange format (sorted keys, stable indentation);
 matrices and tables can be emitted as CSV; graph6 is used wherever a graph
-crosses the boundary.  Precondition violations exit with status 2.
+crosses the boundary.  Exit status: 0 on success, 1 when the reader closes
+stdout early, 2 on a precondition violation or cap, 3 when an internal check
+(an oracle) disagrees.
+
+Each handler imports the layers it runs, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import algebra, enumeration, generators, graph, mtransform, multiset, poset
 from .errors import FormatError, PreconditionError
-from .perm import Permutation, close_generators, symmetric_group, trivial_group
-from .util import cache_fetch
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .mtransform import IntMatrix
+    from .poset import GPoset
 
 
 def _coeff_json(c):
@@ -48,7 +56,7 @@ def _emit_table(obj, indent: str = "") -> None:
         print(f"{indent}{obj}")
 
 
-def _matrix_csv(m: mtransform.IntMatrix, row_labels, col_labels) -> str:
+def _matrix_csv(m: IntMatrix, row_labels, col_labels) -> str:
     lines = ["," + ",".join(col_labels)]
     for label, row in zip(row_labels, m.data):
         lines.append(label + "," + ",".join(str(x) for x in row))
@@ -63,6 +71,8 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -71,6 +81,8 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 
 def _parse_relation(text: str) -> list[tuple[Fraction, dict]]:
     """--relation JSON as (coefficient, {class: power}) terms."""
+    from .graph import canonicalize, parse_graph6
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,18 +97,23 @@ def _parse_relation(text: str) -> list[tuple[Fraction, dict]]:
         for g6, power in rec["monomial"].items():
             if type(power) is not int or power < 0:
                 raise FormatError(f"--relation: power of {g6!r} must be a nonnegative integer, got {power!r}")
-            mono[graph.canonicalize(graph.parse_graph6(g6))] = power
+            mono[canonicalize(parse_graph6(g6))] = power
         terms.append((_parse_fraction(str(rec["coeff"]), "--relation coeff"), mono))
     return terms
 
 
-def _poset_for(n: int, max_degree: int | None, cache_dir: str | None) -> poset.GPoset:
+def _poset_for(n: int, max_degree: int | None, cache_dir: str | None) -> GPoset:
+    from . import poset
+    from .util import cache_fetch
+
     key = f"poset:n={n}:d={max_degree}"
     obj = cache_fetch(cache_dir, key, lambda: poset.poset_sidecar(poset.build_full_poset(n, max_degree)))
     return poset.poset_from_sidecar(obj)
 
 
 def _group_for(name: str, n_positions: int):
+    from .perm import Permutation, close_generators, symmetric_group, trivial_group
+
     if name == "trivial":
         return trivial_group(n_positions)
     if name == "sym":
@@ -126,6 +143,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mtransform(args) -> int:
+    from . import mtransform
+
     p = _poset_for(args.n, args.max_degree, args.cache_dir)
     m = mtransform.build_mtransform(p)
     labels = [c.graph6 for c in p.members]
@@ -137,6 +156,8 @@ def _cmd_mtransform(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import mtransform
+
     p = _poset_for(args.n, args.max_degree, args.cache_dir)
     m = mtransform.build_mtransform(p)
     inv = mtransform.inverse_mtransform(m, p.degrees(), complete=p.complete)
@@ -149,6 +170,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import graph
+
     pattern = graph.canonicalize(graph.parse_graph(args.pattern))
     host = graph.parse_graph(args.host)
     result = graph.count_subgraphs(pattern, host)
@@ -159,6 +182,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from . import algebra, graph, mtransform
+
     p = _poset_for(args.n, None, args.cache_dir)
     a = graph.canonicalize(graph.parse_graph(args.a))
     b = graph.canonicalize(graph.parse_graph(args.b))
@@ -196,6 +221,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_general_product(args) -> int:
+    from . import algebra, graph, poset
+
     a = graph.canonicalize(graph.parse_graph(args.a))
     b = graph.canonicalize(graph.parse_graph(args.b))
     comb = algebra.general_product(a, b)
@@ -208,6 +235,8 @@ def _cmd_general_product(args) -> int:
 
 
 def _cmd_express(args) -> int:
+    from . import algebra, mtransform
+
     p = _poset_for(args.n, None, args.cache_dir)
     values = [_parse_fraction(tok, "--values") for tok in args.values.split(",")]
     e = mtransform.build_mtransform(p)
@@ -217,6 +246,8 @@ def _cmd_express(args) -> int:
 
 
 def _cmd_separators(args) -> int:
+    from . import generators, graph
+
     p = _poset_for(args.n, None, args.cache_dir)
     if args.set:
         invs = [graph.canonicalize(graph.parse_graph(tok)) for tok in args.set.split(",")]
@@ -239,6 +270,8 @@ def _cmd_separators(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import generators, graph, poset
+
     host = graph.canonicalize(graph.parse_graph(args.host))
     n = min(max(host.cv, 2), 8)
     pool = poset.build_full_poset(n, host.degree).connected_members()
@@ -258,6 +291,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_inseparable(args) -> int:
+    from . import generators, graph
+
     gen = graph.canonicalize(graph.parse_graph(args.generator)) if args.generator else None
     pair = generators.inseparable_pair(args.d, gen)
     out = {
@@ -283,6 +318,8 @@ def _cmd_inseparable(args) -> int:
 
 
 def _cmd_complement_solve(args) -> int:
+    from . import graph, mtransform
+
     p = _poset_for(args.n, None, args.cache_dir)
     g = graph.canonicalize(graph.parse_graph(args.g))
     comb = mtransform.complement_invariant_expansion(g, p, args.n)
@@ -296,6 +333,8 @@ def _cmd_complement_solve(args) -> int:
 
 
 def _cmd_rank_minor(args) -> int:
+    from . import mtransform
+
     if args.trivial_vars:
         m = mtransform.subset_inclusion_minor(args.trivial_vars, args.delta, args.big_delta)
     else:
@@ -313,26 +352,36 @@ def _cmd_rank_minor(args) -> int:
 
 
 def _cmd_ulam_table(args) -> int:
-    csv = cache_fetch(
-        args.cache_dir,
-        f"ulam:{args.max_n}:{args.max_d}",
-        lambda: enumeration.ulam_table_csv(args.max_n, args.max_d),
-    )
+    from .util import cache_fetch
+
+    def build():
+        from .enumeration import ulam_table_cells
+
+        return ulam_table_cells(args.max_n, args.max_d)
+
+    # A warm run renders either format from the cached cells alone, and JSON
+    # output never loads the enumeration layer.
+    cells = cache_fetch(args.cache_dir, f"ulam-cells:{args.max_n}:{args.max_d}", build)
     if args.format == "csv":
-        sys.stdout.write(csv)
+        from .enumeration import ulam_table_csv
+
+        sys.stdout.write(ulam_table_csv(args.max_n, args.max_d, cells))
     else:
-        table = enumeration.ulam_difference_table(args.max_n, args.max_d)
-        _emit({"cells": [{"d": d, "n": n, "value": v} for (d, n), v in sorted(table.items())]}, args.format)
+        _emit({"cells": [{"d": d, "n": n, "value": v} for d, n, v in cells]}, args.format)
     return 0
 
 
 def _cmd_ulam_check(args) -> int:
+    from . import enumeration
+
     report = enumeration.ulam_condition_check(args.n, args.d, args.rank_support)
     _emit(report, args.format)
     return 0
 
 
 def _cmd_multiset_eval(args) -> int:
+    from . import multiset
+
     m = _parse_ints(args.m, "--m")
     w = _parse_ints(args.w, "--w")
     group = _group_for(args.group, len(m))
@@ -345,6 +394,8 @@ def _cmd_multiset_eval(args) -> int:
 
 
 def _cmd_verify_relation(args) -> int:
+    from . import generators
+
     p = _poset_for(args.n, None, args.cache_dir)
     report = generators.verify_relation(_parse_relation(args.relation), p)
     _emit(
@@ -504,10 +555,24 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError:
+        import traceback
+
+        traceback.print_exc()
+        print("error: internal check failed", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that the
+        # flush at interpreter exit cannot fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -189,14 +189,23 @@ def ulam_difference_table(max_n: int = 12, max_d: int = 12) -> dict:
     return out
 
 
-def ulam_table_csv(max_n: int = 12, max_d: int = 12) -> str:
-    table = ulam_difference_table(max_n, max_d)
+def ulam_table_cells(max_n: int = 12, max_d: int = 12) -> list[list[int]]:
+    """The difference table as sorted [d, n, value] triples (the CLI caches these)."""
+    return [[d, n, v] for (d, n), v in sorted(ulam_difference_table(max_n, max_d).items())]
+
+
+def ulam_table_csv(max_n: int = 12, max_d: int = 12, cells: list | None = None) -> str:
+    """The difference table as CSV, from `ulam_table_cells(max_n, max_d)` when
+    the caller already holds them."""
+    if cells is None:
+        cells = ulam_table_cells(max_n, max_d)
+    table = {(d, n): v for d, n, v in cells}
     lines = ["d," + ",".join(str(n) for n in range(4, max_n + 1))]
     for d in range(2, max_d + 1):
-        cells = [str(d)]
+        row = [str(d)]
         for n in range(4, max_n + 1):
-            cells.append(str(table[(d, n)]) if (d, n) in table else "")
-        lines.append(",".join(cells))
+            row.append(str(table[(d, n)]) if (d, n) in table else "")
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

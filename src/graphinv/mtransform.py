@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations as _combinations, permutations as _permutations, product as _product
+from typing import TYPE_CHECKING
 
-from .algebra import LinComb
 from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     IsoClass,
@@ -26,7 +26,11 @@ from .graph import (
 )
 from .poset import GPoset
 
+if TYPE_CHECKING:
+    from .algebra import LinComb
+
 SUBSET_MINOR_CAP = 10**6  # C(N, Delta) * C(N, delta) entries of a subset minor
+TRANSFORM_MEMBER_CAP = 2_000  # members of a dense transform: |E(7)| = 1,044, |E(8)| = 12,346
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,8 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
     helper rows.  `_mtransform_by_subsets` is the subset-counting oracle.
     """
     members = poset.members
+    if len(members) > TRANSFORM_MEMBER_CAP:
+        raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
     degs = poset.degrees()
     rows: dict[int, dict[int, int]] = {}
     for g, down in _one_edge_covers(members):
@@ -216,6 +222,8 @@ def complement_invariant_expansion(g: IsoClass, poset: GPoset, ambient_n: int) -
     """Linear combination L with L(h) = count of g inside K_n minus h, for every
     h on ambient_n vertices.  Coefficients are exact rationals
     (-1)^|a| * count(a, g) * |Stab(a)| / |Stab(g)| over subclasses a of g."""
+    from .algebra import LinComb  # the transform commands never load algebra
+
     if g.cv > ambient_n:
         raise PreconditionError(f"{g.graph6!r} does not fit in K_{ambient_n}")
     rep = g.rep()

@@ -23,7 +23,7 @@ from .algebra import (
     product_mtransform,
     verify_product_identity,
 )
-from .enumeration import graph_count, ulam_difference_table
+from .enumeration import graph_count, ulam_difference_table, ulam_table_cells, ulam_table_csv
 from .errors import PreconditionError
 from .generators import (
     derive_relation_in_basis,
@@ -556,18 +556,16 @@ def check_reconstruction():
 
 def check_cache_soundness():
     """Cached and freshly computed artifacts agree byte for byte."""
-    from .enumeration import ulam_table_csv
-
     with tempfile.TemporaryDirectory() as tmp:
         fresh = poset_to_json(build_full_poset(4))
         first = cache_fetch(tmp, "poset:n=4", lambda: fresh)
         second = cache_fetch(tmp, "poset:n=4", lambda: "MISS")
         if second != fresh or poset_from_json(second).members != build_full_poset(4).members:
             return False, "cached poset differs from a fresh build"
-        csv = ulam_table_csv(8, 8)
-        got = cache_fetch(tmp, "ulam:8:8", lambda: csv)
-        again = cache_fetch(tmp, "ulam:8:8", lambda: "MISS")
-        if got != csv or again != csv:
+        cells = ulam_table_cells(8, 8)
+        cache_fetch(tmp, "ulam-cells:8:8", lambda: cells)
+        again = cache_fetch(tmp, "ulam-cells:8:8", lambda: "MISS")
+        if again != cells or ulam_table_csv(8, 8, again) != ulam_table_csv(8, 8):
             return False, "cached table differs from a fresh build"
     return True, "poset and table caches round-trip"
 

@@ -7,12 +7,16 @@ import json
 import os
 import random
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .graph import LabeledGraph
-from .perm import pair_slot
+if TYPE_CHECKING:
+    from .graph import LabeledGraph
 
 
 def random_labeled_graph(rng: random.Random, n: int, p: float = 0.5) -> LabeledGraph:
+    from .graph import LabeledGraph  # cache_fetch alone loads no graph layer
+    from .perm import pair_slot
+
     bits = 0
     for j in range(1, n):
         for i in range(j):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinv.algebra import (
     LinComb,
@@ -18,7 +20,7 @@ from graphinv.algebra import (
     verify_product_identity,
 )
 from graphinv.errors import PosetError
-from graphinv.graph import EMPTY_CLASS, count_subgraphs
+from graphinv.graph import EMPTY_CLASS, canonicalize, count_subgraphs
 from graphinv.mtransform import build_mtransform
 from graphinv.poset import build_full_poset, build_span_poset
 from graphinv.smallgraphs import named_class
@@ -212,3 +214,11 @@ def test_lincomb_arithmetic():
     assert LinComb.from_terms({k2: 0}).terms == {}
     obj = a.to_json_obj()
     assert obj[0]["coeff"] == 1 and obj[1]["coeff"] == "1/2"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_general_product_commutes(na, nb, rnd):
+    a = canonicalize(random_labeled_graph(rnd, na))
+    b = canonicalize(random_labeled_graph(rnd, nb))
+    assert general_product(a, b) == general_product(b, a)

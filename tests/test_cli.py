@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphinv import enumeration, graph, mtransform
 from graphinv.cli import _group_for, _parse_relation, main
 from graphinv.errors import PreconditionError
 from graphinv.graph import parse_edge_list, parse_graph, parse_graph6
@@ -147,12 +152,20 @@ def test_ulam_table_csv_stable(capsys):
     assert out1.splitlines()[0] == "d,4,5,6,7,8"
 
 
-def test_ulam_table_cache(tmp_path, capsys):
-    args = ["ulam-table", "--max-n", "6", "--max-d", "6", "--format", "csv", "--cache-dir", str(tmp_path)]
-    _, fresh, _ = run_cli(capsys, *args)
-    assert list(tmp_path.iterdir())
-    _, cached, _ = run_cli(capsys, *args)
-    assert fresh == cached
+def test_ulam_table_cache(tmp_path, capsys, monkeypatch):
+    base = ["ulam-table", "--max-n", "6", "--max-d", "6"]
+    fresh = {fmt: run_cli(capsys, *base, "--format", fmt)[1] for fmt in ("json", "csv")}
+    cached = ["--cache-dir", str(tmp_path)]
+    for fmt, out in fresh.items():
+        assert run_cli(capsys, *base, "--format", fmt, *cached) == (0, out, "")
+    assert len(list(tmp_path.iterdir())) == 1  # one cells entry serves both formats
+
+    def no_table(*args):
+        raise AssertionError("a warm run recomputed the table")
+
+    monkeypatch.setattr(enumeration, "ulam_difference_table", no_table)
+    for fmt, out in fresh.items():
+        assert run_cli(capsys, *base, "--format", fmt, *cached) == (0, out, "")
 
 
 def test_ulam_check_cli(capsys):
@@ -278,3 +291,90 @@ def test_parsers_raise_only_precondition_errors(text, positions):
             parse(text)
         except PreconditionError:
             pass
+
+
+def test_oracle_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(graph, "count_subgraphs_injective", lambda pattern, host: -1)
+    code, out, err = run_cli(capsys, "count", "--pattern", "0-1", "--host", "0-1,1-2", "--oracle")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and err.rstrip().endswith("error: internal check failed")
+
+
+def test_transform_member_cap_refuses_before_the_build(capsys, monkeypatch):
+    assert 1044 < mtransform.TRANSFORM_MEMBER_CAP < 12346  # admits E(7), refuses E(8)
+    monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", 10)  # |E(4)| = 11
+    monkeypatch.setattr(mtransform, "_one_edge_covers", None)  # the recursion must not start
+    for command in ("mtransform", "invert"):
+        code, out, err = run_cli(capsys, command, "--n", "4")
+        assert code == 2 and out == "" and err.startswith("error:") and "cap" in err
+
+
+# ── fresh processes: what `python -m graphinv` loads and how it exits ──────
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_REPORT_MODULES = """
+import json, runpy, sys
+sys.argv = ["graphinv"] + sys.argv[1:]
+code = None
+try:
+    runpy.run_module("graphinv", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("graphinv"))]), file=sys.stderr)
+"""
+
+
+def _child_env() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+
+
+def _modules_loaded(*argv) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return {m.removeprefix("graphinv.") for m in modules}
+
+
+_LAYERS_BEYOND_THE_TRANSFORM = {"algebra", "generators", "enumeration", "multiset"}
+
+
+@pytest.mark.parametrize(
+    "argv, forbidden",
+    [
+        (["count", "--pattern", "0-1", "--host", "0-1,1-2"], {"poset"}),
+        (["mtransform", "--n", "4"], _LAYERS_BEYOND_THE_TRANSFORM),
+        (["invert", "--n", "4"], _LAYERS_BEYOND_THE_TRANSFORM),
+        (["rank-minor", "--n", "4", "--delta", "1", "--Delta", "2"], _LAYERS_BEYOND_THE_TRANSFORM),
+    ],
+    ids=["count", "mtransform", "invert", "rank-minor"],
+)
+def test_commands_load_only_their_layers(argv, forbidden):
+    assert not _modules_loaded(*argv) & forbidden
+
+
+def test_help_loads_no_layer():
+    assert _modules_loaded("--help") <= {"graphinv", "cli", "errors"}
+
+
+def test_warm_ulam_table_loads_no_enumeration(tmp_path):
+    argv = ["ulam-table", "--max-n", "6", "--max-d", "6", "--cache-dir", str(tmp_path)]
+    assert "enumeration" in _modules_loaded(*argv)
+    assert "enumeration" not in _modules_loaded(*argv)
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphinv", "mtransform", "--n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100  # the output is far larger than a pipe buffer
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and err == ""

@@ -24,6 +24,7 @@ from graphinv.graph import (
     emit_graph6,
     is_connected_class,
     parse_edge_list,
+    parse_graph,
     parse_graph6,
     permute_bits,
     stab_order,
@@ -186,6 +187,17 @@ def test_graph6_roundtrip(n, rnd):
     bits = rnd.getrandbits(n * (n - 1) // 2) if n > 1 else 0
     g = LabeledGraph(n, bits)
     assert parse_graph6(emit_graph6(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=16), st.randoms(use_true_random=False))
+def test_parse_graph_roundtrips_graph6_and_edge_lists(n, rnd):
+    g = LabeledGraph(n, rnd.getrandbits(n * (n - 1) // 2) if n > 1 else 0)
+    assert parse_graph(emit_graph6(g)) == g
+    assert parse_graph(emit_edge_list(g), n) == g
+    # Without n, an edge list spans the vertices up to its largest endpoint.
+    top = max((j for _, j in g.edge_list()), default=-1)
+    assert parse_graph(emit_edge_list(g)) == LabeledGraph(top + 1, g.bits)
 
 
 def test_graph6_malformed():
