@@ -8,8 +8,10 @@ enumeration of unlabeled graphs.
 The import surface is `graphinv.<module>`; the package re-exports nothing, so
 importing one layer (or starting the CLI) loads only the layers it uses.
 
-Each job has one production route.  The independent routes kept beside them
-are oracles, each checking one production route:
+Each job has one production route, run by the CLI or by `selftest`.  The
+independent routes kept beside them are oracles, each checking one production
+route.  Each oracle below is named with its module and each route by name
+alone; a test guards that every other public function has a caller:
 
   * `graph._canon_pure`, the sweep over all support relabelings, checks the
     bits and automorphism counts of the pruned search in `canonicalize_bits`;
@@ -26,5 +28,10 @@ are oracles, each checking one production route:
   * `multiset.hasse_derivative_value`, a tiny polynomial calculus, checks
     `multiset_invariant`;
   * `perm.stabilizer_order`, counted on an explicit group, checks
-    `graph.stab_order`.
+    `stab_order`;
+  * `perm.pair_group`, S_n acting on the vertex-pair slots: the multiset
+    transform over it checks `build_mtransform` on `E(n)`;
+  * `multiset.literal_binomial_product_coeffs`, with its helper
+    `multiset.binomial_transform_coeffs`: the coordinate-wise products of
+    binomial transforms check `express_orbit_sum` over the trivial group.
 """

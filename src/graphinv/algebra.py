@@ -77,9 +77,6 @@ class LinComb:
             merged[key] += c
         return LinComb.from_terms(merged)
 
-    def scale(self, factor) -> LinComb:
-        return LinComb.from_terms({k: c * factor for k, c in self.terms.items()})
-
     def evaluate(self, host: LabeledGraph | IsoClass):
         """Sum of coeff * count(class, host); returns an int whenever exact."""
         total = Fraction(0)
@@ -105,9 +102,6 @@ class ColoringClass:
     b_only: int
     shared: int
     pair_count: int
-
-    def monochrome(self) -> IsoClass:
-        return canonicalize_bits(self.a_only | self.b_only | self.shared)
 
 
 # ── placement enumeration (shared by the general product and cap checks) ──
@@ -144,16 +138,15 @@ def union_classes(a: IsoClass, b: IsoClass, m: int) -> list[IsoClass]:
 
 # ── the three product routes ─────────────────────────────────────────────
 
-def _realizable_product_degree(a: IsoClass, b: IsoClass, poset: GPoset) -> int:
-    """Largest union degree the poset's ambient can realize for this product."""
-    total = a.degree + b.degree
+def _realizable_degree(total: int, poset: GPoset) -> int:
+    """Largest union degree, up to total, that the poset's ambient can realize."""
     if poset.ambient_n is not None:
         total = min(total, poset.ambient_n * (poset.ambient_n - 1) // 2)
     return total
 
 
 def _check_poset_for_product(a: IsoClass, b: IsoClass, poset: GPoset) -> list[IsoClass]:
-    if _realizable_product_degree(a, b, poset) > poset.max_degree:
+    if _realizable_degree(a.degree + b.degree, poset) > poset.max_degree:
         raise PosetError(
             f"product degree {a.degree + b.degree} exceeds poset degree cap {poset.max_degree}"
         )
@@ -258,7 +251,7 @@ def fleischmann_totals(refind: dict) -> LinComb:
 def product_mtransform(a: IsoClass, b: IsoClass, poset: GPoset, matrix) -> LinComb:
     """Structure constants from the transform matrix:
     c_k = sum_h (-1)^(|g_k|-|g_h|) e_kh e_hi e_hj."""
-    if _realizable_product_degree(a, b, poset) > poset.max_degree:
+    if _realizable_degree(a.degree + b.degree, poset) > poset.max_degree:
         raise PosetError(
             f"product degree {a.degree + b.degree} exceeds poset degree cap {poset.max_degree}"
         )
@@ -320,19 +313,6 @@ def verify_product_identity(a: IsoClass, b: IsoClass, comb: LinComb, hosts) -> b
     return True
 
 
-def multiplication_table_csv(poset: GPoset) -> str:
-    """The whole product table as CSV; each cell is 'graph6:coeff;...' in poset order."""
-    labels = [m.graph6 for m in poset.members]
-    lines = ["," + ",".join(labels)]
-    for a in poset.members:
-        cells = [a.graph6]
-        for b in poset.members:
-            comb = product_kocay(a, b, poset)
-            cells.append(";".join(f"{cls.graph6}:{coeff}" for cls, coeff in comb.items()))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 # ── expression in the basic basis and degree identities ──────────────────
 
 def express_invariant(values, poset: GPoset, matrix) -> LinComb:
@@ -352,10 +332,11 @@ def express_invariant(values, poset: GPoset, matrix) -> LinComb:
 def degree_sum_identity_check(g_i: IsoClass, big_d: int, poset: GPoset, matrix) -> dict:
     """Check, on every poset member, the binomial-weighted expansion of
     I(g_i) * sum of all degree-D invariants; D = 1 is the edge-multiplication
-    special case."""
+    special case.  Unions past the ambient's C(n, 2) edges cannot occur, so
+    every member of a full E(n) can be checked."""
     if not poset.complete:
         raise PosetError("identity check requires a subgraph-closed poset")
-    if big_d + g_i.degree > poset.max_degree:
+    if _realizable_degree(big_d + g_i.degree, poset) > poset.max_degree:
         raise PosetError(
             f"poset degree cap {poset.max_degree} below D+|g_i| = {big_d + g_i.degree}"
         )

@@ -423,8 +423,8 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp, cache: bool = True) -> None:
-    sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
+def _add_common(sp, cache: bool = True, csv: bool = False) -> None:
+    sp.add_argument("--format", choices=("json", "csv", "table") if csv else ("json", "table"), default="json")
     if cache:
         sp.add_argument("--cache-dir", default=None)
 
@@ -441,19 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--connected", action="store_true")
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("mtransform", help="transform matrix of a poset")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-degree", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_mtransform)
 
     sp = sub.add_parser("invert", help="exact inverse of the transform matrix")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-degree", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_invert)
 
     sp = sub.add_parser("count", help="count copies of a pattern inside a host")
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ulam-table", help="difference table of unlabeled graph counts")
     sp.add_argument("--max-n", type=int, default=12)
     sp.add_argument("--max-d", type=int, default=12)
-    _add_common(sp)
+    _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_ulam_table)
 
     sp = sub.add_parser("ulam-check", help="reconstruction counting condition and minor rank")
@@ -545,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_relation)
 
     sp = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common(sp, cache=False)
     sp.set_defaults(func=_cmd_selftest)
 
     return ap

@@ -36,19 +36,6 @@ class CyclePolynomial:
     n: int
     terms: tuple
 
-    def coefficient_sum(self) -> Fraction:
-        return sum((c for _m, c in self.terms), Fraction(0))
-
-    def substitute_value(self, value_of) -> Fraction:
-        """Replace each s_k by a number."""
-        total = Fraction(0)
-        for mono, coeff in self.terms:
-            prod = Fraction(coeff)
-            for k, e in mono:
-                prod *= Fraction(value_of(k)) ** e
-            total += prod
-        return total
-
     def substitute_edge_series(self, trunc: int) -> list[int]:
         """Replace s_k by 1 + x^k and return coefficients of x^0..x^trunc."""
         total = [Fraction(0)] * (trunc + 1)
@@ -126,15 +113,12 @@ def pair_group_cycle_index(n: int) -> CyclePolynomial:
     if n < 0 or n > CYCLE_INDEX_VERTEX_CAP:
         raise CapError(f"cycle index capped at n <= {CYCLE_INDEX_VERTEX_CAP}")
     order = math.factorial(n)
-    terms = []
+    merged: dict = {}
     for counts in _partitions(n):
         size = CycleType(tuple(counts)).class_size()
         induced = _induced_pair_cycles(counts)
         mono = tuple(sorted((k, e) for k, e in induced.items() if e))
-        terms.append((mono, Fraction(size, order)))
-    merged: dict = {}
-    for mono, coeff in terms:
-        merged[mono] = merged.get(mono, Fraction(0)) + coeff
+        merged[mono] = merged.get(mono, Fraction(0)) + Fraction(size, order)
     ordered = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
     return CyclePolynomial(n, ordered)
 
@@ -286,8 +270,8 @@ def connected_counts(max_degree: int) -> tuple[list[int], list[int]]:
 
 
 def generator_lower_bound_report(d: int) -> dict:
-    """Informational: a poset holding all graphs of degree (d+1)(2^d - 1) needs
-    at least F(d) + 1 generators."""
+    """A poset holding all graphs of degree (d+1)(2^d - 1) needs at least
+    F(d) + 1 generators (selftest check 11)."""
     f, big_f = connected_counts(d)
     return {"d": d, "F": big_f[d], "lower_bound": big_f[d] + 1,
             "poset_degree": (d + 1) * (2**d - 1)}

@@ -144,11 +144,7 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
         raise PreconditionError("need d >= 1")
     if d > 4:
         raise CapError("inseparable-pair construction supported for d <= 4")
-    gens = [
-        c
-        for c in build_full_poset(d + 1, d).connected_members()
-    ]
-    span = build_span_poset(gens, d)
+    span = build_span_poset(build_full_poset(d + 1, d).connected_members(), d)
     if generator is None:
         pool = build_full_poset(min(d + 2, 8), d + 1).connected_members()
         generator = min(
@@ -173,8 +169,7 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
             t_parts[cls] += c
         else:
             u_parts[cls] += -c
-    pair = _finalize_pair(d, generator, span, tuple(coeffs), t_parts, u_parts)
-    return pair
+    return _finalize_pair(d, generator, span, tuple(coeffs), t_parts, u_parts)
 
 
 def _finalize_pair(
@@ -282,10 +277,7 @@ def derive_relation_in_basis(target: IsoClass, basis, poset: GPoset, max_powers)
     basis invariant; returns {monomial-exponents: coefficient} or None."""
     from itertools import product as _prod
 
-    monos = [
-        exps
-        for exps in _prod(*[range(p + 1) for p in max_powers])
-    ]
+    monos = list(_prod(*[range(p + 1) for p in max_powers]))
     rows = []
     rhs = []
     for host in poset.members:

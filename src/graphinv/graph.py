@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .errors import CapError, FormatError, PreconditionError
-from .perm import Permutation, pair_from_slot, pair_slot
+from .perm import pair_from_slot, pair_slot
 
 MAX_VERTICES = 16
 MAX_SUPPORT = 10  # canonical forms refuse larger supports
@@ -341,13 +341,6 @@ def permute_bits(bits: int, images) -> int:
     return out
 
 
-def apply_permutation(g: LabeledGraph, p: Permutation | tuple[int, ...]) -> LabeledGraph:
-    images = p.images if isinstance(p, Permutation) else tuple(p)
-    if len(images) < g.n:
-        raise PreconditionError("permutation too short for the graph")
-    return LabeledGraph(g.n, permute_bits(g.bits, images))
-
-
 # ── subgraph counting ────────────────────────────────────────────────────
 
 def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Counter:
@@ -480,7 +473,6 @@ def connected_component_classes(g: LabeledGraph | IsoClass) -> Counter:
                 comp_bits |= 1 << s
         comps[canonicalize_bits(comp_bits)] += 1
     return comps
-
 
 
 def is_connected_class(cls: IsoClass) -> bool:

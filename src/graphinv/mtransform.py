@@ -90,17 +90,6 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-def is_lower_unitriangular(m: IntMatrix) -> bool:
-    if m.rows != m.cols:
-        return False
-    for i, row in enumerate(m.data):
-        if row[i] != 1:
-            return False
-        if any(row[j] for j in range(i + 1, m.cols)):
-            return False
-    return True
-
-
 def _one_edge_covers(members) -> list[tuple[IsoClass, Counter]]:
     """Closure of the members under one-edge deletion, in (degree, bits) order.
 

@@ -20,8 +20,6 @@ from .perm import PermGroup
 
 MEMBER_CAP = 100_000
 
-ExponentMonomial = tuple  # nonnegative integer exponents, one per position
-
 
 def degree(m) -> int:
     return sum(m)
@@ -118,9 +116,7 @@ class MultisetPoset:
         return tuple(degree(m) for m in self.members)
 
 
-def build_multiset_poset(
-    group: PermGroup, cap: int, include_empty: bool = True, max_degree: int | None = None
-) -> MultisetPoset:
+def build_multiset_poset(group: PermGroup, cap: int, include_empty: bool = True) -> MultisetPoset:
     if cap < 0:
         raise PreconditionError("cap must be nonnegative")
     n = group.n
@@ -128,8 +124,6 @@ def build_multiset_poset(
         raise CapError("exponent grid too large")
     reps = set()
     for vec in _product(range(cap + 1), repeat=n):
-        if max_degree is not None and degree(vec) > max_degree:
-            continue
         if not include_empty and degree(vec) == 0:
             continue
         reps.add(min(orbit(vec, group), key=_order_key))
@@ -150,7 +144,7 @@ def build_general_mtransform(p: MultisetPoset) -> IntMatrix:
     )
 
 
-def express_orbit_sum(a, p: MultisetPoset, matrix: IntMatrix | None = None) -> list:
+def express_orbit_sum(a, p: MultisetPoset) -> list:
     """Coefficients c with sum_k c_k I(m_k) identical to the orbit sum of a
     on the whole grid {0..cap}^N; found by the triangular solve E c = values."""
     a = tuple(a)
@@ -158,7 +152,7 @@ def express_orbit_sum(a, p: MultisetPoset, matrix: IntMatrix | None = None) -> l
         raise CapError(f"exponent {max(a)} exceeds poset cap {p.cap}")
     if len(a) != p.group.n:
         raise PreconditionError("monomial length != number of positions")
-    inv = unitriangular_inverse(matrix or build_general_mtransform(p)).data
+    inv = unitriangular_inverse(build_general_mtransform(p)).data
     values = [orbit_sum_value(a, m, p.group) for m in p.members]
     return [sum(x * v for x, v in zip(row, values) if x) for row in inv]
 

@@ -7,7 +7,6 @@ produce identical sequences and every transform built on top is reproducible.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -157,11 +156,7 @@ def build_span_poset(generators, max_degree: int) -> GPoset:
     return _make_poset(classes, None, max_degree, complete)
 
 
-# ── poset files: one graph6 per line, plus a JSON sidecar ────────────────
-
-def poset_to_lines(p: GPoset) -> str:
-    return "\n".join(m.graph6 for m in p.members) + "\n"
-
+# ── the poset file: a JSON sidecar dict (the CLI caches these) ──────────
 
 def poset_sidecar(p: GPoset) -> dict:
     return {
@@ -178,11 +173,3 @@ def poset_sidecar(p: GPoset) -> dict:
 def poset_from_sidecar(obj: dict) -> GPoset:
     classes = [canonicalize(parse_graph6(rec["graph6"])) for rec in obj["members"]]
     return _make_poset(classes, obj.get("ambient_n"), obj["max_degree"], obj["complete"])
-
-
-def poset_to_json(p: GPoset) -> str:
-    return json.dumps(poset_sidecar(p), sort_keys=True)
-
-
-def poset_from_json(text: str) -> GPoset:
-    return poset_from_sidecar(json.loads(text))

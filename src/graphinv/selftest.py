@@ -14,8 +14,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from .algebra import (
+    degree_sum_identity_check,
     fleischmann_totals,
     general_product,
     product_fleischmann,
@@ -23,10 +25,17 @@ from .algebra import (
     product_mtransform,
     verify_product_identity,
 )
-from .enumeration import graph_count, ulam_difference_table, ulam_table_cells, ulam_table_csv
+from .enumeration import (
+    generator_lower_bound_report,
+    graph_count,
+    ulam_difference_table,
+    ulam_table_cells,
+    ulam_table_csv,
+)
 from .errors import PreconditionError
 from .generators import (
     derive_relation_in_basis,
+    half_degree_system_check,
     inseparable_pair,
     is_separator,
     minimal_separators,
@@ -56,7 +65,7 @@ from .multiset import (
     verify_orbit_sum_expression,
 )
 from .perm import symmetric_group, trivial_group
-from .poset import build_full_poset, poset_from_json, poset_to_json
+from .poset import build_full_poset, poset_from_sidecar, poset_sidecar
 from .smallgraphs import class_name, named_class
 from .util import cache_fetch, random_labeled_graph
 
@@ -195,37 +204,37 @@ def _expected_comb(named: dict):
 
 # ── criteria ─────────────────────────────────────────────────────────────
 
+def _three_routes(p, cases) -> str | None:
+    """Each (label, a, b, expected) product by all three routes; the first
+    disagreement as a detail line, or None."""
+    e = build_mtransform(p)
+    for label, a, b, expected_named in cases:
+        expected = _expected_comb(expected_named)
+        for route, comb in (
+            ("pairs", product_kocay(a, b, p)),
+            ("colorings", fleischmann_totals(product_fleischmann(a, b, p))),
+            ("transform", product_mtransform(a, b, p, e)),
+        ):
+            if comb.terms != expected:
+                return f"{label} via {route}: {_lincomb_named(comb)} != {expected_named}"
+    return None
+
+
 def check_table1():
     """All six products of the 3-vertex multiplication table, by all three routes."""
-    p = build_full_poset(3)
-    e = build_mtransform(p)
-    for (na, nb), expected_named in TABLE1.items():
-        a, b = named_class(na), named_class(nb)
-        expected = _expected_comb(expected_named)
-        kocay = product_kocay(a, b, p)
-        fleisch = fleischmann_totals(product_fleischmann(a, b, p))
-        mtrans = product_mtransform(a, b, p, e)
-        for label, comb in (("pairs", kocay), ("colorings", fleisch), ("transform", mtrans)):
-            if comb.terms != expected:
-                return False, f"{na}*{nb} via {label}: {_lincomb_named(comb)} != {expected_named}"
-    return True, "6 products x 3 routes"
+    failure = _three_routes(build_full_poset(3), [
+        (f"{na}*{nb}", named_class(na), named_class(nb), want) for (na, nb), want in TABLE1.items()
+    ])
+    return failure is None, failure or "6 products x 3 routes"
 
 
 def check_table2():
     """The ten first-column products of the 4-vertex table, by all three routes."""
-    p = build_full_poset(4)
-    e = build_mtransform(p)
     k2 = named_class("K2")
-    for ng, expected_named in TABLE2.items():
-        g = named_class(ng)
-        expected = _expected_comb(expected_named)
-        kocay = product_kocay(g, k2, p)
-        fleisch = fleischmann_totals(product_fleischmann(g, k2, p))
-        mtrans = product_mtransform(g, k2, p, e)
-        for label, comb in (("pairs", kocay), ("colorings", fleisch), ("transform", mtrans)):
-            if comb.terms != expected:
-                return False, f"{ng}*K2 via {label}: {_lincomb_named(comb)} != {expected_named}"
-    return True, "10 rows x 3 routes"
+    failure = _three_routes(build_full_poset(4), [
+        (f"{ng}*K2", named_class(ng), k2, want) for ng, want in TABLE2.items()
+    ])
+    return failure is None, failure or "10 rows x 3 routes"
 
 
 def check_printed_matrix_order():
@@ -419,8 +428,9 @@ def check_separators():
 
 
 def check_inseparable_pairs():
-    """d = 1 and d = 2 constructions with every invariant assertion, plus the
-    signed-sum closed form for d <= 20."""
+    """d = 1 and d = 2 constructions with every invariant assertion, the
+    signed-sum closed form for d <= 20, and the F(d) + 1 generator lower bound
+    at the pair's degree bound for d <= 4 (connected counts 1, 1, 3, 5)."""
     pair1 = inseparable_pair(1)
     if pair1.t_components != Counter({named_class("K2"): 2}) or pair1.u_components != Counter(
         {named_class("P3"): 1}
@@ -440,7 +450,13 @@ def check_inseparable_pairs():
     for d in range(1, 21):
         if signed_degree_sum(d) != (-1) ** d * (2**d - 1):
             return False, f"signed sum closed form fails at d={d}"
-    return True, "(2K2, P3), (3P3, K3+3K2), closed form to d=20"
+    for d, big_f in zip(range(1, 5), (1, 2, 5, 10)):
+        rep = generator_lower_bound_report(d)
+        if (rep["F"], rep["lower_bound"]) != (big_f, big_f + 1):
+            return False, f"d={d}: F = {rep['F']}, lower bound {rep['lower_bound']}; expected F = {big_f}"
+        if rep["poset_degree"] != inseparable_pair(d).bound:
+            return False, f"d={d}: lower-bound poset degree {rep['poset_degree']} != pair bound"
+    return True, "(2K2, P3), (3P3, K3+3K2), closed form to d=20, F(1..4) = 1, 2, 5, 10"
 
 
 def check_complement_machinery():
@@ -470,7 +486,9 @@ def check_complement_machinery():
 
 
 def check_rank_properties():
-    """Every degree-pair minor has full rank; block recursion for subset posets."""
+    """Every degree-pair minor has full rank; block recursion for subset posets;
+    degree-(d+1) values recovered from degree d past half degree on E(3..5);
+    the degree-sum identity for every member of E(4) with D = 1..3."""
     for n in (3, 4, 5):
         p = build_full_poset(n)
         e = build_mtransform(p)
@@ -492,7 +510,17 @@ def check_rank_properties():
             for big in range(delta, nv + 1):
                 if subset_minor_blocks(nv, delta, big) != subset_inclusion_minor(nv, delta, big):
                     return False, f"block recursion fails at N={nv} ({delta},{big})"
-    return True, "E(3..5) minors, subset minors N <= 6, block recursion N <= 6"
+    for n in (3, 4, 5):
+        if not half_degree_system_check(n)["ok"]:
+            return False, f"half-degree recovery fails on E({n})"
+    p4 = build_full_poset(4)
+    e4 = build_mtransform(p4)
+    for g in p4.members:
+        for big_d in (1, 2, 3):
+            if not degree_sum_identity_check(g, big_d, p4, e4)["holds"]:
+                return False, f"degree-sum identity fails for {g.graph6} with D={big_d}"
+    return True, ("E(3..5) minors, subset minors N <= 6, block recursion N <= 6, "
+                  "half-degree recovery E(3..5), degree-sum identity E(4) x D=1..3")
 
 
 def check_multiset_values():
@@ -555,19 +583,24 @@ def check_reconstruction():
 
 
 def check_cache_soundness():
-    """Cached and freshly computed artifacts agree byte for byte."""
+    """Cached and freshly computed artifacts agree, under the CLI's own keys,
+    and a damaged entry is rebuilt."""
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = poset_to_json(build_full_poset(4))
-        first = cache_fetch(tmp, "poset:n=4", lambda: fresh)
-        second = cache_fetch(tmp, "poset:n=4", lambda: "MISS")
-        if second != fresh or poset_from_json(second).members != build_full_poset(4).members:
+        fresh = poset_sidecar(build_full_poset(4))
+        cache_fetch(tmp, "poset:n=4:d=None", lambda: fresh)
+        again = cache_fetch(tmp, "poset:n=4:d=None", lambda: "MISS")
+        if again != fresh or poset_from_sidecar(again).members != build_full_poset(4).members:
             return False, "cached poset differs from a fresh build"
+        (entry,) = Path(tmp).iterdir()
+        entry.write_bytes(entry.read_bytes()[:-1])
+        if cache_fetch(tmp, "poset:n=4:d=None", lambda: "REBUILT") != "REBUILT":
+            return False, "a truncated poset entry was served"
         cells = ulam_table_cells(8, 8)
         cache_fetch(tmp, "ulam-cells:8:8", lambda: cells)
         again = cache_fetch(tmp, "ulam-cells:8:8", lambda: "MISS")
         if again != cells or ulam_table_csv(8, 8, again) != ulam_table_csv(8, 8):
             return False, "cached table differs from a fresh build"
-    return True, "poset and table caches round-trip"
+    return True, "poset and table caches round-trip; a truncated entry is rebuilt"
 
 
 CHECKS = [
@@ -581,9 +614,9 @@ CHECKS = [
     ("08", "difference table reproduction", 60.0, check_ulam_table),
     ("09", "syzygy and re-derived relations", 5.0, check_relations),
     ("10", "separator facts and minimum search", 60.0, check_separators),
-    ("11", "inseparable pairs and signed sums", 5.0, check_inseparable_pairs),
+    ("11", "inseparable pairs, signed sums and the F(d) + 1 bound", 5.0, check_inseparable_pairs),
     ("12", "complement machinery", 10.0, check_complement_machinery),
-    ("13", "minor ranks and block recursion", 60.0, check_rank_properties),
+    ("13", "minor ranks, block recursion and recovery identities", 60.0, check_rank_properties),
     ("14", "exponent-vector invariant values", 10.0, check_multiset_values),
     ("15", "component reconstruction", 10.0, check_reconstruction),
     ("16", "cache soundness", 10.0, check_cache_soundness),

@@ -25,24 +25,37 @@ def random_labeled_graph(rng: random.Random, n: int, p: float = 0.5) -> LabeledG
     return LabeledGraph(n, bits)
 
 
+CACHE_FORMAT = b"graphinv-cache 1"  # the entry layout; bump it to retire every entry
+
+
+def _entry_header(body: bytes) -> bytes:
+    return CACHE_FORMAT + b" " + hashlib.sha256(body).hexdigest().encode()
+
+
 def cache_fetch(cache_dir: str | None, key: str, build):
     """JSON file cache; the key carries every semantic parameter of the artifact.
 
-    Entries are written to a temporary file and renamed into place, so a reader
-    never sees a partial write; an entry that does not parse is rebuilt.
+    An entry is one file: a header line holding the format version and the
+    sha256 of the value's JSON text, then that text.  An entry whose header
+    does not match the bytes read (truncated, edited, or of another format)
+    is rebuilt and rewritten.  Entries are written to a temporary file and
+    renamed into place, so a reader never sees a partial write.
     """
     if not cache_dir:
         return build()
     path = Path(cache_dir) / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
     try:
-        return json.loads(path.read_text())
-    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+        header, _, body = path.read_bytes().partition(b"\n")
+        if header == _entry_header(body):
+            return json.loads(body)
+    except FileNotFoundError:
         pass
     obj = build()
+    body = json.dumps(obj, sort_keys=True).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(obj, sort_keys=True))
+        tmp.write_bytes(_entry_header(body) + b"\n" + body)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -20,7 +20,7 @@ from graphinv.algebra import (
     verify_product_identity,
 )
 from graphinv.errors import PosetError
-from graphinv.graph import EMPTY_CLASS, canonicalize, count_subgraphs
+from graphinv.graph import EMPTY_CLASS, canonicalize, canonicalize_bits, count_subgraphs
 from graphinv.mtransform import build_mtransform
 from graphinv.poset import build_full_poset, build_span_poset
 from graphinv.smallgraphs import named_class
@@ -76,7 +76,7 @@ def test_fleischmann_monochrome_recovers_class(e4_poset):
     refined = product_fleischmann(p3, p3, e4_poset)
     for cls, classes in refined.items():
         for cc in classes:
-            assert cc.monochrome() == cls
+            assert canonicalize_bits(cc.a_only | cc.b_only | cc.shared) == cls
 
 
 def test_mtransform_route_examples(e3_poset, e4_poset, e4_matrix):
@@ -193,16 +193,15 @@ def test_degree_sum_identity(e4_poset, e4_matrix):
     assert rep2["holds"]
 
 
-def test_multiplication_table_csv(e3_poset):
-    from graphinv.algebra import multiplication_table_csv
-
-    csv = multiplication_table_csv(e3_poset)
-    lines = csv.strip().splitlines()
-    assert len(lines) == 5
-    k2 = named_class("K2")
-    # the K2*K2 cell spells out the one-edge and two-edge-path terms
-    cell = lines[2].split(",")[2]
-    assert cell == f"{k2.graph6}:1;{named_class('P3').graph6}:2"
+def test_degree_sum_identity_past_the_ambient_edge_count(e4_poset, e4_matrix):
+    # unions of more than C(4, 2) = 6 edges cannot occur in E(4), so every
+    # member is checkable; a poset cut below the realizable degree refuses
+    for g in e4_poset.members:
+        for big_d in (1, 2, 3):
+            assert degree_sum_identity_check(g, big_d, e4_poset, e4_matrix)["holds"]
+    p = build_full_poset(4, max_degree=4)
+    with pytest.raises(PosetError):
+        degree_sum_identity_check(named_class("C4"), 1, p, build_mtransform(p))
 
 
 def test_lincomb_arithmetic():
@@ -210,7 +209,6 @@ def test_lincomb_arithmetic():
     a = LinComb.from_terms({k2: 1, p3: Fraction(1, 2)})
     b = LinComb.from_terms({p3: Fraction(-1, 2)})
     assert (a + b).terms == {k2: 1}
-    assert a.scale(2).terms == {k2: 2, p3: 1}
     assert LinComb.from_terms({k2: 0}).terms == {}
     obj = a.to_json_obj()
     assert obj[0]["coeff"] == 1 and obj[1]["coeff"] == "1/2"

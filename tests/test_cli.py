@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphinv import enumeration, graph, mtransform
-from graphinv.cli import _group_for, _parse_relation, main
+from graphinv.cli import _group_for, _parse_relation, build_parser, main
 from graphinv.errors import PreconditionError
 from graphinv.graph import parse_edge_list, parse_graph, parse_graph6
 from graphinv.perm import Permutation
+from graphinv.poset import build_full_poset, poset_sidecar
 from graphinv.smallgraphs import named_class
 
 
@@ -226,6 +227,71 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
     assert code == 0 and out == reference and err == ""
     assert entry.read_text() == text  # rebuilt in place
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
+
+
+_CUT_POSET = poset_sidecar(build_full_poset(4))
+_CUT_POSET["members"] = _CUT_POSET["members"][:3]
+
+_CORRUPT_ENTRIES = {
+    "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], {"x": 1}),
+    "ulam-cells-value": (["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], [[2, 4, 99]]),
+    "poset-cut": (["mtransform", "--n", "4", "--format", "csv"], _CUT_POSET),
+}
+
+
+@pytest.mark.parametrize("keep_header", [False, True], ids=["bare", "old-header"])
+@pytest.mark.parametrize("case", sorted(_CORRUPT_ENTRIES))
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, case, keep_header):
+    argv, bad_value = _CORRUPT_ENTRIES[case]
+    code, reference, _ = run_cli(capsys, *argv)
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    assert code == 0 and run_cli(capsys, *cached) == (0, reference, "")
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_bytes()
+    # a value that parses, written bare or under the header of the good value
+    header = good.partition(b"\n")[0] + b"\n" if keep_header else b""
+    entry.write_bytes(header + json.dumps(bad_value, sort_keys=True).encode())
+    assert run_cli(capsys, *cached) == (0, reference, "")
+    assert entry.read_bytes() == good  # rewritten in place
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+_CSV_COMMANDS = {
+    "enumerate": ["--n", "3"], "mtransform": ["--n", "3"], "invert": ["--n", "3"], "ulam-table": [],
+}
+
+
+@pytest.mark.parametrize("command, args", sorted(_CSV_COMMANDS.items()))
+def test_csv_format_offered_where_supported(command, args):
+    assert build_parser().parse_args([command, *args, "--format", "csv"]).format == "csv"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "count", "product", "general-product", "express", "separators", "reconstruct", "inseparable",
+        "complement-solve", "rank-minor", "ulam-check", "multiset-eval", "verify-relation", "selftest",
+    ],
+)
+def test_csv_format_refused_elsewhere(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    if command == "selftest":
+        refusal = "error: unrecognized arguments: --format csv"
+    else:
+        refusal = "error: argument --format: invalid choice: 'csv'"
+    assert captured.out == "" and refusal in captured.err
+
+
+def test_count_csv_exits_2_and_table_still_works(capsys):
+    argv = ["count", "--pattern", "0-1", "--host", "0-1,1-2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("graphinv count: error:")
+    assert run_cli(capsys, *argv, "--format", "table") == (0, "count: 2\n", "")
 
 
 def test_relation_malformed_json_exits_2(capsys):

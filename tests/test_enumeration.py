@@ -38,14 +38,13 @@ def test_cycle_index_against_bruteforce():
 
 def test_cycle_index_coefficients_sum_to_one():
     for n in range(2, 10):
-        assert pair_group_cycle_index(n).coefficient_sum() == 1
+        assert sum(c for _mono, c in pair_group_cycle_index(n).terms) == 1
 
 
 def test_substitute_two_counts_classes():
-    assert pair_group_cycle_index(4).substitute_value(lambda k: 2) == 11
-    for n in range(2, 9):
-        total = pair_group_cycle_index(n).substitute_value(lambda k: 2)
-        assert total == sum(graph_count_series(n))
+    # s_k = 1 + x^k at x = 1: all unlabeled graphs on n vertices (OEIS A000088)
+    totals = [sum(graph_count_series(n)) for n in range(2, 9)]
+    assert totals == [2, 4, 11, 34, 156, 1044, 12346]
 
 
 def test_graph_count_examples():

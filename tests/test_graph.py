@@ -13,7 +13,6 @@ from graphinv.graph import (
     LabeledGraph,
     _canon_pure,
     _pack_support,
-    apply_permutation,
     canonicalize,
     complement,
     connected_component_classes,
@@ -31,7 +30,7 @@ from graphinv.graph import (
     subgraph_class_counts,
     support_automorphisms,
 )
-from graphinv.perm import Permutation, stabilizer_order
+from graphinv.perm import stabilizer_order
 from graphinv.poset import build_full_poset
 from graphinv.smallgraphs import named_class
 from graphinv.util import random_labeled_graph
@@ -56,7 +55,7 @@ def test_canonicalize_four_cycle():
     rep = c4.rep()
     fixes = 0
     for images in permutations(range(4)):
-        if apply_permutation(rep, Permutation(images)).bits == rep.bits:
+        if permute_bits(rep.bits, images) == rep.bits:
             fixes += 1
     assert fixes == 8
     assert c4.aut_support == 8
@@ -83,7 +82,7 @@ def test_canonicalize_constant_on_orbits():
         for _ in range(100):
             images = list(range(n))
             rng.shuffle(images)
-            assert canonicalize(apply_permutation(g, Permutation(tuple(images)))) == cls
+            assert canonicalize(LabeledGraph(g.n, permute_bits(g.bits, images))) == cls
 
 
 def test_canonical_support_cap():
@@ -109,7 +108,7 @@ def test_count_subgraphs_relabeling_invariance(e4_poset):
         for _ in range(10):
             images = list(range(4))
             rng.shuffle(images)
-            moved = apply_permutation(rep, Permutation(tuple(images)))
+            moved = LabeledGraph(4, permute_bits(rep.bits, images))
             for pattern in e4_poset.members:
                 assert count_subgraphs(pattern, rep) == count_subgraphs(pattern, moved)
 
@@ -329,7 +328,7 @@ def test_symmetric_support_10_graphs(name):
     for _ in range(3):
         images = list(range(10))
         rng.shuffle(images)
-        assert canonicalize(apply_permutation(g, Permutation(tuple(images)))) == cls
+        assert canonicalize(LabeledGraph(g.n, permute_bits(g.bits, images))) == cls
     assert canonicalize(cls.rep()) == cls
 
 
@@ -343,7 +342,7 @@ def test_canonical_form_properties_at_support_9_and_10(bits, images):
     cls = canonicalize(g)
     if cls.cv < 9:
         return
-    assert canonicalize(apply_permutation(g, Permutation(tuple(images)))) == cls
+    assert canonicalize(LabeledGraph(g.n, permute_bits(g.bits, images))) == cls
     assert canonicalize(cls.rep()) == cls
     h = nx.Graph(cls.rep().edge_list())
     cap = 5000  # automorphisms listed one by one; larger groups only need to exceed it

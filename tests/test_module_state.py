@@ -1,7 +1,12 @@
-"""Module-level state: every mutable global is a declared constant or a functools cache."""
+"""Module-level state: every mutable global is a declared constant or a
+functools cache; every public function and class has a caller or is a listed
+oracle."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +64,41 @@ def test_memos_are_clearable_caches(cache):
     assert cache.cache_info().currsize == 0
     assert work() == before
     assert cache.cache_info().currsize > 0
+
+
+def _listed_oracles() -> set[str]:
+    """The `module.name` entries of the oracle list in the package docstring."""
+    return set(re.findall(r"`(\w+\.\w+)`", graphinv.__doc__))
+
+
+def _uncalled_public_names() -> list[str]:
+    """Public module-level functions and classes that no other statement in the
+    package references by name or attribute, and that are not listed oracles."""
+    package = Path(graphinv.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    used = {
+        id(stmt): {n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
+        for stmt in statements
+    }
+    oracles = _listed_oracles()
+    return [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and f"{module}.{stmt.name}" not in oracles
+        and not any(stmt.name in used[id(other)] for other in statements if other is not stmt)
+    ]
+
+
+def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
+    assert _uncalled_public_names() == []
+
+
+def test_listed_oracles_exist():
+    for dotted in _listed_oracles():
+        module, name = dotted.split(".")
+        assert hasattr(importlib.import_module(f"graphinv.{module}"), name), dotted

@@ -15,7 +15,6 @@ from graphinv.mtransform import (
     complement_invariant_expansion,
     exact_rank,
     find_orderings_matching,
-    is_lower_unitriangular,
     minor_by_degree,
     mnukhin_power,
     inverse_mtransform,
@@ -44,7 +43,9 @@ def test_e3_matrix_frozen(e3_poset):
 
 def test_unitriangular(e3_poset, e4_poset, e5_poset):
     for p in (e3_poset, e4_poset, e5_poset):
-        assert is_lower_unitriangular(build_mtransform(p))
+        e = build_mtransform(p)
+        assert e.rows == e.cols
+        assert all(row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(e.data))
 
 
 def test_cover_recursion_matches_subset_oracle_on_full_posets():
@@ -91,7 +92,7 @@ def test_cover_recursion_property_on_random_spans(gens, max_degree):
         max_degree = min(max_degree, 4)
     p = build_span_poset(gens, max_degree)
     e = build_mtransform(p)
-    assert is_lower_unitriangular(e)
+    assert all(row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(e.data))
     assert e == _mtransform_by_subsets(p)
 
 
