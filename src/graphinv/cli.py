@@ -17,7 +17,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import FormatError, PreconditionError
+from .errors import CapError, FormatError, PreconditionError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -111,6 +111,26 @@ def _poset_for(n: int, max_degree: int | None, cache_dir: str | None) -> GPoset:
     return poset.poset_from_sidecar(obj)
 
 
+def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tuple[GPoset, IntMatrix]:
+    """E(n, max_degree) and its transform, whose sparse rows are cached as
+    [[j, e], ...] and checked whole, built or loaded, before they are served."""
+    from . import mtransform
+    from .util import cache_fetch
+
+    if n >= 8:  # |E(7)| = 1,044 is under the cap: refuse a larger poset before building it
+        from .enumeration import graph_count_series
+
+        size = sum(graph_count_series(n, max_degree))
+        if size > mtransform.TRANSFORM_MEMBER_CAP:
+            raise CapError(f"transform of {size} members, over the cap of {mtransform.TRANSFORM_MEMBER_CAP}")
+    p = _poset_for(n, max_degree, cache_dir)
+    key = f"mtransform:n={n}:d={max_degree}"
+    obj = cache_fetch(cache_dir, key, lambda: [sorted(row.items()) for row in mtransform.mtransform_rows(p)])
+    rows = [dict(row) for row in obj]
+    mtransform.check_transform_rows(rows, p.degrees())
+    return p, mtransform.IntMatrix.from_sparse(rows, len(p))
+
+
 def _group_for(name: str, n_positions: int):
     from .perm import Permutation, close_generators, symmetric_group, trivial_group
 
@@ -143,10 +163,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mtransform(args) -> int:
-    from . import mtransform
-
-    p = _poset_for(args.n, args.max_degree, args.cache_dir)
-    m = mtransform.build_mtransform(p)
+    p, m = _transform_for(args.n, args.max_degree, args.cache_dir)
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
         sys.stdout.write(_matrix_csv(m, labels, labels))
@@ -158,8 +175,7 @@ def _cmd_mtransform(args) -> int:
 def _cmd_invert(args) -> int:
     from . import mtransform
 
-    p = _poset_for(args.n, args.max_degree, args.cache_dir)
-    m = mtransform.build_mtransform(p)
+    p, m = _transform_for(args.n, args.max_degree, args.cache_dir)
     inv = mtransform.inverse_mtransform(m, p.degrees(), complete=p.complete)
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
@@ -182,9 +198,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    from . import algebra, graph, mtransform
+    from . import algebra, graph
 
-    p = _poset_for(args.n, None, args.cache_dir)
+    if args.method in ("mtransform", "all"):
+        p, e = _transform_for(args.n, None, args.cache_dir)
+    else:
+        p = _poset_for(args.n, None, args.cache_dir)
     a = graph.canonicalize(graph.parse_graph(args.a))
     b = graph.canonicalize(graph.parse_graph(args.b))
     out: dict = {"n": args.n, "a": a.graph6, "b": b.graph6, "method": args.method}
@@ -210,7 +229,6 @@ def _cmd_product(args) -> int:
             for cls, classes in refined.items()
         ]
     if args.method in ("mtransform", "all"):
-        e = mtransform.build_mtransform(p)
         results["mtransform"] = algebra.product_mtransform(a, b, p, e)
     combos = list(results.values())
     out["agreement"] = all(c == combos[0] for c in combos[1:]) if len(combos) > 1 else True
@@ -235,11 +253,10 @@ def _cmd_general_product(args) -> int:
 
 
 def _cmd_express(args) -> int:
-    from . import algebra, mtransform
+    from . import algebra
 
-    p = _poset_for(args.n, None, args.cache_dir)
     values = [_parse_fraction(tok, "--values") for tok in args.values.split(",")]
-    e = mtransform.build_mtransform(p)
+    p, e = _transform_for(args.n, None, args.cache_dir)
     comb = algebra.express_invariant(values, p, e)
     _emit({"n": args.n, "terms": comb.to_json_obj()}, args.format)
     return 0
@@ -340,14 +357,10 @@ def _cmd_rank_minor(args) -> int:
     else:
         if args.n is None:
             raise PreconditionError("need --n or --trivial-vars")
-        p = _poset_for(args.n, None, args.cache_dir)
-        e = mtransform.build_mtransform(p)
+        p, e = _transform_for(args.n, None, args.cache_dir)
         m = mtransform.minor_by_degree(e, p.degrees(), args.delta, args.big_delta)
-    _emit(
-        {"rows": m.rows, "cols": m.cols, "rank": mtransform.exact_rank(m),
-         "full": mtransform.exact_rank(m) == min(m.rows, m.cols)},
-        args.format,
-    )
+    rank = mtransform.exact_rank(m)
+    _emit({"rows": m.rows, "cols": m.cols, "rank": rank, "full": rank == min(m.rows, m.cols)}, args.format)
     return 0
 
 

@@ -272,6 +272,7 @@ def connected_counts(max_degree: int) -> tuple[list[int], list[int]]:
 def generator_lower_bound_report(d: int) -> dict:
     """A poset holding all graphs of degree (d+1)(2^d - 1) needs at least
     F(d) + 1 generators (selftest check 11)."""
+    from .generators import inseparable_degree_bound
+
     f, big_f = connected_counts(d)
-    return {"d": d, "F": big_f[d], "lower_bound": big_f[d] + 1,
-            "poset_degree": (d + 1) * (2**d - 1)}
+    return {"d": d, "F": big_f[d], "lower_bound": big_f[d] + 1, "poset_degree": inseparable_degree_bound(d)}

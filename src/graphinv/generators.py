@@ -96,6 +96,11 @@ def reconstruct_components(host: IsoClass, connected_list) -> Counter:
 
 # ── inseparable pairs ────────────────────────────────────────────────────
 
+def inseparable_degree_bound(d: int) -> int:
+    """(d + 1)(2^d - 1): the degree of an inseparable pair for degree d is at most this."""
+    return (d + 1) * (2**d - 1)
+
+
 @dataclass(frozen=True)
 class InseparablePair:
     """Two non-isomorphic graphs agreeing on every connected invariant of degree <= d.
@@ -120,7 +125,7 @@ class InseparablePair:
 
     @property
     def bound(self) -> int:
-        return (self.d + 1) * (2**self.d - 1)
+        return inseparable_degree_bound(self.d)
 
 
 def _flatten_components(pieces: Counter) -> Counter:
@@ -179,7 +184,7 @@ def _finalize_pair(
     u_flat = _flatten_components(u_parts)
     deg_t = sum(g.degree * k for g, k in t_flat.items())
     deg_u = sum(g.degree * k for g, k in u_flat.items())
-    bound = (d + 1) * (2**d - 1)
+    bound = inseparable_degree_bound(d)
     if deg_t != deg_u:
         raise AssertionError(f"degree mismatch: |T| = {deg_t}, |U| = {deg_u}")
     if deg_t > bound:

@@ -82,7 +82,7 @@ class LabeledGraph:
     @property
     def cv(self) -> int:
         """Number of vertices meeting at least one edge."""
-        return len(self.support)
+        return _support_mask(self.bits).bit_count()
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,20 @@ EMPTY_CLASS = IsoClass(0, 0, 0, 1)
 _SLOT_PAIRS = tuple(pair_from_slot(s) for s in range(MAX_VERTICES * (MAX_VERTICES - 1) // 2))
 
 
-def _pack_support(bits: int) -> tuple[int, int]:
-    """Relabel the support onto [0..cv) preserving order; returns (cv, packed bits)."""
+def _support_mask(bits: int) -> int:
+    """Bitmask of the vertices meeting at least one edge."""
     verts = 0
-    b = bits
-    while b:
-        low = b & -b
+    while bits:
+        low = bits & -bits
         i, j = _SLOT_PAIRS[low.bit_length() - 1]
         verts |= 1 << i | 1 << j
-        b ^= low
+        bits ^= low
+    return verts
+
+
+def _pack_support(bits: int) -> tuple[int, int]:
+    """Relabel the support onto [0..cv) preserving order; returns (cv, packed bits)."""
+    verts = _support_mask(bits)
     cv = verts.bit_count()
     if verts == (1 << cv) - 1:
         return cv, bits
@@ -292,6 +297,9 @@ def _min_labelings(adj: list[int], leaves: list | None = None) -> tuple[int, int
     return state[0], state[1]
 
 
+# Cached poset sidecars store canonical bits and are loaded without this
+# search (`poset.poset_from_sidecar`), so any change to the canonical
+# convention must bump `util.CACHE_FORMAT`, which retires every trusted entry.
 @functools.cache
 def _canon_from_packed(cv: int, bits: int) -> IsoClass:
     best, count = _min_labelings(_adjacency(cv, bits))

@@ -115,8 +115,9 @@ def _one_edge_covers(members) -> list[tuple[IsoClass, Counter]]:
     return sorted(covers, key=lambda gd: gd[0].sort_key)
 
 
-def build_mtransform(poset: GPoset) -> IntMatrix:
-    """Matrix with entry (i, j) = number of copies of member j inside member i.
+def mtransform_rows(poset: GPoset) -> list[dict[int, int]]:
+    """Sparse rows of the transform: row i maps column j to the number of
+    copies of member j inside member i, zeros omitted.
 
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
@@ -145,7 +146,36 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
         if g.bits in poset.index:
             row[poset.index[g.bits]] = 1
         rows[g.bits] = row
-    return IntMatrix.from_sparse([rows[m.bits] for m in members], len(members))
+    return [rows[m.bits] for m in members]
+
+
+def build_mtransform(poset: GPoset) -> IntMatrix:
+    """Dense transform: entry (i, j) = number of copies of member j inside member i."""
+    return IntMatrix.from_sparse(mtransform_rows(poset), len(poset))
+
+
+def check_transform_rows(rows, degrees) -> None:
+    """Whole-matrix check of sparse transform rows in O(nnz); raises AssertionError.
+
+    One row per member, a unit diagonal, positive entries only below it and
+    only in columns of lower degree, and in each row i, for every d <= deg g_i,
+    the degree-d entries sum to C(deg g_i, d): the d-edge subsets of g_i,
+    each a copy of exactly one member.
+    """
+    if len(rows) != len(degrees):
+        raise AssertionError(f"transform has {len(rows)} rows for {len(degrees)} members")
+    for i, row in enumerate(rows):
+        top = degrees[i]
+        sums = [0] * (top + 1)
+        for j, e in row.items():
+            if j == i:
+                if e != 1:
+                    raise AssertionError(f"transform diagonal entry {i} is {e}")
+            elif not (0 <= j < i and degrees[j] < top and e > 0):
+                raise AssertionError(f"transform entry ({i}, {j}) = {e} is out of place")
+            sums[degrees[j]] += e
+        if sums != [math.comb(top, d) for d in range(top + 1)]:
+            raise AssertionError(f"transform row {i}: sums by degree {sums} are not binomial")
 
 
 def _subset_count_row(host: IsoClass, members) -> list[int]:

@@ -15,7 +15,6 @@ from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     EMPTY_CLASS,
     IsoClass,
-    canonicalize,
     canonicalize_bits,
     disjoint_union,
     is_connected_class,
@@ -171,5 +170,31 @@ def poset_sidecar(p: GPoset) -> dict:
 
 
 def poset_from_sidecar(obj: dict) -> GPoset:
-    classes = [canonicalize(parse_graph6(rec["graph6"])) for rec in obj["members"]]
-    return _make_poset(classes, obj.get("ambient_n"), obj["max_degree"], obj["complete"])
+    """The poset as stored: each member is built from its record, not canonicalized.
+
+    Members are trusted to be canonical under `util.CACHE_FORMAT`.  Each record
+    is checked against its graph6 (vertex count = cv = support size, popcount =
+    degree, aut >= 1), the members must strictly increase in (degree, bits)
+    and fit the stored n and max_degree, and the complete flag must be set
+    (it is trusted, not proved again); a sidecar failing any of this raises
+    AssertionError and is never served.
+    """
+    ambient_n, max_degree = obj["ambient_n"], obj["max_degree"]
+    if obj["complete"] is not True:
+        raise AssertionError("poset sidecar: not a complete poset")
+    members: list[IsoClass] = []
+    for rec in obj["members"]:
+        g = parse_graph6(rec["graph6"])
+        cls = IsoClass(g.bits, rec["degree"], rec["cv"], rec["aut"])
+        if not (
+            g.n == cls.cv == g.cv
+            and g.degree == cls.degree
+            and cls.aut_support >= 1
+            and (not members or members[-1].sort_key < cls.sort_key)
+            and cls.degree <= max_degree
+            and (ambient_n is None or cls.cv <= ambient_n)
+        ):
+            raise AssertionError(f"poset sidecar: bad member record {rec!r}")
+        members.append(cls)
+    index = {m.bits: pos for pos, m in enumerate(members)}
+    return GPoset(tuple(members), ambient_n, max_degree, True, index)

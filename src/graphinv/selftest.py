@@ -583,24 +583,36 @@ def check_reconstruction():
 
 
 def check_cache_soundness():
-    """Cached and freshly computed artifacts agree, under the CLI's own keys,
-    and a damaged entry is rebuilt."""
+    """Cached and freshly computed artifacts agree, under the CLI's own keys and
+    with every member's degree, cv and aut, and a damaged entry is rebuilt."""
+
+    def records(p):
+        return [(m.bits, m.degree, m.cv, m.aut_support) for m in p.members]
+
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = poset_sidecar(build_full_poset(4))
+        e4 = build_full_poset(4)
+        fresh = poset_sidecar(e4)
         cache_fetch(tmp, "poset:n=4:d=None", lambda: fresh)
         again = cache_fetch(tmp, "poset:n=4:d=None", lambda: "MISS")
-        if again != fresh or poset_from_sidecar(again).members != build_full_poset(4).members:
+        if again != fresh or records(poset_from_sidecar(again)) != records(e4):
             return False, "cached poset differs from a fresh build"
         (entry,) = Path(tmp).iterdir()
         entry.write_bytes(entry.read_bytes()[:-1])
         if cache_fetch(tmp, "poset:n=4:d=None", lambda: "REBUILT") != "REBUILT":
             return False, "a truncated poset entry was served"
+        from .cli import _transform_for  # the CLI's own route, key and row format
+
+        e5 = build_full_poset(5)
+        for label in ("built", "loaded"):
+            p, m = _transform_for(5, None, tmp)
+            if records(p) != records(e5) or m != build_mtransform(e5):
+                return False, f"{label} E(5) poset or transform differs from a fresh build"
         cells = ulam_table_cells(8, 8)
         cache_fetch(tmp, "ulam-cells:8:8", lambda: cells)
         again = cache_fetch(tmp, "ulam-cells:8:8", lambda: "MISS")
         if again != cells or ulam_table_csv(8, 8, again) != ulam_table_csv(8, 8):
             return False, "cached table differs from a fresh build"
-    return True, "poset and table caches round-trip; a truncated entry is rebuilt"
+    return True, "poset, transform and table caches round-trip; a truncated entry is rebuilt"
 
 
 CHECKS = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphinv import enumeration, graph, mtransform
-from graphinv.cli import _group_for, _parse_relation, build_parser, main
+from graphinv import enumeration, graph, mtransform, poset
+from graphinv.cli import _group_for, _parse_relation, _transform_for, build_parser, main
 from graphinv.errors import PreconditionError
 from graphinv.graph import parse_edge_list, parse_graph, parse_graph6
 from graphinv.perm import Permutation
 from graphinv.poset import build_full_poset, poset_sidecar
 from graphinv.smallgraphs import named_class
+from graphinv.util import CACHE_FORMAT
 
 
 def run_cli(capsys, *argv):
@@ -229,31 +231,135 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
 
 
-_CUT_POSET = poset_sidecar(build_full_poset(4))
-_CUT_POSET["members"] = _CUT_POSET["members"][:3]
+def _entry_path(cache_dir: Path, key: str) -> Path:
+    return cache_dir / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
+
+
+_E4 = build_full_poset(4)
+_E4_SIDECAR = poset_sidecar(_E4)
+_E4_ROWS = [sorted(row.items()) for row in mtransform.mtransform_rows(_E4)]
 
 _CORRUPT_ENTRIES = {
-    "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], {"x": 1}),
-    "ulam-cells-value": (["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], [[2, 4, 99]]),
-    "poset-cut": (["mtransform", "--n", "4", "--format", "csv"], _CUT_POSET),
+    "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", {"x": 1}),
+    "ulam-cells-value": (
+        ["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [[2, 4, 99]],
+    ),
+    "poset-cut": (
+        ["mtransform", "--n", "4", "--format", "csv"], "poset:n=4:d=None",
+        dict(_E4_SIDECAR, members=_E4_SIDECAR["members"][:3]),
+    ),
+    "transform-cut": (["mtransform", "--n", "4", "--format", "csv"], "mtransform:n=4:d=None", _E4_ROWS[:3]),
 }
 
 
 @pytest.mark.parametrize("keep_header", [False, True], ids=["bare", "old-header"])
 @pytest.mark.parametrize("case", sorted(_CORRUPT_ENTRIES))
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, case, keep_header):
-    argv, bad_value = _CORRUPT_ENTRIES[case]
+    argv, key, bad_value = _CORRUPT_ENTRIES[case]
     code, reference, _ = run_cli(capsys, *argv)
     cached = [*argv, "--cache-dir", str(tmp_path)]
     assert code == 0 and run_cli(capsys, *cached) == (0, reference, "")
-    (entry,) = tmp_path.iterdir()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    entry = _entry_path(tmp_path, key)
     good = entry.read_bytes()
     # a value that parses, written bare or under the header of the good value
     header = good.partition(b"\n")[0] + b"\n" if keep_header else b""
     entry.write_bytes(header + json.dumps(bad_value, sort_keys=True).encode())
     assert run_cli(capsys, *cached) == (0, reference, "")
     assert entry.read_bytes() == good  # rewritten in place
-    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def _swapped_members(sidecar):
+    members = list(sidecar["members"])
+    members[2], members[3] = members[3], members[2]
+    return dict(sidecar, members=members)
+
+
+def _wrong_cv(sidecar):
+    members = [dict(rec) for rec in sidecar["members"]]
+    members[5]["cv"] += 1
+    return dict(sidecar, members=members)
+
+
+def _one_entry_changed(rows):
+    rows = [list(row) for row in rows]
+    j, e = rows[-2][0]
+    rows[-2][0] = (j, e + 1)
+    return rows
+
+
+_FORGED_ENTRIES = {
+    "members-swapped": (["enumerate", "--n", "4"], "poset:n=4:d=None", _swapped_members(_E4_SIDECAR)),
+    "cv-wrong": (["enumerate", "--n", "4"], "poset:n=4:d=None", _wrong_cv(_E4_SIDECAR)),
+    "transform-entry-changed": (["mtransform", "--n", "4"], "mtransform:n=4:d=None", _one_entry_changed(_E4_ROWS)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORGED_ENTRIES))
+def test_forged_entry_under_a_valid_header_is_never_served(tmp_path, capsys, case):
+    argv, key, forged = _FORGED_ENTRIES[case]
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *cached)[0] == 0
+    body = json.dumps(forged, sort_keys=True).encode()
+    header = CACHE_FORMAT + b" " + hashlib.sha256(body).hexdigest().encode()
+    _entry_path(tmp_path, key).write_bytes(header + b"\n" + body)
+    code, out, err = run_cli(capsys, *cached)
+    assert code == 3 and out == ""
+    assert err.rstrip().endswith("error: internal check failed")
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, None), (3, None), (4, None), (5, None), (6, None), (7, 10)])
+def test_cached_transform_rows_equal_the_build(tmp_path, n, max_degree):
+    expected = mtransform.build_mtransform(build_full_poset(n, max_degree))
+    for _pass in ("built", "loaded"):
+        assert _transform_for(n, max_degree, str(tmp_path))[1] == expected
+    stored = json.loads(_entry_path(tmp_path, f"mtransform:n={n}:d={max_degree}").read_bytes().partition(b"\n")[2])
+    assert mtransform.IntMatrix.from_sparse([dict(row) for row in stored], expected.rows) == expected
+
+
+def test_warm_commands_canonicalize_nothing(tmp_path, capsys):
+    commands = [
+        ["enumerate", "--n", "7"],
+        ["mtransform", "--n", "6"],
+        ["invert", "--n", "6"],
+        ["rank-minor", "--n", "6", "--delta", "2", "--Delta", "3"],
+    ]
+    cached = ["--cache-dir", str(tmp_path)]
+    cold = [run_cli(capsys, *argv, *cached) for argv in commands]
+    for argv, reference in zip(commands, cold):
+        graph._canon_from_packed.cache_clear()
+        assert run_cli(capsys, *argv, *cached) == reference
+        assert graph._canon_from_packed.cache_info().misses == 0, argv
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_CUBE = "0-1,1-2,2-3,0-3,4-5,5-6,6-7,4-7,0-4,1-5,2-6,3-7"
+_CORPUS_INPUTS = {"{K2}": "2-5", "{P3}": "4-1,1-3", "{host}": _CUBE}
+
+
+def test_benchmark_corpus_stdout_is_byte_identical_cold_and_warm(tmp_path, capsys):
+    spec = json.loads((_REPO / "perfbench" / "corpus.json").read_text())
+    cached = ["--cache-dir", str(tmp_path)]
+    for label in ("cold", "warm"):
+        for cmd in spec["commands"]:
+            argv = [_CORPUS_INPUTS.get(arg, arg) for arg in cmd["args"]] + (cached if cmd["cache"] else [])
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == "", (label, cmd["name"], err)
+            assert hashlib.sha256(out.encode()).hexdigest() == cmd["sha256"], (label, cmd["name"])
+
+
+def test_oversized_transform_refused_before_the_poset_build(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the poset build started")
+
+    monkeypatch.setattr(poset, "build_full_poset", no_build)
+    for command in ("mtransform", "invert"):
+        code, out, err = run_cli(capsys, command, "--n", "8")
+        assert code == 2 and out == "" and err.startswith("error:") and "cap" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "mtransform", "--n", "8", "--max-degree", "4")
+    assert code == 0 and len(json.loads(out)["labels"]) == 20
 
 
 _CSV_COMMANDS = {
