@@ -255,23 +255,19 @@ def product_mtransform(a: IsoClass, b: IsoClass, poset: GPoset, matrix) -> LinCo
         raise PosetError(
             f"product degree {a.degree + b.degree} exceeds poset degree cap {poset.max_degree}"
         )
-    i = poset.position(a)
-    j = poset.position(b)
-    rows = matrix.data
+    col_i = matrix.column(poset.position(a))
+    col_j = matrix.column(poset.position(b))
+    pairs = {h: e_hi * col_j[h] for h, e_hi in col_i.items() if h in col_j}
     degs = poset.degrees()
-    n = len(poset)
     terms = {}
-    for k in range(n):
+    for k, member in enumerate(poset.members):
         acc = 0
-        for h in range(n):
-            e_kh = rows[k][h]
-            if not e_kh:
-                continue
-            prod = e_kh * rows[h][i] * rows[h][j]
-            if prod:
+        for h, e_kh in matrix.row(k).items():
+            if h in pairs:
+                prod = e_kh * pairs[h]
                 acc += prod if (degs[k] - degs[h]) % 2 == 0 else -prod
         if acc:
-            terms[poset.members[k]] = acc
+            terms[member] = acc
     return LinComb.from_terms(terms)
 
 
@@ -323,9 +319,10 @@ def express_invariant(values, poset: GPoset, matrix) -> LinComb:
     if len(values) != n:
         raise PreconditionError(f"expected {n} values, got {len(values)}")
     vals = [Fraction(v) for v in values]
+    inv = unitriangular_inverse(matrix)
     return LinComb.from_terms({
-        m: sum((x * v for x, v in zip(row, vals) if x), Fraction(0))
-        for m, row in zip(poset.members, unitriangular_inverse(matrix).data)
+        m: sum((x * vals[j] for j, x in inv.row(i).items()), Fraction(0))
+        for i, m in enumerate(poset.members)
     })
 
 
@@ -341,21 +338,20 @@ def degree_sum_identity_check(g_i: IsoClass, big_d: int, poset: GPoset, matrix) 
             f"poset degree cap {poset.max_degree} below D+|g_i| = {big_d + g_i.degree}"
         )
     degs = poset.degrees()
-    i = poset.position(g_i)
-    rows = matrix.data
+    col_i = matrix.column(poset.position(g_i))
     di = g_i.degree
     rhs_terms: Counter = Counter()
     for d in range(max(big_d, di), big_d + di + 1):
         weight = math.comb(di, di + big_d - d)
         if not weight:
             continue
-        for k in range(len(poset)):
-            if degs[k] == d and rows[k][i]:
-                rhs_terms[poset.members[k]] += weight * rows[k][i]
+        for k, e_ki in col_i.items():
+            if degs[k] == d:
+                rhs_terms[poset.members[k]] += weight * e_ki
     rhs = LinComb.from_terms(rhs_terms)
     first_violation = None
     for pos, host in enumerate(poset.members):
-        lhs = rows[pos][i] * sum(rows[pos][k] for k in range(len(poset)) if degs[k] == big_d)
+        lhs = col_i.get(pos, 0) * sum(e for k, e in matrix.row(pos).items() if degs[k] == big_d)
         if lhs != rhs.evaluate(host):
             first_violation = host
             break

@@ -125,10 +125,13 @@ def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tup
             raise CapError(f"transform of {size} members, over the cap of {mtransform.TRANSFORM_MEMBER_CAP}")
     p = _poset_for(n, max_degree, cache_dir)
     key = f"mtransform:n={n}:d={max_degree}"
-    obj = cache_fetch(cache_dir, key, lambda: [sorted(row.items()) for row in mtransform.mtransform_rows(p)])
-    rows = [dict(row) for row in obj]
-    mtransform.check_transform_rows(rows, p.degrees())
-    return p, mtransform.IntMatrix.from_sparse(rows, len(p))
+    def build():
+        e = mtransform.build_mtransform(p)
+        return [sorted(e.row(i).items()) for i in range(e.rows)]
+
+    e = mtransform.IntMatrix((dict(row) for row in cache_fetch(cache_dir, key, build)), len(p))
+    mtransform.check_transform_rows(e, p.degrees())
+    return p, e
 
 
 def _group_for(name: str, n_positions: int):
@@ -365,7 +368,7 @@ def _cmd_rank_minor(args) -> int:
 
 
 def _cmd_ulam_table(args) -> int:
-    from .util import cache_fetch
+    from .util import cache_fetch, ulam_cell_keys
 
     def build():
         from .enumeration import ulam_table_cells
@@ -375,6 +378,12 @@ def _cmd_ulam_table(args) -> int:
     # A warm run renders either format from the cached cells alone, and JSON
     # output never loads the enumeration layer.
     cells = cache_fetch(args.cache_dir, f"ulam-cells:{args.max_n}:{args.max_d}", build)
+    if not (
+        isinstance(cells, list)
+        and all(isinstance(c, list) and len(c) == 3 and all(type(x) is int for x in c) for c in cells)
+        and [(d, n) for d, n, _v in cells] == ulam_cell_keys(args.max_n, args.max_d)
+    ):
+        raise AssertionError("ulam-cells entry is not the [d, n, value] triples of the table's cells")
     if args.format == "csv":
         from .enumeration import ulam_table_csv
 

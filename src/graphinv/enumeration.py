@@ -19,7 +19,7 @@ from .graph import (
     canonicalize_bits,
     count_subgraphs,
 )
-from .mtransform import exact_rank
+from .mtransform import IntMatrix, exact_rank
 from .perm import CycleType, pair_slot, symmetric_group, induced_pair_permutation
 from .poset import build_full_poset
 
@@ -163,14 +163,10 @@ def ulam_difference_entry(n: int, d: int) -> int:
 
 
 def ulam_difference_table(max_n: int = 12, max_d: int = 12) -> dict:
-    """Entries -h_n(d) + h_{n-1}(d) + h_n(d-1) for 4 <= n, 2 <= d, printed only
-    where d <= floor(C(n,2)/2)."""
-    out = {}
-    for d in range(2, max_d + 1):
-        for n in range(4, max_n + 1):
-            if d <= n * (n - 1) // 2 // 2:
-                out[(d, n)] = ulam_difference_entry(n, d)
-    return out
+    """Entries -h_n(d) + h_{n-1}(d) + h_n(d-1) at the cells `ulam_cell_keys` names."""
+    from .util import ulam_cell_keys  # importing the layer loads no file-cache code
+
+    return {(d, n): ulam_difference_entry(n, d) for d, n in ulam_cell_keys(max_n, max_d)}
 
 
 def ulam_table_cells(max_n: int = 12, max_d: int = 12) -> list[list[int]]:
@@ -197,18 +193,19 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
     """Counting condition h_{n+1}(d) - h_{n+1}(d-1) <= h_n(d), plus the exact rank
     of the minor pairing degree-d classes on exactly v supported vertices against
     degree-(d-1) classes on at most v (v = rank_support, default n+1, capped at 5)."""
+    from .util import in_half_range
+
     if n + 1 > GRAPH_COUNT_VERTEX_CAP:
         raise CapError(f"counting check capped at n <= {GRAPH_COUNT_VERTEX_CAP - 1}")
     lhs = graph_count(n + 1, d) - graph_count(n + 1, d - 1)
     rhs = graph_count(n, d)
-    in_range = d <= (n + 1) * n // 2 // 2
     report = {
         "n": n,
         "d": d,
         "lhs": lhs,
         "rhs": rhs,
         "inequality_holds": lhs <= rhs,
-        "in_half_range": in_range,
+        "in_half_range": in_half_range(n + 1, d),
         "table_entry": ulam_difference_entry(n + 1, d),
         "minor": None,
     }
@@ -217,8 +214,8 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
         poset = build_full_poset(v)
         rows = [m for m in poset.members if m.degree == d and m.cv == v]
         cols = [m for m in poset.members if m.degree == d - 1 and m.cv <= v]
-        matrix = [[count_subgraphs(c, r) for c in cols] for r in rows]
-        rank = exact_rank(matrix) if rows and cols else 0
+        matrix = IntMatrix.from_rows([[count_subgraphs(c, r) for c in cols] for r in rows])
+        rank = exact_rank(matrix)
         report["minor"] = {
             "v": v,
             "rows": len(rows),

@@ -23,7 +23,7 @@ from .graph import (
     is_connected_class,
     MAX_SUPPORT,
 )
-from .mtransform import build_mtransform, exact_rank, inverse_mtransform
+from .mtransform import build_mtransform, exact_rank, inverse_mtransform, minor_by_degree
 from .poset import GPoset, build_full_poset, build_span_poset
 
 SEARCH_POOL_CAP = 20
@@ -160,11 +160,11 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
             raise PreconditionError("generator override must be connected of degree d+1")
     e = build_mtransform(span)
     inv = inverse_mtransform(e, span.degrees(), complete=span.complete)
-    values = [count_subgraphs(g, generator) for g in span.members]
-    coeffs = [
-        sum(values[i] * inv.data[i][j] for i in range(len(span)))
-        for j in range(len(span))
-    ]
+    coeffs = [0] * len(span)
+    for i, g in enumerate(span.members):
+        value = count_subgraphs(g, generator)
+        for j, x in inv.row(i).items():
+            coeffs[j] += value * x
     t_parts: Counter = Counter()
     u_parts: Counter = Counter({generator: 1})
     for cls, c in zip(span.members, coeffs):
@@ -234,13 +234,13 @@ def half_degree_system_check(n: int) -> dict:
         unk_idx = [k for k, dd in enumerate(degs) if dd == d + 1]
         if not unk_idx:
             continue
-        m_rows = [[e.data[k][i] for k in unk_idx] for i in eq_idx]
-        rank = exact_rank(m_rows)
+        rank = exact_rank(minor_by_degree(e, degs, d, d + 1))  # the transpose of m_rows
+        m_rows = [[e.entry(k, i) for k in unk_idx] for i in eq_idx]
         full = rank == len(unk_idx)
         # with full column rank the solution is unique, so it must be the row itself
         recovered_ok = full and all(
-            _solve(m_rows, [(host.degree - d) * e.data[pos][i] for i in eq_idx])
-            == [e.data[pos][k] for k in unk_idx]
+            _solve(m_rows, [(host.degree - d) * e.entry(pos, i) for i in eq_idx])
+            == [e.entry(pos, k) for k in unk_idx]
             for pos, host in enumerate(poset.members)
         )
         steps.append({"degree": d, "unknowns": len(unk_idx), "rank": rank, "full_rank": full,

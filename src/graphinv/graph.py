@@ -72,14 +72,6 @@ class LabeledGraph:
         return self.bits.bit_count()
 
     @property
-    def support(self) -> tuple[int, ...]:
-        verts = set()
-        for i, j in self.edge_list():
-            verts.add(i)
-            verts.add(j)
-        return tuple(sorted(verts))
-
-    @property
     def cv(self) -> int:
         """Number of vertices meeting at least one edge."""
         return _support_mask(self.bits).bit_count()

@@ -8,6 +8,7 @@ elimination so no floating point ever enters.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,53 +31,67 @@ if TYPE_CHECKING:
     from .algebra import LinComb
 
 SUBSET_MINOR_CAP = 10**6  # C(N, Delta) * C(N, delta) entries of a subset minor
-TRANSFORM_MEMBER_CAP = 2_000  # members of a dense transform: |E(7)| = 1,044, |E(8)| = 12,346
+TRANSFORM_MEMBER_CAP = 2_000  # members of a built transform: |E(7)| = 1,044, |E(8)| = 12,346
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense exact-integer matrix."""
+    """Exact-integer matrix stored as sparse rows: one {column: value} map per
+    row, zeros never stored, and the column count.  As in the dense view, a
+    matrix without rows has no columns.  `data` is the dense view, for output
+    and inspection only; no computation reads it."""
 
-    data: tuple[tuple[int, ...], ...]
+    nonzeros: tuple[dict[int, int], ...]
+    cols: int
 
     def __post_init__(self) -> None:
-        if self.data and len({len(r) for r in self.data}) != 1:
-            raise PreconditionError("ragged matrix rows")
+        object.__setattr__(self, "nonzeros", tuple(self.nonzeros))
+        if not self.nonzeros:
+            object.__setattr__(self, "cols", 0)
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def from_sparse(cls, rows, ncols: int) -> IntMatrix:
-        """Dense matrix from one {column: value} dict per row."""
-        dense = []
-        for row in rows:
-            line = [0] * ncols
-            for j, x in row.items():
-                line[j] = x
-            dense.append(tuple(line))
-        return cls(tuple(dense))
+        """From dense rows of equal length."""
+        rows = [list(row) for row in rows]
+        if rows and len({len(r) for r in rows}) != 1:
+            raise PreconditionError("ragged matrix rows")
+        return cls(({j: int(x) for j, x in enumerate(r) if x} for r in rows), len(rows[0]) if rows else 0)
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(({i: 1} for i in range(n)), n)
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return len(self.nonzeros)
 
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
+    def row(self, i: int) -> dict[int, int]:
+        """The nonzero entries of row i as {column: value}; not to be mutated."""
+        return self.nonzeros[i]
+
+    def column(self, j: int) -> dict[int, int]:
+        """The nonzero entries of column j as {row: value}."""
+        return {i: row[j] for i, row in enumerate(self.nonzeros) if j in row}
+
+    def entry(self, i: int, j: int) -> int:
+        return self.nonzeros[i].get(j, 0)
+
+    @functools.cached_property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The dense tuple-of-tuples view, built on first read."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.nonzeros)
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise PreconditionError("matrix dimensions do not match")
-        ot = list(zip(*other.data))
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
-        )
+        out = []
+        for row in self.nonzeros:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in other.nonzeros[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return IntMatrix(out, other.cols)
 
     def power(self, k: int) -> IntMatrix:
         if k < 0:
@@ -115,9 +130,8 @@ def _one_edge_covers(members) -> list[tuple[IsoClass, Counter]]:
     return sorted(covers, key=lambda gd: gd[0].sort_key)
 
 
-def mtransform_rows(poset: GPoset) -> list[dict[int, int]]:
-    """Sparse rows of the transform: row i maps column j to the number of
-    copies of member j inside member i, zeros omitted.
+def build_mtransform(poset: GPoset) -> IntMatrix:
+    """The transform: entry (i, j) = number of copies of member j inside member i.
 
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
@@ -146,28 +160,23 @@ def mtransform_rows(poset: GPoset) -> list[dict[int, int]]:
         if g.bits in poset.index:
             row[poset.index[g.bits]] = 1
         rows[g.bits] = row
-    return [rows[m.bits] for m in members]
+    return IntMatrix((rows[m.bits] for m in members), len(members))
 
 
-def build_mtransform(poset: GPoset) -> IntMatrix:
-    """Dense transform: entry (i, j) = number of copies of member j inside member i."""
-    return IntMatrix.from_sparse(mtransform_rows(poset), len(poset))
-
-
-def check_transform_rows(rows, degrees) -> None:
-    """Whole-matrix check of sparse transform rows in O(nnz); raises AssertionError.
+def check_transform_rows(matrix: IntMatrix, degrees) -> None:
+    """Whole-matrix check of a transform in O(nnz); raises AssertionError.
 
     One row per member, a unit diagonal, positive entries only below it and
     only in columns of lower degree, and in each row i, for every d <= deg g_i,
     the degree-d entries sum to C(deg g_i, d): the d-edge subsets of g_i,
     each a copy of exactly one member.
     """
-    if len(rows) != len(degrees):
-        raise AssertionError(f"transform has {len(rows)} rows for {len(degrees)} members")
-    for i, row in enumerate(rows):
+    if matrix.rows != len(degrees):
+        raise AssertionError(f"transform has {matrix.rows} rows for {len(degrees)} members")
+    for i in range(matrix.rows):
         top = degrees[i]
         sums = [0] * (top + 1)
-        for j, e in row.items():
+        for j, e in matrix.row(i).items():
             if j == i:
                 if e != 1:
                     raise AssertionError(f"transform diagonal entry {i} is {e}")
@@ -198,10 +207,10 @@ def mnukhin_power(matrix: IntMatrix, degrees, k: int, complete: bool = True) -> 
         raise PosetError("closed-form power law requires a subgraph-closed poset")
     if matrix.rows != matrix.cols or matrix.rows != len(degrees):
         raise PreconditionError("matrix/degree dimensions do not match")
-    return IntMatrix(tuple(
-        tuple(e * k ** (d_i - d_j) if e else 0 for e, d_j in zip(row, degrees))
-        for row, d_i in zip(matrix.data, degrees)
-    ))
+    return IntMatrix((
+        {j: x for j, e in matrix.row(i).items() if (x := e * k ** (d_i - degrees[j]))}
+        for i, d_i in enumerate(degrees)
+    ), matrix.cols)
 
 
 def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
@@ -213,15 +222,14 @@ def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
     if n != matrix.cols:
         raise PreconditionError("inverse requires a square matrix")
     inv_rows: list[dict[int, int]] = []
-    for i, row in enumerate(matrix.data):
+    for i in range(n):
         acc = {i: 1}
-        for j in range(i):
-            a = row[j]
-            if a:
+        for j, a in matrix.row(i).items():
+            if j < i:
                 for k, v in inv_rows[j].items():
                     acc[k] = acc.get(k, 0) - a * v
         inv_rows.append({k: v for k, v in acc.items() if v})
-    return IntMatrix.from_sparse(inv_rows, n)
+    return IntMatrix(inv_rows, n)
 
 
 def inverse_mtransform(matrix: IntMatrix, degrees=None, complete: bool = False) -> IntMatrix:
@@ -331,32 +339,36 @@ def minor_by_degree(matrix: IntMatrix, degrees, delta: int, big_delta: int) -> I
     if delta > big_delta:
         raise PreconditionError("minor requires delta <= Delta")
     row_idx = [i for i, d in enumerate(degrees) if d == big_delta]
-    col_idx = [j for j, d in enumerate(degrees) if d == delta]
-    return IntMatrix.from_rows(
-        [[matrix.data[i][j] for j in col_idx] for i in row_idx]
-    )
+    col_pos = {j: c for c, j in enumerate(j for j, d in enumerate(degrees) if d == delta)}
+    rows = ({col_pos[j]: e for j, e in matrix.row(i).items() if j in col_pos} for i in row_idx)
+    return IntMatrix(rows, len(col_pos))
 
 
-def exact_rank(matrix: IntMatrix | list) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in (matrix.data if isinstance(matrix, IntMatrix) else matrix)]
-    if not a or not a[0]:
-        return 0
-    nrows, ncols = len(a), len(a[0])
+def exact_rank(matrix: IntMatrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination on the
+    sparse rows: a zero stays zero when a row is only rescaled."""
+    a = [dict(matrix.row(i)) for i in range(matrix.rows)]
     rank = 0
     prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if a[r][col]), None)
+    for col in range(matrix.cols):
+        pivot = next((r for r in range(rank, len(a)) if col in a[r]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                a[r][c] = (a[r][c] * a[rank][col] - a[r][col] * a[rank][c]) // prev
-            a[r][col] = 0
-        prev = a[rank][col]
+        top = a[rank]  # every entry left of col is zero in the rows from here down
+        p = top[col]
+        for r in range(rank + 1, len(a)):
+            row = a[r]
+            f = row.pop(col, 0)
+            new = {c: v * p for c, v in row.items()}
+            if f:
+                for c, v in top.items():
+                    if c != col:
+                        new[c] = new.get(c, 0) - f * v
+            a[r] = {c: v // prev for c, v in new.items() if v}
+        prev = p
         rank += 1
-        if rank == nrows:
+        if rank == len(a):
             break
     return rank
 
@@ -397,12 +409,9 @@ def subset_minor_blocks(n_vars: int, delta: int, big_delta: int) -> IntMatrix:
     tl = subset_inclusion_minor(n_vars - 1, delta, big_delta)
     bl = subset_inclusion_minor(n_vars - 1, delta, big_delta - 1)
     br = subset_inclusion_minor(n_vars - 1, delta - 1, big_delta - 1)
-    rows = []
-    for r in tl.data:
-        rows.append(list(r) + [0] * br.cols)
-    for r1, r2 in zip(bl.data, br.data):
-        rows.append(list(r1) + list(r2))
-    return IntMatrix.from_rows(rows)
+    rows = [tl.row(r) for r in range(tl.rows)]
+    rows += [{**bl.row(r), **{j + bl.cols: x for j, x in br.row(r).items()}} for r in range(bl.rows)]
+    return IntMatrix(rows, bl.cols + br.cols)
 
 
 def find_orderings_matching(poset: GPoset, target_rows) -> list[tuple[IsoClass, ...]]:

@@ -152,9 +152,9 @@ def express_orbit_sum(a, p: MultisetPoset) -> list:
         raise CapError(f"exponent {max(a)} exceeds poset cap {p.cap}")
     if len(a) != p.group.n:
         raise PreconditionError("monomial length != number of positions")
-    inv = unitriangular_inverse(build_general_mtransform(p)).data
+    inv = unitriangular_inverse(build_general_mtransform(p))
     values = [orbit_sum_value(a, m, p.group) for m in p.members]
-    return [sum(x * v for x, v in zip(row, values) if x) for row in inv]
+    return [sum(x * values[j] for j, x in inv.row(i).items()) for i in range(inv.rows)]
 
 
 def verify_orbit_sum_expression(a, p: MultisetPoset, coeffs) -> bool:

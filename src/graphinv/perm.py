@@ -46,14 +46,6 @@ class Permutation:
     def identity(cls, n: int) -> Permutation:
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, *cycles: tuple[int, ...]) -> Permutation:
-        images = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a] = b
-        return cls(tuple(images))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -69,12 +61,6 @@ class Permutation:
 
     __mul__ = compose
 
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
     def cycle_type(self) -> CycleType:
         seen = [False] * self.n
         counts = [0] * self.n
@@ -89,10 +75,6 @@ class Permutation:
                 length += 1
             counts[length - 1] += 1
         return CycleType(tuple(counts))
-
-    def to_line(self) -> str:
-        """One-line serialization: "p(0) p(1) ... p(n-1)"."""
-        return " ".join(str(i) for i in self.images)
 
     @classmethod
     def from_line(cls, text: str) -> Permutation:

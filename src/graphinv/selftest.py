@@ -480,7 +480,7 @@ def check_complement_machinery():
         (named_class("C4"), named_class("K3"), 0),
     ]
     for row, col, want in quoted:
-        if e.data[p.position(row)][p.position(col)] != want:
+        if e.entry(p.position(row), p.position(col)) != want:
             return False, f"entry ({class_name(row)},{class_name(col)}) != {want}"
     return True, "121 expansion evaluations + reconstruction + 4 quoted entries"
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded random graphs, file cache."""
+"""Small shared helpers: seeded random graphs, the difference-table cells, file cache."""
 
 from __future__ import annotations
 
@@ -23,6 +23,16 @@ def random_labeled_graph(rng: random.Random, n: int, p: float = 0.5) -> LabeledG
             if rng.random() < p:
                 bits |= 1 << pair_slot(i, j)
     return LabeledGraph(n, bits)
+
+
+def in_half_range(n: int, d: int) -> bool:
+    """d <= floor(C(n, 2) / 2): the difference table prints cell (d, n) only here."""
+    return d <= n * (n - 1) // 2 // 2
+
+
+def ulam_cell_keys(max_n: int, max_d: int) -> list[tuple[int, int]]:
+    """The (d, n) cells of the difference table, 2 <= d and 4 <= n, in increasing order."""
+    return [(d, n) for d in range(2, max_d + 1) for n in range(4, max_n + 1) if in_half_range(n, d)]
 
 
 CACHE_FORMAT = b"graphinv-cache 1"  # the entry layout; bump it to retire every entry

@@ -237,7 +237,8 @@ def _entry_path(cache_dir: Path, key: str) -> Path:
 
 _E4 = build_full_poset(4)
 _E4_SIDECAR = poset_sidecar(_E4)
-_E4_ROWS = [sorted(row.items()) for row in mtransform.mtransform_rows(_E4)]
+_E4_MATRIX = mtransform.build_mtransform(_E4)
+_E4_ROWS = [sorted(_E4_MATRIX.row(i).items()) for i in range(_E4_MATRIX.rows)]
 
 _CORRUPT_ENTRIES = {
     "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", {"x": 1}),
@@ -293,6 +294,10 @@ _FORGED_ENTRIES = {
     "members-swapped": (["enumerate", "--n", "4"], "poset:n=4:d=None", _swapped_members(_E4_SIDECAR)),
     "cv-wrong": (["enumerate", "--n", "4"], "poset:n=4:d=None", _wrong_cv(_E4_SIDECAR)),
     "transform-entry-changed": (["mtransform", "--n", "4"], "mtransform:n=4:d=None", _one_entry_changed(_E4_ROWS)),
+    "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", {"x": 1}),
+    "ulam-cells-cut": (
+        ["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [[2, 4, 99]],
+    ),
 }
 
 
@@ -315,7 +320,7 @@ def test_cached_transform_rows_equal_the_build(tmp_path, n, max_degree):
     for _pass in ("built", "loaded"):
         assert _transform_for(n, max_degree, str(tmp_path))[1] == expected
     stored = json.loads(_entry_path(tmp_path, f"mtransform:n={n}:d={max_degree}").read_bytes().partition(b"\n")[2])
-    assert mtransform.IntMatrix.from_sparse([dict(row) for row in stored], expected.rows) == expected
+    assert mtransform.IntMatrix(tuple(dict(row) for row in stored), expected.cols) == expected
 
 
 def test_warm_commands_canonicalize_nothing(tmp_path, capsys):
@@ -347,6 +352,40 @@ def test_benchmark_corpus_stdout_is_byte_identical_cold_and_warm(tmp_path, capsy
             code, out, err = run_cli(capsys, *argv)
             assert code == 0 and err == "", (label, cmd["name"], err)
             assert hashlib.sha256(out.encode()).hexdigest() == cmd["sha256"], (label, cmd["name"])
+
+
+_GOLDEN_STDOUT = {
+    "mtransform-n5-csv": (
+        "mtransform --n 5 --format csv", "124282140d3b18f6b5f5b864dc734e4802528aa52ee58b12a74e2d9488f28e91",
+    ),
+    "invert-n5-csv": ("invert --n 5 --format csv", "fe963e449c3d9ea2668ccd2d0a29e9ac62e780d74f9b828cbf5c7cf5483b819c"),
+    "mtransform-n7-d6-csv": (
+        "mtransform --n 7 --max-degree 6 --format csv",
+        "afb1d38de7776956bb9e3dc8e7ff3fb78332410e5b78292025c187e8e1634411",
+    ),
+    "express-n4": (
+        "express --n 4 --values 1,2,3,4,5,6,7,8,9,10,11",
+        "3c59867218208afb6474aa4c2dd4bfcd33da9ed71463b1b8ab47b2871a943230",
+    ),
+    "product-n5-mtransform": (
+        "product --n 5 --a 0-1,1-2 --b 0-1,1-2,2-0 --method mtransform",
+        "60514d4df6035115028f53182798fc7d8eddd7ceb65f1d36a3790bd239e36705",
+    ),
+    "rank-minor-n5": (
+        "rank-minor --n 5 --delta 3 --Delta 5", "fe25d5c6ad826c428d628c291f5319541be8ce1757ee0df5c41827ea49f5ccca",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_STDOUT))
+def test_transform_stdout_is_byte_identical_cold_and_warm(tmp_path, capsys, case):
+    """Transform output outside the benchmark corpus, against digests recorded
+    before the transform was stored as sparse rows."""
+    command, digest = _GOLDEN_STDOUT[case]
+    for _pass in ("cold", "warm"):
+        code, out, err = run_cli(capsys, *command.split(), "--cache-dir", str(tmp_path))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, _pass
 
 
 def test_oversized_transform_refused_before_the_poset_build(capsys, monkeypatch):

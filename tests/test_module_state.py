@@ -1,11 +1,12 @@
 """Module-level state: every mutable global is a declared constant or a
-functools cache; every public function and class has a caller or is a listed
-oracle."""
+functools cache; every public function, class, method and property has a
+caller or is a listed oracle."""
 
 import ast
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,9 @@ def _listed_oracles() -> set[str]:
 
 def _uncalled_public_names() -> list[str]:
     """Public module-level functions and classes that no other statement in the
-    package references by name or attribute, and that are not listed oracles."""
+    package references by name or attribute, and public methods and properties
+    of package classes that no attribute outside their own body references
+    (nor an alias in their class body); listed oracles excepted."""
     package = Path(graphinv.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
@@ -83,7 +86,7 @@ def _uncalled_public_names() -> list[str]:
         for stmt in statements
     }
     oracles = _listed_oracles()
-    return [
+    uncalled = [
         f"{module}.{stmt.name}"
         for module, tree in trees.items()
         for stmt in tree.body
@@ -92,6 +95,18 @@ def _uncalled_public_names() -> list[str]:
         and f"{module}.{stmt.name}" not in oracles
         and not any(stmt.name in used[id(other)] for other in statements if other is not stmt)
     ]
+    attributes = Counter(n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    for module, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            aliased = {stmt.value.id for stmt in cls.body
+                       if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)}
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") or fn.name in aliased:
+                    continue
+                own = sum(1 for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == fn.name)
+                if attributes[fn.name] == own:
+                    uncalled.append(f"{module}.{cls.name}.{fn.name}")
+    return uncalled
 
 
 def test_every_public_name_has_a_caller_or_is_a_listed_oracle():

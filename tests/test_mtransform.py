@@ -239,7 +239,11 @@ def test_exact_rank_against_fraction_oracle():
         rows = [[rng.randint(-4, 4) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 5))]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        assert exact_rank(rows) == _rank_oracle(rows)
+        assert exact_rank(IntMatrix.from_rows(rows)) == _rank_oracle(rows)
+    for _ in range(100):  # mostly zeros, as in the transform minors
+        width = rng.randint(1, 8)
+        rows = [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(width)] for _ in range(rng.randint(1, 8))]
+        assert exact_rank(IntMatrix.from_rows(rows)) == _rank_oracle(rows)
 
 
 def test_block_recursion_bases():
@@ -267,3 +271,45 @@ def test_matrix_validation():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(PreconditionError):
         IntMatrix.identity(2) @ IntMatrix.from_rows([[1, 2, 3]])
+
+
+def _stores_no_zero(m: IntMatrix) -> bool:
+    return all(0 not in m.row(i).values() for i in range(m.rows))
+
+
+def test_the_compute_path_never_densifies(monkeypatch, tmp_path):
+    from graphinv.algebra import (
+        LinComb, degree_sum_identity_check, express_invariant, product_kocay, product_mtransform,
+    )
+    from graphinv.cli import _transform_for
+    from graphinv.generators import half_degree_system_check, inseparable_pair
+
+    p4, p6 = build_full_poset(4), build_full_poset(6)
+
+    def dense_view(self):
+        raise AssertionError("a computation read the dense view")
+
+    monkeypatch.setattr(IntMatrix, "data", property(dense_view))
+    e6 = build_mtransform(p6)
+    degs = p6.degrees()
+    inv = inverse_mtransform(e6, degs, complete=True)
+    assert e6 @ inv == IntMatrix.identity(len(p6))
+    k2, p3 = named_class("K2"), named_class("P3")
+    assert product_mtransform(k2, p3, p6, e6) == product_kocay(k2, p3, p6)
+    assert express_invariant([m.degree for m in p6.members], p6, e6) == LinComb.from_terms({k2: 1})
+    minors = [minor_by_degree(e6, degs, delta, big) for delta in range(16) for big in range(delta, 16)]
+    assert all(exact_rank(m) == min(m.rows, m.cols) for m in minors)
+    e4 = build_mtransform(p4)
+    assert all(degree_sum_identity_check(g, 2, p4, e4)["holds"] for g in p4.members)
+    inseparable_pair(3)
+    assert half_degree_system_check(4)["ok"]
+    for _pass in ("built", "loaded"):
+        assert _transform_for(6, None, str(tmp_path))[1] == e6
+    for m in (e6, inv, e4, *minors, mnukhin_power(e6, degs, 0), e6 @ inv):
+        assert _stores_no_zero(m)
+
+
+def test_a_minor_without_rows_has_no_columns(e4_poset, e4_matrix):
+    m = minor_by_degree(e4_matrix, e4_poset.degrees(), 3, 11)
+    assert (m.rows, m.cols, m.data, exact_rank(m)) == (0, 0, (), 0)
+    assert m == IntMatrix.from_rows([])
