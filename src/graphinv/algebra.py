@@ -140,9 +140,7 @@ def union_classes(a: IsoClass, b: IsoClass, m: int) -> list[IsoClass]:
 
 def _realizable_degree(total: int, poset: GPoset) -> int:
     """Largest union degree, up to total, that the poset's ambient can realize."""
-    if poset.ambient_n is not None:
-        total = min(total, poset.ambient_n * (poset.ambient_n - 1) // 2)
-    return total
+    return min(total, poset.ambient_n * (poset.ambient_n - 1) // 2)
 
 
 def _check_poset_for_product(a: IsoClass, b: IsoClass, poset: GPoset) -> list[IsoClass]:
@@ -150,10 +148,7 @@ def _check_poset_for_product(a: IsoClass, b: IsoClass, poset: GPoset) -> list[Is
         raise PosetError(
             f"product degree {a.degree + b.degree} exceeds poset degree cap {poset.max_degree}"
         )
-    m = a.cv + b.cv
-    if poset.ambient_n is not None:
-        m = min(m, poset.ambient_n)
-    required = union_classes(a, b, m)
+    required = union_classes(a, b, min(a.cv + b.cv, poset.ambient_n))
     missing = [c for c in required if c not in poset]
     if missing:
         raise PosetError(
@@ -273,7 +268,7 @@ def product_mtransform(a: IsoClass, b: IsoClass, poset: GPoset, matrix) -> LinCo
 
 def is_general_identity(a: IsoClass, b: IsoClass, poset: GPoset) -> bool:
     """True when the poset-ambient product is already valid on all simple graphs."""
-    return poset.ambient_n is None or a.cv + b.cv <= poset.ambient_n
+    return a.cv + b.cv <= poset.ambient_n
 
 
 def general_product(a: IsoClass, b: IsoClass) -> LinComb:

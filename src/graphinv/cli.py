@@ -108,7 +108,7 @@ def _poset_for(n: int, max_degree: int | None, cache_dir: str | None) -> GPoset:
 
     key = f"poset:n={n}:d={max_degree}"
     obj = cache_fetch(cache_dir, key, lambda: poset.poset_sidecar(poset.build_full_poset(n, max_degree)))
-    return poset.poset_from_sidecar(obj)
+    return poset.poset_from_sidecar(obj, n, max_degree)
 
 
 def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tuple[GPoset, IntMatrix]:
@@ -127,9 +127,20 @@ def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tup
     key = f"mtransform:n={n}:d={max_degree}"
     def build():
         e = mtransform.build_mtransform(p)
-        return [sorted(e.row(i).items()) for i in range(e.rows)]
+        return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
 
-    e = mtransform.IntMatrix((dict(row) for row in cache_fetch(cache_dir, key, build)), len(p))
+    rows = cache_fetch(cache_dir, key, build)
+    if not (
+        type(rows) is list
+        and all(type(row) is list for row in rows)
+        and all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+            for row in rows
+            for pair in row
+        )
+    ):
+        raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
+    e = mtransform.IntMatrix((dict(row) for row in rows), len(p))
     mtransform.check_transform_rows(e, p.degrees())
     return p, e
 
@@ -355,7 +366,7 @@ def _cmd_complement_solve(args) -> int:
 def _cmd_rank_minor(args) -> int:
     from . import mtransform
 
-    if args.trivial_vars:
+    if args.trivial_vars is not None:
         m = mtransform.subset_inclusion_minor(args.trivial_vars, args.delta, args.big_delta)
     else:
         if args.n is None:

@@ -24,7 +24,7 @@ from .graph import (
     MAX_SUPPORT,
 )
 from .mtransform import build_mtransform, exact_rank, inverse_mtransform, minor_by_degree
-from .poset import GPoset, build_full_poset, build_span_poset
+from .poset import GPoset, build_full_poset
 
 SEARCH_POOL_CAP = 20
 
@@ -142,14 +142,15 @@ def _count_in_multiset(pattern: IsoClass, pieces: Counter) -> int:
 
 
 def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePair:
-    """Construct (T, U) from the signed solution of the triangular system of the
-    span of all connected classes of degree <= d against a connected class of
-    degree d+1."""
+    """Construct (T, U) from the signed solution of the triangular system of
+    E(2d, d) against a connected class of degree d+1.  Every graph with at most
+    d edges has at most 2d vertices, so E(2d, d) holds every disjoint union of
+    connected classes with total degree <= d."""
     if d < 1:
         raise PreconditionError("need d >= 1")
     if d > 4:
         raise CapError("inseparable-pair construction supported for d <= 4")
-    span = build_span_poset(build_full_poset(d + 1, d).connected_members(), d)
+    poset = build_full_poset(2 * d, d)
     if generator is None:
         pool = build_full_poset(min(d + 2, 8), d + 1).connected_members()
         generator = min(
@@ -158,27 +159,27 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
     else:
         if generator.degree != d + 1 or not is_connected_class(generator):
             raise PreconditionError("generator override must be connected of degree d+1")
-    e = build_mtransform(span)
-    inv = inverse_mtransform(e, span.degrees(), complete=span.complete)
-    coeffs = [0] * len(span)
-    for i, g in enumerate(span.members):
+    e = build_mtransform(poset)
+    inv = inverse_mtransform(e, poset.degrees(), complete=poset.complete)
+    coeffs = [0] * len(poset)
+    for i, g in enumerate(poset.members):
         value = count_subgraphs(g, generator)
         for j, x in inv.row(i).items():
             coeffs[j] += value * x
     t_parts: Counter = Counter()
     u_parts: Counter = Counter({generator: 1})
-    for cls, c in zip(span.members, coeffs):
+    for cls, c in zip(poset.members, coeffs):
         if cls == EMPTY_CLASS or c == 0:
             continue
         if c > 0:
             t_parts[cls] += c
         else:
             u_parts[cls] += -c
-    return _finalize_pair(d, generator, span, tuple(coeffs), t_parts, u_parts)
+    return _finalize_pair(d, generator, poset, tuple(coeffs), t_parts, u_parts)
 
 
 def _finalize_pair(
-    d: int, generator: IsoClass, span: GPoset, coeffs, t_parts: Counter, u_parts: Counter
+    d: int, generator: IsoClass, poset: GPoset, coeffs, t_parts: Counter, u_parts: Counter
 ) -> InseparablePair:
     t_flat = _flatten_components(t_parts)
     u_flat = _flatten_components(u_parts)
@@ -191,7 +192,7 @@ def _finalize_pair(
         raise AssertionError(f"degree {deg_t} exceeds the bound {bound}")
     if t_flat == u_flat:
         raise AssertionError("T and U are isomorphic")
-    for c in span.connected_members():
+    for c in poset.connected_members():
         if _count_in_multiset(c, t_parts) != _count_in_multiset(c, u_parts):
             raise AssertionError(f"T and U disagree on the connected invariant {c.graph6!r}")
     cv_t = sum(g.cv * k for g, k in t_flat.items())
@@ -201,7 +202,7 @@ def _finalize_pair(
     if t_cls is not None and u_cls is not None and t_cls == u_cls:
         raise AssertionError("materialized T and U are equal")
     return InseparablePair(
-        d, generator, span, tuple(coeffs), t_flat, u_flat, t_cls, u_cls
+        d, generator, poset, tuple(coeffs), t_flat, u_flat, t_cls, u_cls
     )
 
 

@@ -105,51 +105,35 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-def _one_edge_covers(members) -> list[tuple[IsoClass, Counter]]:
-    """Closure of the members under one-edge deletion, in (degree, bits) order.
-
-    Each class comes with the multiset, keyed by canonical bits, of the classes
-    its one-edge deletions land in.
-    """
-    covers: list[tuple[IsoClass, Counter]] = []
-    seen = {m.bits for m in members}
-    stack = list(members)
-    while stack:
-        g = stack.pop()
-        down: Counter = Counter()
-        rest = g.bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k = canonicalize_bits(g.bits ^ low)
-            down[k.bits] += 1
-            if k.bits not in seen:
-                seen.add(k.bits)
-                stack.append(k)
-        covers.append((g, down))
-    return sorted(covers, key=lambda gd: gd[0].sort_key)
-
-
 def build_mtransform(poset: GPoset) -> IntMatrix:
     """The transform: entry (i, j) = number of copies of member j inside member i.
 
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
         (|g| - |g_j|) * e_gj = sum_k c_gk * e_kj,
-    where c_gk counts the one-edge deletions of g that land in class k.  The
-    recursion runs over the closure of the members under one-edge deletion, so
-    it needs no completeness flag; classes outside the poset only serve as
-    helper rows.  `_mtransform_by_subsets` is the subset-counting oracle.
+    where c_gk counts the one-edge deletions of g that land in member k.  The
+    poset is an E(n, d), closed under edge deletion, so each k is an earlier
+    member whose row is already built; a deletion that lands outside the poset
+    raises PosetError.  `_mtransform_by_subsets` is the subset-counting oracle.
     """
     members = poset.members
     if len(members) > TRANSFORM_MEMBER_CAP:
         raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
     degs = poset.degrees()
-    rows: dict[int, dict[int, int]] = {}
-    for g, down in _one_edge_covers(members):
+    rows: dict[int, dict[int, int]] = {}  # by canonical bits
+    for pos, g in enumerate(members):
+        down: Counter = Counter()
+        rest = g.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            down[canonicalize_bits(g.bits ^ low).bits] += 1
         acc: dict[int, int] = {}
         for k_bits, c in down.items():
-            for j, e in rows[k_bits].items():
+            down_row = rows.get(k_bits)
+            if down_row is None:
+                raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
+            for j, e in down_row.items():
                 acc[j] = acc.get(j, 0) + c * e
         row = {}
         for j, total in acc.items():
@@ -157,10 +141,9 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
             if r:
                 raise AssertionError(f"cover recursion: inexact division in row {g.graph6!r}")
             row[j] = q
-        if g.bits in poset.index:
-            row[poset.index[g.bits]] = 1
+        row[pos] = 1
         rows[g.bits] = row
-    return IntMatrix((rows[m.bits] for m in members), len(members))
+    return IntMatrix(rows.values(), len(members))
 
 
 def check_transform_rows(matrix: IntMatrix, degrees) -> None:

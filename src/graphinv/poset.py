@@ -1,4 +1,5 @@
-"""Degree-sorted posets of graph classes: full E(n, d) and spans of connected generators.
+"""Degree-sorted posets of graph classes: the full E(n, d), every class on at
+most n vertices with at most d edges, which is closed under edge deletion.
 
 Members are ordered by (degree, canonical bitset); the tie-break inside a
 degree class is a documented convention, so two independent builds always
@@ -7,7 +8,7 @@ produce identical sequences and every transform built on top is reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -16,7 +17,6 @@ from .graph import (
     EMPTY_CLASS,
     IsoClass,
     canonicalize_bits,
-    disjoint_union,
     is_connected_class,
     parse_graph6,
 )
@@ -28,10 +28,12 @@ MEMBER_CAP = 500_000
 
 @dataclass(frozen=True)
 class GPoset:
-    """A deterministically ordered sequence of graph classes, indexed by canonical bits."""
+    """The members of E(ambient_n, max_degree) in (degree, bits) order, indexed
+    by canonical bits.  `complete` (closed under edge deletion) is True on
+    every poset the package builds or loads."""
 
     members: tuple[IsoClass, ...]
-    ambient_n: int | None
+    ambient_n: int
     max_degree: int
     complete: bool
     index: dict = field(repr=False, compare=False)
@@ -64,29 +66,6 @@ class GPoset:
         return tuple(m for m in self.members if is_connected_class(m))
 
 
-def _make_poset(classes, ambient_n, max_degree, complete) -> GPoset:
-    members = tuple(sorted(set(classes), key=lambda c: c.sort_key))
-    index = {m.bits: pos for pos, m in enumerate(members)}
-    return GPoset(members, ambient_n, max_degree, complete, index)
-
-
-def is_subgraph_closed(classes) -> bool:
-    """True when every one-edge-deleted subclass of every member is a member."""
-    have = {c.bits for c in classes}
-    for cls in classes:
-        bits = cls.bits
-        s = 0
-        b = bits
-        while b:
-            if b & 1:
-                sub = canonicalize_bits(bits & ~(1 << s))
-                if sub.bits not in have:
-                    return False
-            b >>= 1
-            s += 1
-    return True
-
-
 def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     """All classes with cv <= n and degree <= max_degree, by incremental edge extension."""
     if n < 0:
@@ -95,8 +74,7 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
         raise CapError(f"full poset build capped at n <= {FULL_POSET_VERTEX_CAP}")
     if max_degree is not None and max_degree < 0:
         raise PreconditionError("max_degree must be nonnegative")
-    cap = n * (n - 1) // 2
-    max_degree = cap if max_degree is None else min(max_degree, cap)
+    max_degree = _degree_bound(n, max_degree)
     classes = {EMPTY_CLASS}
     current = {EMPTY_CLASS}
     for _d in range(max_degree):
@@ -121,38 +99,15 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
         current = nxt
         if not current:
             break
-    return _make_poset(classes, n, max_degree, complete=True)
+    members = tuple(sorted(classes, key=lambda c: c.sort_key))
+    index = {m.bits: pos for pos, m in enumerate(members)}
+    return GPoset(members, n, max_degree, True, index)
 
 
-def build_span_poset(generators, max_degree: int) -> GPoset:
-    """All disjoint unions of generator multiples with total degree <= max_degree.
-
-    Generators must be connected.  The result is closed under sub-multisets by
-    construction; the subgraph-completeness flag is set only after an explicit
-    one-edge-deletion verification.
-    """
-    gens = sorted(set(generators), key=lambda c: c.sort_key)
-    for g in gens:
-        if not is_connected_class(g):
-            raise PreconditionError(f"span generator {g.graph6!r} is not connected")
-    if max_degree < 0:
-        raise PreconditionError("max_degree must be nonnegative")
-    classes: set[IsoClass] = set()
-
-    def extend(idx: int, pieces: Counter, degree: int) -> None:
-        classes.add(disjoint_union(pieces) if pieces else EMPTY_CLASS)
-        for k in range(idx, len(gens)):
-            g = gens[k]
-            if degree + g.degree <= max_degree:
-                pieces[g] += 1
-                extend(k, pieces, degree + g.degree)
-                pieces[g] -= 1
-                if pieces[g] == 0:
-                    del pieces[g]
-
-    extend(0, Counter(), 0)
-    complete = is_subgraph_closed(classes)
-    return _make_poset(classes, None, max_degree, complete)
+def _degree_bound(n: int, max_degree: int | None) -> int:
+    """The degree bound of E(n, max_degree): max_degree, capped at C(n, 2)."""
+    cap = n * (n - 1) // 2
+    return cap if max_degree is None else min(max_degree, cap)
 
 
 # ── the poset file: a JSON sidecar dict (the CLI caches these) ──────────
@@ -161,7 +116,6 @@ def poset_sidecar(p: GPoset) -> dict:
     return {
         "ambient_n": p.ambient_n,
         "max_degree": p.max_degree,
-        "complete": p.complete,
         "members": [
             {"graph6": m.graph6, "degree": m.degree, "cv": m.cv, "aut": m.aut_support}
             for m in p.members
@@ -169,32 +123,44 @@ def poset_sidecar(p: GPoset) -> dict:
     }
 
 
-def poset_from_sidecar(obj: dict) -> GPoset:
-    """The poset as stored: each member is built from its record, not canonicalized.
+def poset_from_sidecar(obj: dict, n: int, max_degree: int | None = None) -> GPoset:
+    """E(n, max_degree) as stored: each member is built from its record, not canonicalized.
 
-    Members are trusted to be canonical under `util.CACHE_FORMAT`.  Each record
-    is checked against its graph6 (vertex count = cv = support size, popcount =
-    degree, aut >= 1), the members must strictly increase in (degree, bits)
-    and fit the stored n and max_degree, and the complete flag must be set
-    (it is trusted, not proved again); a sidecar failing any of this raises
-    AssertionError and is never served.
+    Members are trusted to be canonical under `util.CACHE_FORMAT`.  The stored
+    n and degree bound must be the ints the caller names.  Each record is
+    checked against its graph6 (vertex count = cv = support size, popcount =
+    degree, integer aut >= 1), and the members must strictly increase in
+    (degree, bits) within those bounds.  The member set is then proved to be
+    all of E(n, d) by counting labeled copies in K_n: for every k <= d the
+    members of degree k have orbits n! / ((n - cv)! aut), each an exact
+    quotient, that sum to C(C(n, 2), k), the number of k-edge subsets.  A
+    sidecar failing any of this raises AssertionError and is never served.
     """
-    ambient_n, max_degree = obj["ambient_n"], obj["max_degree"]
-    if obj["complete"] is not True:
-        raise AssertionError("poset sidecar: not a complete poset")
+    bound = _degree_bound(n, max_degree)
+    ambient_n, stored_bound = obj["ambient_n"], obj["max_degree"]
+    if not (type(ambient_n) is int and ambient_n == n and type(stored_bound) is int and stored_bound == bound):
+        raise AssertionError(f"poset sidecar: stored n={ambient_n!r}, d={stored_bound!r} is not E({n}, {bound})")
+    orbits = [0] * (bound + 1)
     members: list[IsoClass] = []
     for rec in obj["members"]:
         g = parse_graph6(rec["graph6"])
         cls = IsoClass(g.bits, rec["degree"], rec["cv"], rec["aut"])
         if not (
-            g.n == cls.cv == g.cv
+            type(cls.degree) is type(cls.cv) is type(cls.aut_support) is int
+            and g.n == cls.cv == g.cv
             and g.degree == cls.degree
             and cls.aut_support >= 1
             and (not members or members[-1].sort_key < cls.sort_key)
-            and cls.degree <= max_degree
-            and (ambient_n is None or cls.cv <= ambient_n)
+            and cls.degree <= bound
+            and cls.cv <= n
         ):
             raise AssertionError(f"poset sidecar: bad member record {rec!r}")
+        orbit, rest = divmod(math.perm(n, cls.cv), cls.aut_support)
+        if rest:
+            raise AssertionError(f"poset sidecar: aut of {rec!r} does not divide its labelings")
+        orbits[cls.degree] += orbit
         members.append(cls)
+    if orbits != [math.comb(n * (n - 1) // 2, k) for k in range(bound + 1)]:
+        raise AssertionError(f"poset sidecar: the members are not all of E({n}, {bound})")
     index = {m.bits: pos for pos, m in enumerate(members)}
-    return GPoset(tuple(members), ambient_n, max_degree, True, index)
+    return GPoset(tuple(members), n, bound, True, index)

@@ -594,7 +594,7 @@ def check_cache_soundness():
         fresh = poset_sidecar(e4)
         cache_fetch(tmp, "poset:n=4:d=None", lambda: fresh)
         again = cache_fetch(tmp, "poset:n=4:d=None", lambda: "MISS")
-        if again != fresh or records(poset_from_sidecar(again)) != records(e4):
+        if again != fresh or records(poset_from_sidecar(again, 4)) != records(e4):
             return False, "cached poset differs from a fresh build"
         (entry,) = Path(tmp).iterdir()
         entry.write_bytes(entry.read_bytes()[:-1])

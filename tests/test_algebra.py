@@ -22,7 +22,7 @@ from graphinv.algebra import (
 from graphinv.errors import PosetError
 from graphinv.graph import EMPTY_CLASS, canonicalize, canonicalize_bits, count_subgraphs
 from graphinv.mtransform import build_mtransform
-from graphinv.poset import build_full_poset, build_span_poset
+from graphinv.poset import GPoset, build_full_poset
 from graphinv.smallgraphs import named_class
 from graphinv.util import random_labeled_graph
 
@@ -47,14 +47,15 @@ def test_kocay_p3_squared(e4_poset):
 
 
 def test_kocay_missing_union_class():
-    p = build_span_poset([named_class("K2")], 2)  # lacks the 2-edge path
+    members = (EMPTY_CLASS, named_class("K2"), named_class("2K2"))  # lacks the 2-edge path
+    p = GPoset(members, 4, 2, False, {m.bits: pos for pos, m in enumerate(members)})
     with pytest.raises(PosetError):
         product_kocay(named_class("K2"), named_class("K2"), p)
 
 
 def test_kocay_degree_cap_error():
     k2 = named_class("K2")
-    p = build_span_poset([k2, named_class("P3")], 2)
+    p = build_full_poset(4, 2)
     with pytest.raises(PosetError):
         product_kocay(k2, named_class("P3"), p)  # degree-3 unions exceed the cap
 

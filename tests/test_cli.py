@@ -146,6 +146,8 @@ def test_rank_minor_cli(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload == {"rows": 6, "cols": 4, "rank": 4, "full": True}
+    code, out, _ = run_cli(capsys, "rank-minor", "--trivial-vars", "0", "--delta", "0", "--Delta", "0")
+    assert code == 0 and json.loads(out) == {"rows": 1, "cols": 1, "rank": 1, "full": True}
 
 
 def test_ulam_table_csv_stable(capsys):
@@ -283,6 +285,16 @@ def _wrong_cv(sidecar):
     return dict(sidecar, members=members)
 
 
+_E3_MATRIX = mtransform.build_mtransform(build_full_poset(3))
+_E3_ROWS = [sorted(_E3_MATRIX.row(i).items()) for i in range(_E3_MATRIX.rows)]
+
+
+def _float_aut(sidecar):
+    members = [dict(rec) for rec in sidecar["members"]]
+    members[5]["aut"] = float(members[5]["aut"])
+    return dict(sidecar, members=members)
+
+
 def _one_entry_changed(rows):
     rows = [list(row) for row in rows]
     j, e = rows[-2][0]
@@ -294,6 +306,15 @@ _FORGED_ENTRIES = {
     "members-swapped": (["enumerate", "--n", "4"], "poset:n=4:d=None", _swapped_members(_E4_SIDECAR)),
     "cv-wrong": (["enumerate", "--n", "4"], "poset:n=4:d=None", _wrong_cv(_E4_SIDECAR)),
     "transform-entry-changed": (["mtransform", "--n", "4"], "mtransform:n=4:d=None", _one_entry_changed(_E4_ROWS)),
+    "poset-first-three": (
+        ["enumerate", "--n", "4"], "poset:n=4:d=None", dict(_E4_SIDECAR, members=_E4_SIDECAR["members"][:3]),
+    ),
+    "poset-e5-as-e6": (["enumerate", "--n", "6"], "poset:n=6:d=None", poset_sidecar(build_full_poset(5))),
+    "poset-aut-float": (["enumerate", "--n", "4"], "poset:n=4:d=None", _float_aut(_E4_SIDECAR)),
+    "poset-n-null": (["enumerate", "--n", "4"], "poset:n=4:d=None", dict(_E4_SIDECAR, ambient_n=None)),
+    "transform-not-rows": (["mtransform", "--n", "3"], "mtransform:n=3:d=None", {"x": 1}),
+    "transform-not-pairs": (["mtransform", "--n", "3"], "mtransform:n=3:d=None", [[[1]]]),
+    "transform-float-column": (["mtransform", "--n", "3"], "mtransform:n=3:d=None", [[[0.0, 1]], *_E3_ROWS[1:]]),
     "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", {"x": 1}),
     "ulam-cells-cut": (
         ["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [[2, 4, 99]],
@@ -386,6 +407,30 @@ def test_transform_stdout_is_byte_identical_cold_and_warm(tmp_path, capsys, case
         code, out, err = run_cli(capsys, *command.split(), "--cache-dir", str(tmp_path))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, _pass
+
+
+_INSEPARABLE_STDOUT = {
+    "d1": ("inseparable --d 1", "2a0db9142097205dd93d29be16c1b863bc8b08fe71da838aa36f04949f1b0a27"),
+    "d2": ("inseparable --d 2", "c0f6e688a889f1d390f9973a98607a6d6ff6613834a77ca3d87e12f1a57a5029"),
+    "d3": ("inseparable --d 3", "3f10f1061f29dfdc439104e8ec8b7dde7f4ab57ad5d774d3a6be084f088887b4"),
+    "d3-c4": (
+        "inseparable --d 3 --generator 0-1,1-2,2-3,3-0",
+        "aa347cc702b603fd413681f415463a86e766862cbcc1931fc6c2a58e2bf0a6c5",
+    ),
+    "d2-table": (
+        "inseparable --d 2 --format table", "e1c58d04a1b7841f8dbd5cf9ebe08cb3e8ef9e89f10787e2fa1d32d3a2a90483",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INSEPARABLE_STDOUT))
+def test_inseparable_stdout_is_byte_identical(capsys, case):
+    """Against digests recorded while the pair was solved over the span of the
+    connected classes, before it was solved over E(2d, d)."""
+    command, digest = _INSEPARABLE_STDOUT[case]
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oversized_transform_refused_before_the_poset_build(capsys, monkeypatch):
@@ -514,7 +559,7 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 def test_transform_member_cap_refuses_before_the_build(capsys, monkeypatch):
     assert 1044 < mtransform.TRANSFORM_MEMBER_CAP < 12346  # admits E(7), refuses E(8)
     monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", 10)  # |E(4)| = 11
-    monkeypatch.setattr(mtransform, "_one_edge_covers", None)  # the recursion must not start
+    monkeypatch.setattr(mtransform, "canonicalize_bits", None)  # the recursion must not start
     for command in ("mtransform", "invert"):
         code, out, err = run_cli(capsys, command, "--n", "4")
         assert code == 2 and out == "" and err.startswith("error:") and "cap" in err

@@ -23,7 +23,7 @@ from graphinv.graph import (
     count_subgraphs,
     disjoint_union,
 )
-from graphinv.poset import build_full_poset, build_span_poset
+from graphinv.poset import build_full_poset
 from graphinv.smallgraphs import class_name, named_class
 
 
@@ -65,7 +65,7 @@ def test_minimal_separators_e4(e4_poset):
 
 
 def test_minimal_separators_trivial():
-    only_empty = build_span_poset([], 0)
+    only_empty = build_full_poset(1)
     size, seps = minimal_separators(only_empty)
     assert size == 0 and seps == ((),)
 

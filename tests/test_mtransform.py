@@ -24,8 +24,8 @@ from graphinv.mtransform import (
     unitriangular_inverse,
 )
 from graphinv.poset import (
+    GPoset,
     build_full_poset,
-    build_span_poset,
     poset_from_sidecar,
     poset_sidecar,
 )
@@ -53,44 +53,36 @@ def test_cover_recursion_matches_subset_oracle_on_full_posets():
         assert build_mtransform(p) == _mtransform_by_subsets(p)
 
 
-# three spans that are not closed under edge deletion, then one that is
-SPANS = ((("K3",), 6), (("P4", "K1,3"), 6), (("K3", "C4"), 7), (("K2", "P3"), 4))
-
-
-def _span(names, max_degree):
-    return build_span_poset([named_class(x) for x in names], max_degree)
+def _not_down_closed(names, n, max_degree, complete):
+    """A hand-built poset whose members are not closed under edge deletion."""
+    members = tuple(sorted((named_class(x) for x in names), key=lambda c: c.sort_key))
+    return GPoset(members, n, max_degree, complete, {m.bits: pos for pos, m in enumerate(members)})
 
 
 def test_cover_recursion_matches_subset_oracle_on_spans():
-    spans = [_span(*s) for s in SPANS]
-    assert [p.complete for p in spans] == [False, False, False, True]
-    for p in spans:
+    # E(2d, d) is the span of the connected classes of degree <= d
+    for p in [build_full_poset(2 * d, d) for d in (1, 2, 3)] + [build_full_poset(6, 8)]:
         assert build_mtransform(p) == _mtransform_by_subsets(p)
 
 
 def test_cover_recursion_ignores_a_forged_complete_flag():
-    p = _span(("K3",), 6)
-    sidecar = poset_sidecar(p)
-    sidecar["complete"] = True
-    forged = poset_from_sidecar(sidecar)
-    assert forged.complete and forged.members == p.members
-    assert build_mtransform(forged) == _mtransform_by_subsets(p)
+    # deleting an edge of the triangle leaves the 2-edge path, not a member
+    p = _not_down_closed(("empty", "K3"), 3, 3, complete=True)
+    with pytest.raises(AssertionError):
+        poset_from_sidecar(poset_sidecar(p), 3)
 
 
-_E5_CONNECTED = sorted(build_full_poset(5).connected_members(), key=lambda c: c.sort_key)
+def test_cover_recursion_refuses_a_poset_that_is_not_down_closed():
+    with pytest.raises(PosetError):
+        build_mtransform(_not_down_closed(("empty", "K3"), 3, 3, complete=True))
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.sets(st.sampled_from(_E5_CONNECTED), min_size=1, max_size=3),
-    st.integers(min_value=0, max_value=6),
-)
-def test_cover_recursion_property_on_random_spans(gens, max_degree):
-    if named_class("K2") in gens:
-        # keep supports at 9 or less: 5K2 has support 10, where canonical forms
-        # take the slow permutation loop, and 6K2 exceeds the support cap
-        max_degree = min(max_degree, 4)
-    p = build_span_poset(gens, max_degree)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=15))
+def test_cover_recursion_property_on_random_spans(n, max_degree):
+    # E(n, d), the span of the connected classes truncated to n vertices and d edges;
+    # d <= 8 at n = 6 keeps the subset oracle near 0.06 s
+    p = build_full_poset(n, min(max_degree, 8) if n == 6 else max_degree)
     e = build_mtransform(p)
     assert all(row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(e.data))
     assert e == _mtransform_by_subsets(p)
@@ -118,8 +110,8 @@ def test_mnukhin_power_small(e3_poset):
 
 
 def test_mnukhin_requires_complete():
-    p = build_span_poset([named_class("K3")], 3)
-    e = build_mtransform(p)
+    p = _not_down_closed(("empty", "K3"), 3, 3, complete=False)
+    e = _mtransform_by_subsets(p)
     with pytest.raises(PosetError):
         mnukhin_power(e, p.degrees(), -1, complete=p.complete)
 

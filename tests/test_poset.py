@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 
 from graphinv.enumeration import graph_count
-from graphinv.errors import PosetError, PreconditionError
-from graphinv.graph import EMPTY_CLASS, canonicalize_bits, disjoint_union
-from graphinv.poset import build_full_poset, build_span_poset, is_subgraph_closed
+from graphinv.errors import PosetError
+from graphinv.graph import EMPTY_CLASS, canonicalize_bits
+from graphinv.poset import build_full_poset
 from graphinv.smallgraphs import named_class
 
 
@@ -37,7 +37,6 @@ def test_counts_match_cycle_index_enumeration():
 
 
 def test_every_subgraph_present(e4_poset):
-    assert is_subgraph_closed(e4_poset.members)
     for m in e4_poset.members:
         for s in range(m.bits.bit_length()):
             if m.bits >> s & 1:
@@ -62,29 +61,6 @@ def test_ordering_is_degree_major(e5_poset):
             assert count_subgraphs(e5_poset.members[j], gi) == 0
 
 
-def test_span_poset_examples():
-    k2, p3, k3 = named_class("K2"), named_class("P3"), named_class("K3")
-    s1 = build_span_poset([k2], 2)
-    assert set(s1.members) == {EMPTY_CLASS, k2, named_class("2K2")}
-    s2 = build_span_poset([k2, p3], 2)
-    assert set(s2.members) == {EMPTY_CLASS, k2, named_class("2K2"), p3}
-    s3 = build_span_poset([k3], 7)
-    assert set(s3.members) == {EMPTY_CLASS, k3, disjoint_union([k3, k3])}
-
-
-def test_span_poset_completeness_flag():
-    k2, p3 = named_class("K2"), named_class("P3")
-    # all connected classes up to the cap: subgraph-closed
-    assert build_span_poset([k2, p3], 2).complete
-    # triangles alone: deleting one edge leaves a path that is not in the span
-    assert not build_span_poset([named_class("K3")], 3).complete
-
-
-def test_span_poset_rejects_disconnected_generator():
-    with pytest.raises(PreconditionError):
-        build_span_poset([named_class("2K2")], 4)
-
-
 def test_connected_members(e3_poset, e4_poset):
     assert [m.graph6 for m in e3_poset.connected_members()] == [
         named_class(n).graph6 for n in ("K2", "P3", "K3")
@@ -93,7 +69,7 @@ def test_connected_members(e3_poset, e4_poset):
     assert {m.graph6 for m in e4_poset.connected_members()} == {
         named_class(n).graph6 for n in names
     }
-    only_empty = build_span_poset([], 0)
+    only_empty = build_full_poset(1)
     assert only_empty.connected_members() == ()
 
 
@@ -107,6 +83,6 @@ def test_poset_json_roundtrip(e4_poset):
     from graphinv.poset import poset_from_sidecar, poset_sidecar
 
     # through JSON text, as the CLI's file cache stores it
-    again = poset_from_sidecar(json.loads(json.dumps(poset_sidecar(e4_poset))))
+    again = poset_from_sidecar(json.loads(json.dumps(poset_sidecar(e4_poset))), 4)
     assert again.members == e4_poset.members
     assert (again.ambient_n, again.max_degree, again.complete) == (4, 6, True)
