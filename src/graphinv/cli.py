@@ -102,20 +102,9 @@ def _parse_relation(text: str) -> list[tuple[Fraction, dict]]:
     return terms
 
 
-def _poset_for(n: int, max_degree: int | None, cache_dir: str | None) -> GPoset:
-    from . import poset
-    from .util import cache_fetch
-
-    key = f"poset:n={n}:d={max_degree}"
-    obj = cache_fetch(cache_dir, key, lambda: poset.poset_sidecar(poset.build_full_poset(n, max_degree)))
-    return poset.poset_from_sidecar(obj, n, max_degree)
-
-
 def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tuple[GPoset, IntMatrix]:
-    """E(n, max_degree) and its transform, whose sparse rows are cached as
-    [[j, e], ...] and checked whole, built or loaded, before they are served."""
-    from . import mtransform
-    from .util import cache_fetch
+    """E(n, max_degree) and its transform, each through the file cache."""
+    from . import mtransform, poset
 
     if n >= 8:  # |E(7)| = 1,044 is under the cap: refuse a larger poset before building it
         from .enumeration import graph_count_series
@@ -123,26 +112,8 @@ def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tup
         size = sum(graph_count_series(n, max_degree))
         if size > mtransform.TRANSFORM_MEMBER_CAP:
             raise CapError(f"transform of {size} members, over the cap of {mtransform.TRANSFORM_MEMBER_CAP}")
-    p = _poset_for(n, max_degree, cache_dir)
-    key = f"mtransform:n={n}:d={max_degree}"
-    def build():
-        e = mtransform.build_mtransform(p)
-        return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
-
-    rows = cache_fetch(cache_dir, key, build)
-    if not (
-        type(rows) is list
-        and all(type(row) is list for row in rows)
-        and all(
-            type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
-            for row in rows
-            for pair in row
-        )
-    ):
-        raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
-    e = mtransform.IntMatrix((dict(row) for row in rows), len(p))
-    mtransform.check_transform_rows(e, p.degrees())
-    return p, e
+    p = poset.cached_poset(cache_dir, n, max_degree)
+    return p, mtransform.cached_mtransform(p, cache_dir)
 
 
 def _group_for(name: str, n_positions: int):
@@ -161,7 +132,9 @@ def _group_for(name: str, n_positions: int):
 # ── subcommand handlers ──────────────────────────────────────────────────
 
 def _cmd_enumerate(args) -> int:
-    p = _poset_for(args.n, args.max_degree, args.cache_dir)
+    from . import poset
+
+    p = poset.cached_poset(args.cache_dir, args.n, args.max_degree)
     members = p.connected_members() if args.connected else p.members
     recs = [
         {"graph6": m.graph6, "degree": m.degree, "cv": m.cv, "aut": m.aut_support}
@@ -212,12 +185,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    from . import algebra, graph
+    from . import algebra, graph, poset
 
     if args.method in ("mtransform", "all"):
         p, e = _transform_for(args.n, None, args.cache_dir)
     else:
-        p = _poset_for(args.n, None, args.cache_dir)
+        p = poset.cached_poset(args.cache_dir, args.n)
     a = graph.canonicalize(graph.parse_graph(args.a))
     b = graph.canonicalize(graph.parse_graph(args.b))
     out: dict = {"n": args.n, "a": a.graph6, "b": b.graph6, "method": args.method}
@@ -277,9 +250,9 @@ def _cmd_express(args) -> int:
 
 
 def _cmd_separators(args) -> int:
-    from . import generators, graph
+    from . import generators, graph, poset
 
-    p = _poset_for(args.n, None, args.cache_dir)
+    p = poset.cached_poset(args.cache_dir, args.n)
     if args.set:
         invs = [graph.canonicalize(graph.parse_graph(tok)) for tok in args.set.split(",")]
         rep = generators.is_separator(invs, p)
@@ -301,13 +274,23 @@ def _cmd_separators(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    import math
+
     from . import generators, graph, poset
 
     host = graph.canonicalize(graph.parse_graph(args.host))
-    n = min(max(host.cv, 2), 8)
-    pool = poset.build_full_poset(n, host.degree).connected_members()
-    conn = sorted((c for c in pool if c.degree <= host.degree), key=lambda c: c.sort_key)
-    counts = generators.reconstruct_components(host, conn)
+    n = min(max(host.cv, 2), poset.FULL_POSET_VERTEX_CAP)
+    for comp in graph.connected_component_classes(host):
+        if comp.cv > n:
+            raise CapError(
+                f"component {comp.graph6!r} has {comp.cv} vertices; the pool holds only classes on at most {n} vertices"
+            )
+    # the counts enumerate the host's k-edge subsets for every degree k of the pool
+    subsets = sum(math.comb(host.degree, k) for k in range(1, min(host.degree, n * (n - 1) // 2) + 1))
+    cap = generators.RECONSTRUCT_SUBSET_CAP
+    if subsets > cap:
+        raise CapError(f"{subsets} edge subsets of the host to count, over the cap of {cap}")
+    counts = generators.reconstruct_components(host, poset.build_full_poset(n, host.degree).connected_members())
     _emit(
         {
             "host": host.graph6,
@@ -349,9 +332,9 @@ def _cmd_inseparable(args) -> int:
 
 
 def _cmd_complement_solve(args) -> int:
-    from . import graph, mtransform
+    from . import graph, mtransform, poset
 
-    p = _poset_for(args.n, None, args.cache_dir)
+    p = poset.cached_poset(args.cache_dir, args.n)
     g = graph.canonicalize(graph.parse_graph(args.g))
     comb = mtransform.complement_invariant_expansion(g, p, args.n)
     out = {"n": args.n, "g": g.graph6, "terms": comb.to_json_obj()}
@@ -379,28 +362,15 @@ def _cmd_rank_minor(args) -> int:
 
 
 def _cmd_ulam_table(args) -> int:
-    from .util import cache_fetch, ulam_cell_keys
+    from .util import cached_ulam_table
 
-    def build():
-        from .enumeration import ulam_table_cells
-
-        return ulam_table_cells(args.max_n, args.max_d)
-
-    # A warm run renders either format from the cached cells alone, and JSON
-    # output never loads the enumeration layer.
-    cells = cache_fetch(args.cache_dir, f"ulam-cells:{args.max_n}:{args.max_d}", build)
-    if not (
-        isinstance(cells, list)
-        and all(isinstance(c, list) and len(c) == 3 and all(type(x) is int for x in c) for c in cells)
-        and [(d, n) for d, n, _v in cells] == ulam_cell_keys(args.max_n, args.max_d)
-    ):
-        raise AssertionError("ulam-cells entry is not the [d, n, value] triples of the table's cells")
+    table = cached_ulam_table(args.cache_dir, args.max_n, args.max_d)
     if args.format == "csv":
         from .enumeration import ulam_table_csv
 
-        sys.stdout.write(ulam_table_csv(args.max_n, args.max_d, cells))
+        sys.stdout.write(ulam_table_csv(args.max_n, args.max_d, table))
     else:
-        _emit({"cells": [{"d": d, "n": n, "value": v} for d, n, v in cells]}, args.format)
+        _emit({"cells": [{"d": d, "n": n, "value": v} for (d, n), v in table.items()]}, args.format)
     return 0
 
 
@@ -427,9 +397,9 @@ def _cmd_multiset_eval(args) -> int:
 
 
 def _cmd_verify_relation(args) -> int:
-    from . import generators
+    from . import generators, poset
 
-    p = _poset_for(args.n, None, args.cache_dir)
+    p = poset.cached_poset(args.cache_dir, args.n)
     report = generators.verify_relation(_parse_relation(args.relation), p)
     _emit(
         {

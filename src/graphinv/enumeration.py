@@ -169,17 +169,11 @@ def ulam_difference_table(max_n: int = 12, max_d: int = 12) -> dict:
     return {(d, n): ulam_difference_entry(n, d) for d, n in ulam_cell_keys(max_n, max_d)}
 
 
-def ulam_table_cells(max_n: int = 12, max_d: int = 12) -> list[list[int]]:
-    """The difference table as sorted [d, n, value] triples (the CLI caches these)."""
-    return [[d, n, v] for (d, n), v in sorted(ulam_difference_table(max_n, max_d).items())]
-
-
-def ulam_table_csv(max_n: int = 12, max_d: int = 12, cells: list | None = None) -> str:
-    """The difference table as CSV, from `ulam_table_cells(max_n, max_d)` when
-    the caller already holds them."""
-    if cells is None:
-        cells = ulam_table_cells(max_n, max_d)
-    table = {(d, n): v for d, n, v in cells}
+def ulam_table_csv(max_n: int = 12, max_d: int = 12, table: dict | None = None) -> str:
+    """The difference table as CSV, from `ulam_difference_table(max_n, max_d)`
+    when the caller does not already hold it."""
+    if table is None:
+        table = ulam_difference_table(max_n, max_d)
     lines = ["d," + ",".join(str(n) for n in range(4, max_n + 1))]
     for d in range(2, max_d + 1):
         row = [str(d)]

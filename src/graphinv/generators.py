@@ -27,6 +27,7 @@ from .mtransform import build_mtransform, exact_rank, inverse_mtransform, minor_
 from .poset import GPoset, build_full_poset
 
 SEARCH_POOL_CAP = 20
+RECONSTRUCT_SUBSET_CAP = 100_000  # host edge subsets counted: K6 has 2^15 - 1, K7 2^21 - 1
 
 
 @dataclass(frozen=True)
@@ -143,19 +144,19 @@ def _count_in_multiset(pattern: IsoClass, pieces: Counter) -> int:
 
 def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePair:
     """Construct (T, U) from the signed solution of the triangular system of
-    E(2d, d) against a connected class of degree d+1.  Every graph with at most
-    d edges has at most 2d vertices, so E(2d, d) holds every disjoint union of
-    connected classes with total degree <= d."""
+    E(2d, d) against a connected class of degree d+1, by default the least in
+    (degree, bits).  Every graph with at most d edges has at most 2d vertices,
+    so E(2d, d) holds every disjoint union of connected classes with total
+    degree <= d."""
     if d < 1:
         raise PreconditionError("need d >= 1")
     if d > 4:
         raise CapError("inseparable-pair construction supported for d <= 4")
     poset = build_full_poset(2 * d, d)
     if generator is None:
-        pool = build_full_poset(min(d + 2, 8), d + 1).connected_members()
-        generator = min(
-            (c for c in pool if c.degree == d + 1), key=lambda c: c.sort_key
-        )
+        from .enumeration import connected_classes_by_degree
+
+        generator = connected_classes_by_degree(d + 1)[d + 1][0]
     else:
         if generator.degree != d + 1 or not is_connected_class(generator):
             raise PreconditionError("generator override must be connected of degree d+1")

@@ -170,6 +170,30 @@ def check_transform_rows(matrix: IntMatrix, degrees) -> None:
             raise AssertionError(f"transform row {i}: sums by degree {sums} are not binomial")
 
 
+def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
+    """The transform of poset through the file cache, under
+    `mtransform:n=<n>:d=<max_degree>`: one [[j, e], ...] row of int pairs per
+    member.  Built or loaded, the rows pass that shape check and
+    `check_transform_rows` before they are served; AssertionError otherwise."""
+    from .util import cache_fetch
+
+    def build():
+        e = build_mtransform(poset)
+        return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
+
+    rows = cache_fetch(cache_dir, f"mtransform:n={poset.ambient_n}:d={poset.max_degree}", build)
+    if not (
+        type(rows) is list
+        and all(type(row) is list for row in rows)
+        and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+                for row in rows for pair in row)
+    ):
+        raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
+    matrix = IntMatrix((dict(row) for row in rows), len(poset))
+    check_transform_rows(matrix, poset.degrees())
+    return matrix
+
+
 def _subset_count_row(host: IsoClass, members) -> list[int]:
     """Row of host counted directly, by classifying every edge subset of host."""
     counts = {d: subgraph_class_counts(host, d) for d in range(host.degree + 1)}

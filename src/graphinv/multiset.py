@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product as _product
 
-from .errors import CapError, PosetError, PreconditionError
+from .errors import CapError, PreconditionError
 from .mtransform import IntMatrix, unitriangular_inverse
 from .perm import PermGroup
 
@@ -104,13 +104,6 @@ class MultisetPoset:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def position(self, m) -> int:
-        rep = min(orbit(m, self.group), key=_order_key)
-        pos = self.index.get(rep)
-        if pos is None:
-            raise PosetError(f"monomial {m!r} is not in the poset")
-        return pos
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(degree(m) for m in self.members)

@@ -16,14 +16,13 @@ from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     EMPTY_CLASS,
     IsoClass,
+    _support_mask,
     canonicalize_bits,
     is_connected_class,
-    parse_graph6,
 )
 from .perm import pair_slot
 
-FULL_POSET_VERTEX_CAP = 8
-MEMBER_CAP = 500_000
+FULL_POSET_VERTEX_CAP = 8  # |E(8)| = 12,346 members
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,6 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
                 if grown.cv <= n:
                     nxt.add(grown)
         classes |= nxt
-        if len(classes) > MEMBER_CAP:
-            raise CapError(f"poset exceeds member cap of {MEMBER_CAP}")
         current = nxt
         if not current:
             break
@@ -110,54 +107,61 @@ def _degree_bound(n: int, max_degree: int | None) -> int:
     return cap if max_degree is None else min(max_degree, cap)
 
 
-# ── the poset file: a JSON sidecar dict (the CLI caches these) ──────────
+# ── the poset file: the JSON sidecar the CLI caches ─────────────────────
 
-def poset_sidecar(p: GPoset) -> dict:
-    return {
-        "ambient_n": p.ambient_n,
-        "max_degree": p.max_degree,
-        "members": [
-            {"graph6": m.graph6, "degree": m.degree, "cv": m.cv, "aut": m.aut_support}
-            for m in p.members
-        ],
-    }
+def cached_poset(cache_dir: str | None, n: int, max_degree: int | None = None) -> GPoset:
+    """E(n, max_degree) through the file cache, under `poset:n=<n>:d=<bound>`."""
+    from .util import cache_fetch
+
+    key = f"poset:n={n}:d={_degree_bound(n, max_degree)}"
+    obj = cache_fetch(cache_dir, key, lambda: poset_sidecar(build_full_poset(n, max_degree)))
+    return poset_from_sidecar(obj, n, max_degree)
 
 
-def poset_from_sidecar(obj: dict, n: int, max_degree: int | None = None) -> GPoset:
+def poset_sidecar(p: GPoset) -> list[list[int]]:
+    """[[bits, aut], ...] in member order: n and d are in the cache key, and
+    each member's degree and cv follow from its bits."""
+    return [[m.bits, m.aut_support] for m in p.members]
+
+
+def poset_from_sidecar(obj, n: int, max_degree: int | None = None) -> GPoset:
     """E(n, max_degree) as stored: each member is built from its record, not canonicalized.
 
-    Members are trusted to be canonical under `util.CACHE_FORMAT`.  The stored
-    n and degree bound must be the ints the caller names.  Each record is
-    checked against its graph6 (vertex count = cv = support size, popcount =
-    degree, integer aut >= 1), and the members must strictly increase in
-    (degree, bits) within those bounds.  The member set is then proved to be
-    all of E(n, d) by counting labeled copies in K_n: for every k <= d the
-    members of degree k have orbits n! / ((n - cv)! aut), each an exact
-    quotient, that sum to C(C(n, 2), k), the number of k-edge subsets.  A
-    sidecar failing any of this raises AssertionError and is never served.
+    Members are trusted to be canonical under `util.CACHE_FORMAT`.  The value
+    must be a list of [bits, aut] int pairs.  Each member's bits must lie in
+    K_n with support exactly [0..cv), its degree (popcount) within the bound
+    and aut >= 1, and the members must strictly increase in (degree, bits).
+    The member set is then proved to be all of E(n, d) by counting labeled
+    copies in K_n: for every k <= d the members of degree k have orbits
+    n! / ((n - cv)! aut), each an exact quotient, that sum to C(C(n, 2), k),
+    the number of k-edge subsets.  A sidecar failing any of this raises
+    AssertionError and is never served.
     """
     bound = _degree_bound(n, max_degree)
-    ambient_n, stored_bound = obj["ambient_n"], obj["max_degree"]
-    if not (type(ambient_n) is int and ambient_n == n and type(stored_bound) is int and stored_bound == bound):
-        raise AssertionError(f"poset sidecar: stored n={ambient_n!r}, d={stored_bound!r} is not E({n}, {bound})")
+    if not (
+        0 <= n <= FULL_POSET_VERTEX_CAP
+        and bound >= 0
+        and type(obj) is list
+        and all(type(rec) is list and len(rec) == 2 and type(rec[0]) is type(rec[1]) is int for rec in obj)
+    ):
+        raise AssertionError(f"poset sidecar for E({n}, {bound}) is not a list of integer [bits, aut] pairs")
     orbits = [0] * (bound + 1)
     members: list[IsoClass] = []
-    for rec in obj["members"]:
-        g = parse_graph6(rec["graph6"])
-        cls = IsoClass(g.bits, rec["degree"], rec["cv"], rec["aut"])
+    for bits, aut in obj:
+        if not 0 <= bits < 1 << (n * (n - 1) // 2):
+            raise AssertionError(f"poset sidecar: bits {bits} do not fit in K_{n}")
+        support = _support_mask(bits)
+        cls = IsoClass(bits, bits.bit_count(), support.bit_count(), aut)
         if not (
-            type(cls.degree) is type(cls.cv) is type(cls.aut_support) is int
-            and g.n == cls.cv == g.cv
-            and g.degree == cls.degree
-            and cls.aut_support >= 1
-            and (not members or members[-1].sort_key < cls.sort_key)
+            support == (1 << cls.cv) - 1
+            and aut >= 1
             and cls.degree <= bound
-            and cls.cv <= n
+            and (not members or members[-1].sort_key < cls.sort_key)
         ):
-            raise AssertionError(f"poset sidecar: bad member record {rec!r}")
-        orbit, rest = divmod(math.perm(n, cls.cv), cls.aut_support)
+            raise AssertionError(f"poset sidecar: bad member record {[bits, aut]}")
+        orbit, rest = divmod(math.perm(n, cls.cv), aut)
         if rest:
-            raise AssertionError(f"poset sidecar: aut of {rec!r} does not divide its labelings")
+            raise AssertionError(f"poset sidecar: aut of {[bits, aut]} does not divide its labelings")
         orbits[cls.degree] += orbit
         members.append(cls)
     if orbits != [math.comb(n * (n - 1) // 2, k) for k in range(bound + 1)]:

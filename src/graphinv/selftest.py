@@ -29,8 +29,6 @@ from .enumeration import (
     generator_lower_bound_report,
     graph_count,
     ulam_difference_table,
-    ulam_table_cells,
-    ulam_table_csv,
 )
 from .errors import PreconditionError
 from .generators import (
@@ -47,6 +45,7 @@ from .graph import count_subgraphs, disjoint_union
 from .mtransform import (
     IntMatrix,
     build_mtransform,
+    cached_mtransform,
     complement_invariant_expansion,
     exact_rank,
     find_orderings_matching,
@@ -65,9 +64,9 @@ from .multiset import (
     verify_orbit_sum_expression,
 )
 from .perm import symmetric_group, trivial_group
-from .poset import build_full_poset, poset_from_sidecar, poset_sidecar
+from .poset import build_full_poset, cached_poset
 from .smallgraphs import class_name, named_class
-from .util import cache_fetch, random_labeled_graph
+from .util import cached_ulam_table, random_labeled_graph
 
 # ── frozen published values ──────────────────────────────────────────────
 
@@ -583,35 +582,27 @@ def check_reconstruction():
 
 
 def check_cache_soundness():
-    """Cached and freshly computed artifacts agree, under the CLI's own keys and
-    with every member's degree, cv and aut, and a damaged entry is rebuilt."""
+    """Cached and freshly built artifacts agree, through the loaders the CLI
+    uses, with every member's degree, cv and aut, and a damaged entry is rebuilt."""
 
     def records(p):
         return [(m.bits, m.degree, m.cv, m.aut_support) for m in p.members]
 
     with tempfile.TemporaryDirectory() as tmp:
         e4 = build_full_poset(4)
-        fresh = poset_sidecar(e4)
-        cache_fetch(tmp, "poset:n=4:d=None", lambda: fresh)
-        again = cache_fetch(tmp, "poset:n=4:d=None", lambda: "MISS")
-        if again != fresh or records(poset_from_sidecar(again, 4)) != records(e4):
-            return False, "cached poset differs from a fresh build"
+        cached_poset(tmp, 4)
         (entry,) = Path(tmp).iterdir()
-        entry.write_bytes(entry.read_bytes()[:-1])
-        if cache_fetch(tmp, "poset:n=4:d=None", lambda: "REBUILT") != "REBUILT":
-            return False, "a truncated poset entry was served"
-        from .cli import _transform_for  # the CLI's own route, key and row format
-
+        good = entry.read_bytes()
+        entry.write_bytes(good[:-1])
+        if records(cached_poset(tmp, 4)) != records(e4) or entry.read_bytes() != good:
+            return False, "a truncated poset entry was served or not rewritten"
         e5 = build_full_poset(5)
         for label in ("built", "loaded"):
-            p, m = _transform_for(5, None, tmp)
-            if records(p) != records(e5) or m != build_mtransform(e5):
+            p = cached_poset(tmp, 5)
+            if records(p) != records(e5) or cached_mtransform(p, tmp) != build_mtransform(e5):
                 return False, f"{label} E(5) poset or transform differs from a fresh build"
-        cells = ulam_table_cells(8, 8)
-        cache_fetch(tmp, "ulam-cells:8:8", lambda: cells)
-        again = cache_fetch(tmp, "ulam-cells:8:8", lambda: "MISS")
-        if again != cells or ulam_table_csv(8, 8, again) != ulam_table_csv(8, 8):
-            return False, "cached table differs from a fresh build"
+            if cached_ulam_table(tmp, 8, 8) != ulam_difference_table(8, 8):
+                return False, f"{label} table differs from a fresh build"
     return True, "poset, transform and table caches round-trip; a truncated entry is rebuilt"
 
 

@@ -35,7 +35,7 @@ def ulam_cell_keys(max_n: int, max_d: int) -> list[tuple[int, int]]:
     return [(d, n) for d in range(2, max_d + 1) for n in range(4, max_n + 1) if in_half_range(n, d)]
 
 
-CACHE_FORMAT = b"graphinv-cache 1"  # the entry layout; bump it to retire every entry
+CACHE_FORMAT = b"graphinv-cache 2"  # the entry layout; bump it to retire every entry
 
 
 def _entry_header(body: bytes) -> bytes:
@@ -70,3 +70,24 @@ def cache_fetch(cache_dir: str | None, key: str, build):
     finally:
         tmp.unlink(missing_ok=True)
     return obj
+
+
+def cached_ulam_table(cache_dir: str | None, max_n: int, max_d: int) -> dict[tuple[int, int], int]:
+    """The difference table {(d, n): value} through the file cache.
+
+    The `ulam-cells:<max_n>:<max_d>` entry holds only the values, one integer
+    per cell in `ulam_cell_keys` order, or it is refused (AssertionError).  A
+    warm read loads no enumeration layer.
+    """
+    keys = ulam_cell_keys(max_n, max_d)
+
+    def build():
+        from .enumeration import ulam_difference_table
+
+        table = ulam_difference_table(max_n, max_d)
+        return [table[key] for key in keys]
+
+    values = cache_fetch(cache_dir, f"ulam-cells:{max_n}:{max_d}", build)
+    if not (type(values) is list and len(values) == len(keys) and all(type(v) is int for v in values)):
+        raise AssertionError("ulam-cells entry is not one integer per cell of the table")
+    return dict(zip(keys, values))

@@ -125,11 +125,25 @@ def test_inseparable_cli(capsys):
     assert payload["degree"] == 2 and payload["bound"] == 2
 
 
-def test_reconstruct_cli(capsys):
+def test_reconstruct_cli(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reconstruct", "--host", "0-1,2-3")
     payload = json.loads(out)
     assert code == 0
     assert payload["components"] == [{"graph6": named_class("K2").graph6, "count": 2}]
+    k6 = ",".join(f"{i}-{j}" for j in range(6) for i in range(j))  # 2^15 - 1 edge subsets
+    code, out, _ = run_cli(capsys, "reconstruct", "--host", k6)
+    assert code == 0 and json.loads(out)["components"] == [{"graph6": "E~~w", "count": 1}]
+
+    def no_build(*args):
+        raise AssertionError("the pool was built before the refusal")
+
+    monkeypatch.setattr(poset, "build_full_poset", no_build)
+    k7 = ",".join(f"{i}-{j}" for j in range(7) for i in range(j))
+    code, out, err = run_cli(capsys, "reconstruct", "--host", k7)
+    assert (code, out) == (2, "") and err.startswith("error: 2097151 edge subsets")
+    p9 = ",".join(f"{i}-{i + 1}" for i in range(8))
+    code, out, err = run_cli(capsys, "reconstruct", "--host", p9)
+    assert (code, out) == (2, "") and err.rstrip().endswith("the pool holds only classes on at most 8 vertices")
 
 
 def test_complement_solve_cli(capsys):
@@ -241,23 +255,26 @@ _E4 = build_full_poset(4)
 _E4_SIDECAR = poset_sidecar(_E4)
 _E4_MATRIX = mtransform.build_mtransform(_E4)
 _E4_ROWS = [sorted(_E4_MATRIX.row(i).items()) for i in range(_E4_MATRIX.rows)]
+# E(4) in the entry layout of cache format 1, which stored n, d, and each
+# member's graph6, degree, cv and aut
+_E4_FORMAT_1 = {
+    "ambient_n": 4,
+    "max_degree": 6,
+    "members": [{"graph6": m.graph6, "degree": m.degree, "cv": m.cv, "aut": m.aut_support} for m in _E4.members],
+}
 
 _CORRUPT_ENTRIES = {
     "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", {"x": 1}),
-    "ulam-cells-value": (
-        ["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [[2, 4, 99]],
-    ),
-    "poset-cut": (
-        ["mtransform", "--n", "4", "--format", "csv"], "poset:n=4:d=None",
-        dict(_E4_SIDECAR, members=_E4_SIDECAR["members"][:3]),
-    ),
-    "transform-cut": (["mtransform", "--n", "4", "--format", "csv"], "mtransform:n=4:d=None", _E4_ROWS[:3]),
+    "ulam-cells-value": (["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [99]),
+    "poset-cut": (["mtransform", "--n", "4", "--format", "csv"], "poset:n=4:d=6", _E4_SIDECAR[:3]),
+    "poset-format-1-layout": (["enumerate", "--n", "4"], "poset:n=4:d=6", _E4_FORMAT_1),
+    "transform-cut": (["mtransform", "--n", "4", "--format", "csv"], "mtransform:n=4:d=6", _E4_ROWS[:3]),
 }
 
 
-@pytest.mark.parametrize("keep_header", [False, True], ids=["bare", "old-header"])
+@pytest.mark.parametrize("header", ["bare", "old-header", "format-1"])
 @pytest.mark.parametrize("case", sorted(_CORRUPT_ENTRIES))
-def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, case, keep_header):
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, case, header):
     argv, key, bad_value = _CORRUPT_ENTRIES[case]
     code, reference, _ = run_cli(capsys, *argv)
     cached = [*argv, "--cache-dir", str(tmp_path)]
@@ -265,34 +282,33 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, case, keep_header):
     names = sorted(p.name for p in tmp_path.iterdir())
     entry = _entry_path(tmp_path, key)
     good = entry.read_bytes()
-    # a value that parses, written bare or under the header of the good value
-    header = good.partition(b"\n")[0] + b"\n" if keep_header else b""
-    entry.write_bytes(header + json.dumps(bad_value, sort_keys=True).encode())
+    # a value that parses, written bare, under the header of the good value,
+    # or under a header of format 1 that matches its bytes
+    body = json.dumps(bad_value, sort_keys=True).encode()
+    entry.write_bytes({
+        "bare": b"",
+        "old-header": good.partition(b"\n")[0] + b"\n",
+        "format-1": b"graphinv-cache 1 " + hashlib.sha256(body).hexdigest().encode() + b"\n",
+    }[header] + body)
     assert run_cli(capsys, *cached) == (0, reference, "")
     assert entry.read_bytes() == good  # rewritten in place
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def _swapped_members(sidecar):
-    members = list(sidecar["members"])
+    members = list(sidecar)
     members[2], members[3] = members[3], members[2]
-    return dict(sidecar, members=members)
+    return members
 
 
-def _wrong_cv(sidecar):
-    members = [dict(rec) for rec in sidecar["members"]]
-    members[5]["cv"] += 1
-    return dict(sidecar, members=members)
+def _record_changed(sidecar, pos, record):
+    members = list(sidecar)
+    members[pos] = record
+    return members
 
 
 _E3_MATRIX = mtransform.build_mtransform(build_full_poset(3))
 _E3_ROWS = [sorted(_E3_MATRIX.row(i).items()) for i in range(_E3_MATRIX.rows)]
-
-
-def _float_aut(sidecar):
-    members = [dict(rec) for rec in sidecar["members"]]
-    members[5]["aut"] = float(members[5]["aut"])
-    return dict(sidecar, members=members)
 
 
 def _one_entry_changed(rows):
@@ -302,23 +318,35 @@ def _one_entry_changed(rows):
     return rows
 
 
+# the table cells in the entry layout of cache format 1, [d, n, value] triples
+_CELLS_FORMAT_1 = [[d, n, v] for (d, n), v in enumeration.ulam_difference_table(6, 4).items()]
+_ENUMERATE_3 = (["enumerate", "--n", "3"], "poset:n=3:d=3")
+_ENUMERATE_4 = (["enumerate", "--n", "4"], "poset:n=4:d=6")
+_K2_BITS, _K2_AUT = _E4_SIDECAR[1]
 _FORGED_ENTRIES = {
-    "members-swapped": (["enumerate", "--n", "4"], "poset:n=4:d=None", _swapped_members(_E4_SIDECAR)),
-    "cv-wrong": (["enumerate", "--n", "4"], "poset:n=4:d=None", _wrong_cv(_E4_SIDECAR)),
-    "transform-entry-changed": (["mtransform", "--n", "4"], "mtransform:n=4:d=None", _one_entry_changed(_E4_ROWS)),
-    "poset-first-three": (
-        ["enumerate", "--n", "4"], "poset:n=4:d=None", dict(_E4_SIDECAR, members=_E4_SIDECAR["members"][:3]),
-    ),
-    "poset-e5-as-e6": (["enumerate", "--n", "6"], "poset:n=6:d=None", poset_sidecar(build_full_poset(5))),
-    "poset-aut-float": (["enumerate", "--n", "4"], "poset:n=4:d=None", _float_aut(_E4_SIDECAR)),
-    "poset-n-null": (["enumerate", "--n", "4"], "poset:n=4:d=None", dict(_E4_SIDECAR, ambient_n=None)),
-    "transform-not-rows": (["mtransform", "--n", "3"], "mtransform:n=3:d=None", {"x": 1}),
-    "transform-not-pairs": (["mtransform", "--n", "3"], "mtransform:n=3:d=None", [[[1]]]),
-    "transform-float-column": (["mtransform", "--n", "3"], "mtransform:n=3:d=None", [[[0.0, 1]], *_E3_ROWS[1:]]),
+    "poset-int-list": (*_ENUMERATE_3, [1]),
+    "poset-stored-n-d": (*_ENUMERATE_3, {"ambient_n": 3, "max_degree": 3}),
+    "poset-members-of-ints": (*_ENUMERATE_3, {"members": [1]}),
+    "poset-record-too-long": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 1, [_K2_BITS, _K2_AUT, 1])),
+    "poset-record-too-short": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 1, [_K2_BITS])),
+    "poset-bits-bool": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 1, [True, _K2_AUT])),
+    "poset-aut-float": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 1, [_K2_BITS, float(_K2_AUT)])),
+    # the edge {1, 2}: support {1, 2}, not [0..2)
+    "poset-support-not-packed": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 1, [0b100, _K2_AUT])),
+    "poset-bits-outside-kn": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 10, [1 << 6, 1])),
+    "poset-bits-negative": (*_ENUMERATE_4, _record_changed(_E4_SIDECAR, 1, [-1, _K2_AUT])),
+    "members-swapped": (*_ENUMERATE_4, _swapped_members(_E4_SIDECAR)),
+    "poset-first-three": (*_ENUMERATE_4, _E4_SIDECAR[:3]),
+    "poset-e5-as-e6": (["enumerate", "--n", "6"], "poset:n=6:d=15", poset_sidecar(build_full_poset(5))),
+    "poset-format-1-layout": (*_ENUMERATE_4, _E4_FORMAT_1),
+    "transform-entry-changed": (["mtransform", "--n", "4"], "mtransform:n=4:d=6", _one_entry_changed(_E4_ROWS)),
+    "transform-not-rows": (["mtransform", "--n", "3"], "mtransform:n=3:d=3", {"x": 1}),
+    "transform-not-pairs": (["mtransform", "--n", "3"], "mtransform:n=3:d=3", [[[1]]]),
+    "transform-float-column": (["mtransform", "--n", "3"], "mtransform:n=3:d=3", [[[0.0, 1]], *_E3_ROWS[1:]]),
     "ulam-cells-shape": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", {"x": 1}),
-    "ulam-cells-cut": (
-        ["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [[2, 4, 99]],
-    ),
+    "ulam-cells-cut": (["ulam-table", "--max-n", "6", "--max-d", "4", "--format", "csv"], "ulam-cells:6:4", [99]),
+    "ulam-cells-triples": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", _CELLS_FORMAT_1),
+    "ulam-cells-bool": (["ulam-table", "--max-n", "6", "--max-d", "4"], "ulam-cells:6:4", [False] * 8),
 }
 
 
@@ -327,9 +355,10 @@ def test_forged_entry_under_a_valid_header_is_never_served(tmp_path, capsys, cas
     argv, key, forged = _FORGED_ENTRIES[case]
     cached = [*argv, "--cache-dir", str(tmp_path)]
     assert run_cli(capsys, *cached)[0] == 0
+    entry = _entry_path(tmp_path, key)
+    assert entry.exists()
     body = json.dumps(forged, sort_keys=True).encode()
-    header = CACHE_FORMAT + b" " + hashlib.sha256(body).hexdigest().encode()
-    _entry_path(tmp_path, key).write_bytes(header + b"\n" + body)
+    entry.write_bytes(CACHE_FORMAT + b" " + hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
     code, out, err = run_cli(capsys, *cached)
     assert code == 3 and out == ""
     assert err.rstrip().endswith("error: internal check failed")
@@ -340,7 +369,8 @@ def test_cached_transform_rows_equal_the_build(tmp_path, n, max_degree):
     expected = mtransform.build_mtransform(build_full_poset(n, max_degree))
     for _pass in ("built", "loaded"):
         assert _transform_for(n, max_degree, str(tmp_path))[1] == expected
-    stored = json.loads(_entry_path(tmp_path, f"mtransform:n={n}:d={max_degree}").read_bytes().partition(b"\n")[2])
+    key = f"mtransform:n={n}:d={n * (n - 1) // 2 if max_degree is None else max_degree}"
+    stored = json.loads(_entry_path(tmp_path, key).read_bytes().partition(b"\n")[2])
     assert mtransform.IntMatrix(tuple(dict(row) for row in stored), expected.cols) == expected
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -6,8 +7,9 @@ import pytest
 from graphinv.enumeration import graph_count
 from graphinv.errors import PosetError
 from graphinv.graph import EMPTY_CLASS, canonicalize_bits
-from graphinv.poset import build_full_poset
+from graphinv.poset import build_full_poset, poset_from_sidecar, poset_sidecar
 from graphinv.smallgraphs import named_class
+from graphinv.util import CACHE_FORMAT
 
 
 def test_e3_members(e3_poset):
@@ -80,9 +82,20 @@ def test_position_lookup(e4_poset):
 
 
 def test_poset_json_roundtrip(e4_poset):
-    from graphinv.poset import poset_from_sidecar, poset_sidecar
-
-    # through JSON text, as the CLI's file cache stores it
-    again = poset_from_sidecar(json.loads(json.dumps(poset_sidecar(e4_poset))), 4)
-    assert again.members == e4_poset.members
+    # through JSON text, as the CLI's file cache stores it: [bits, aut] per member
+    stored = json.loads(json.dumps(poset_sidecar(e4_poset)))
+    assert stored == [[m.bits, m.aut_support] for m in e4_poset.members]
+    again = poset_from_sidecar(stored, 4)
+    assert [(m.bits, m.degree, m.cv, m.aut_support) for m in again.members] == [
+        (m.bits, m.degree, m.cv, m.aut_support) for m in e4_poset.members
+    ]
     assert (again.ambient_n, again.max_degree, again.complete) == (4, 6, True)
+
+
+def test_canonical_convention_is_pinned_to_the_cache_format():
+    # cached poset entries are served without canonicalizing again, so a change
+    # to the canonical form, which changes this digest, must also bump the format
+    body = json.dumps(poset_sidecar(build_full_poset(5)), sort_keys=True).encode()
+    assert (CACHE_FORMAT, hashlib.sha256(body).hexdigest()) == (
+        b"graphinv-cache 2", "3667c60b6ca3aac01b9203082ccc4b94d36d2a0f78f115a2df02609849cab722"
+    )
