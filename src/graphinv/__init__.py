@@ -19,8 +19,10 @@ alone; a test guards that every other public function has a caller:
     the automorphism order, checks `count_subgraphs`;
   * `mtransform._mtransform_by_subsets`, which classifies every edge subset of
     every member, checks the cover recursion in `build_mtransform`;
-  * `inverse_mtransform` cross-asserts the closed form `mnukhin_power(-1)`
-    against the elimination `unitriangular_inverse` on complete posets;
+  * `inverse_mtransform` proves the closed form `mnukhin_power(-1)` on
+    complete posets by an exact packed check of E C = I; the elimination
+    `unitriangular_inverse`, which serves every other inverse, is the tests'
+    oracle for that closed form;
   * `algebra.product_kocay`, `product_fleischmann` and `product_mtransform`
     compute every product three ways and must agree;
   * `enumeration.pair_cycle_index_bruteforce`, an average over all of S_n,

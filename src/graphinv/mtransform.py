@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,12 +116,26 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
     poset is an E(n, d), closed under edge deletion, so each k is an earlier
     member whose row is already built; a deletion that lands outside the poset
     raises PosetError.  `_mtransform_by_subsets` is the subset-counting oracle.
+
+    The arithmetic runs on packed rows: row g is one int with a field of
+    `width` bits per column, so the sum over k is a few big-integer
+    multiply-adds, and each degree block of columns (contiguous, as members
+    sort by degree) is divided by |g| - delta in one divmod.  Every entry is
+    at most C(D, D // 2) < 2^bits, D the top degree, and g has |g| <= D
+    deletions, so a summed field stays under D * 2^bits <= 2^width and no
+    carry crosses fields.  `_exact_field_quotient` proves each field divided
+    exactly.  The rows are decoded into sparse dict rows once, at the end.
     """
     members = poset.members
     if len(members) > TRANSFORM_MEMBER_CAP:
         raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
-    degs = poset.degrees()
-    rows: dict[int, dict[int, int]] = {}  # by canonical bits
+    top = max((g.degree for g in members), default=0)
+    bits = math.comb(top, top // 2).bit_length()
+    # top <= C(8, 2) = 28 under the poset vertex cap, so bits + 5 <= 31 fits 32-bit fields
+    width = next(w for w in _FIELD_CODES if w >= bits + top.bit_length())
+    high = _high_bits(width, bits, len(members))
+    blocks = [(d, idx[0], (1 << (width * len(idx))) - 1) for d, idx in sorted(poset.by_degree().items())]
+    rows: dict[int, int] = {}  # packed rows by canonical bits
     for pos, g in enumerate(members):
         down: Counter = Counter()
         rest = g.bits
@@ -128,22 +143,54 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
             low = rest & -rest
             rest ^= low
             down[canonicalize_bits(g.bits ^ low).bits] += 1
-        acc: dict[int, int] = {}
+        acc = 0
         for k_bits, c in down.items():
             down_row = rows.get(k_bits)
             if down_row is None:
                 raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
-            for j, e in down_row.items():
-                acc[j] = acc.get(j, 0) + c * e
-        row = {}
-        for j, total in acc.items():
-            q, r = divmod(total, g.degree - degs[j])
-            if r:
-                raise AssertionError(f"cover recursion: inexact division in row {g.graph6!r}")
-            row[j] = q
-        row[pos] = 1
+            acc += c * down_row
+        row = 1 << (width * pos)
+        for d, start, mask in blocks:
+            if d >= g.degree:
+                break
+            shift = width * start
+            row |= _exact_field_quotient((acc >> shift) & mask, g.degree - d, high) << shift
         rows[g.bits] = row
-    return IntMatrix(rows.values(), len(members))
+    return IntMatrix(_unpack_rows([rows[g.bits] for g in members], width), len(members))
+
+
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> memoryview format
+
+
+def _high_bits(width: int, bits: int, count: int) -> int:
+    """Bits `bits` .. `width - 1` of each of `count` fields of `width` bits."""
+    field = (1 << width) - 1
+    return (field ^ ((1 << bits) - 1)) * (((1 << (width * count)) - 1) // field)
+
+
+def _exact_field_quotient(block: int, divisor: int, high: int) -> int:
+    """block // divisor, every field of block divided exactly; AssertionError otherwise.
+
+    A zero remainder alone proves nothing per field: a carry can move a
+    remainder into the next field down.  But if every quotient field q is
+    below 2^bits (no bit of `high` set) and divisor * 2^bits <= 2^width, then
+    q * divisor fits its field, the product has no carries, and so each field
+    of block is divisor times the field of the quotient.
+    """
+    q, r = divmod(block, divisor)
+    if r or q & high:
+        raise AssertionError("cover recursion: inexact division in a degree block")
+    return q
+
+
+def _unpack_rows(rows: list[int], width: int) -> list[dict[int, int]]:
+    """Lower-triangular packed rows as sparse {column: value} rows."""
+    out = []
+    for i, row in enumerate(rows):
+        # in native byte order each field reads as one item; big-endian bytes put field 0 last
+        fields = memoryview(row.to_bytes(width // 8 * (i + 1), sys.byteorder)).cast(_FIELD_CODES[width])
+        out.append({j: x for j, x in enumerate(fields if sys.byteorder == "little" else fields[::-1]) if x})
+    return out
 
 
 def check_transform_rows(matrix: IntMatrix, degrees) -> None:
@@ -171,25 +218,29 @@ def check_transform_rows(matrix: IntMatrix, degrees) -> None:
 
 
 def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
-    """The transform of poset through the file cache, under
-    `mtransform:n=<n>:d=<max_degree>`: one [[j, e], ...] row of int pairs per
-    member.  Built or loaded, the rows pass that shape check and
-    `check_transform_rows` before they are served; AssertionError otherwise."""
-    from .util import cache_fetch
+    """The transform of poset, through the file cache when cache_dir is given,
+    under `mtransform:n=<n>:d=<max_degree>`: one [[j, e], ...] row of int pairs
+    per member.  A loaded entry must pass that shape check; built or loaded,
+    the matrix passes `check_transform_rows` before it is served.  Either
+    check raises AssertionError."""
+    if not cache_dir:
+        matrix = build_mtransform(poset)
+    else:
+        from .util import cache_fetch
 
-    def build():
-        e = build_mtransform(poset)
-        return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
+        def build():
+            e = build_mtransform(poset)
+            return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
 
-    rows = cache_fetch(cache_dir, f"mtransform:n={poset.ambient_n}:d={poset.max_degree}", build)
-    if not (
-        type(rows) is list
-        and all(type(row) is list for row in rows)
-        and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
-                for row in rows for pair in row)
-    ):
-        raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
-    matrix = IntMatrix((dict(row) for row in rows), len(poset))
+        rows = cache_fetch(cache_dir, f"mtransform:n={poset.ambient_n}:d={poset.max_degree}", build)
+        if not (
+            type(rows) is list
+            and all(type(row) is list for row in rows)
+            and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+                    for row in rows for pair in row)
+        ):
+            raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
+        matrix = IntMatrix((dict(row) for row in rows), len(poset))
     check_transform_rows(matrix, poset.degrees())
     return matrix
 
@@ -240,14 +291,38 @@ def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
 
 
 def inverse_mtransform(matrix: IntMatrix, degrees=None, complete: bool = False) -> IntMatrix:
-    """Inverse via the closed form when legal, elimination otherwise; cross-asserted."""
-    elim = unitriangular_inverse(matrix)
-    if complete and degrees is not None:
-        closed = mnukhin_power(matrix, degrees, -1, complete=True)
-        if closed != elim:
-            raise AssertionError("closed-form inverse disagrees with elimination")
-        return closed
-    return elim
+    """Inverse of a transform: the closed form `mnukhin_power(-1)` on a
+    complete poset, proved by `_check_packed_inverse`; elimination by
+    `unitriangular_inverse` otherwise.  Elimination is the tests' oracle for
+    the closed form."""
+    if not (complete and degrees is not None):
+        return unitriangular_inverse(matrix)
+    closed = mnukhin_power(matrix, degrees, -1, complete=True)
+    _check_packed_inverse(matrix, closed)
+    return closed
+
+
+def _check_packed_inverse(matrix: IntMatrix, inverse: IntMatrix) -> None:
+    """Prove matrix @ inverse == I exactly; AssertionError otherwise.
+
+    Row j of the inverse is packed into one signed int C_j with a field of
+    `width` bits per column, and row i of the product is sum_j e_ij * C_j,
+    which must equal 1 << (width * i).  Every product entry is at most
+    (max row sum of |e|) * (max |c|) < 2^(width - 1) in absolute value, and
+    an int has one expansion in signed digits of that size, so the equality
+    holds field by field: the product row is the unit row i.
+    """
+    n = matrix.rows
+    if (matrix.cols, inverse.rows, inverse.cols) != (n, n, n):
+        raise AssertionError("inverse has the wrong shape")
+    row_sum = max((sum(map(abs, matrix.row(i).values())) for i in range(n)), default=0)
+    top = max((abs(x) for j in range(n) for x in inverse.row(j).values()), default=0)
+    width = (row_sum * top).bit_length() + 1
+    assert row_sum * top < 1 << (width - 1)
+    packed = [sum(x << (width * k) for k, x in inverse.row(j).items()) for j in range(n)]
+    for i in range(n):
+        if sum(e * packed[j] for j, e in matrix.row(i).items()) != 1 << (width * i):
+            raise AssertionError(f"closed-form inverse: row {i} of E C is not a unit row")
 
 
 # ── complement identities and half-matrix reconstruction ─────────────────

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphinv import mtransform
 from graphinv.errors import CapError, PosetError, PreconditionError
 from graphinv.graph import complement, count_subgraphs, count_subgraphs_injective
 from graphinv.mtransform import (
     IntMatrix,
+    _exact_field_quotient,
+    _high_bits,
     _mtransform_by_subsets,
     build_mtransform,
+    cached_mtransform,
+    check_transform_rows,
     complement_class,
     complement_invariant_expansion,
     exact_rank,
@@ -88,14 +93,39 @@ def test_cover_recursion_property_on_random_spans(n, max_degree):
     assert e == _mtransform_by_subsets(p)
 
 
-def test_e7_entries_against_injection_oracle():
+@pytest.fixture(scope="module")
+def e7():
     p = build_full_poset(7)
-    e = build_mtransform(p)
+    return p, build_mtransform(p)
+
+
+def test_e7_entries_against_injection_oracle(e7):
+    p, e = e7
+    check_transform_rows(e, p.degrees())  # 32-bit fields: entries up to C(21, 10)
     rng = random.Random(7)
     members = p.members
     for _ in range(40):
         i, j = rng.randrange(len(p)), rng.randrange(len(p))
         assert e.data[i][j] == count_subgraphs_injective(members[j], members[i])
+
+
+def test_exact_field_quotient_needs_every_field_to_divide():
+    high = _high_bits(8, 7, 2)  # quotient fields must stay under 2^7
+    assert _exact_field_quotient(4 + (6 << 8), 2, high) == 2 + (3 << 8)
+    # fields [2, 1] over 2: the whole divides, to fields [1 + 2^7, 0], because
+    # the odd high field carries into the high bit of the low one
+    with pytest.raises(AssertionError):
+        _exact_field_quotient(2 + (1 << 8), 2, high)
+    with pytest.raises(AssertionError):
+        _exact_field_quotient(3, 2, high)
+
+
+def test_cached_mtransform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_poset, e4_matrix):
+    assert cached_mtransform(e4_poset, None) == e4_matrix
+    forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
+    monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
+    with pytest.raises(AssertionError):
+        cached_mtransform(e4_poset, None)
 
 
 def test_mnukhin_power_small(e3_poset):
@@ -119,6 +149,44 @@ def test_mnukhin_requires_complete():
 def test_inverse_cross_assertion(e4_poset, e4_matrix):
     inv = inverse_mtransform(e4_matrix, e4_poset.degrees(), complete=True)
     assert inv == unitriangular_inverse(e4_matrix)
+
+
+def test_complete_inverse_is_checked_without_elimination(monkeypatch, e4_poset, e4_matrix):
+    degs = e4_poset.degrees()
+    inv = unitriangular_inverse(e4_matrix)
+
+    def no_elimination(matrix):
+        raise AssertionError("elimination ran on a complete poset")
+
+    monkeypatch.setattr(mtransform, "unitriangular_inverse", no_elimination)
+    assert inverse_mtransform(e4_matrix, degs, complete=True) == inv
+
+    def one_entry_wrong(matrix, degrees, k, complete=True):
+        closed = mnukhin_power(matrix, degrees, k, complete)
+        rows = list(closed.nonzeros)
+        rows[-1] = {**rows[-1], 3: rows[-1].get(3, 0) + 1}
+        return IntMatrix(rows, closed.cols)
+
+    monkeypatch.setattr(mtransform, "mnukhin_power", one_entry_wrong)
+    with pytest.raises(AssertionError):
+        inverse_mtransform(e4_matrix, degs, complete=True)
+
+    # row 1 of E C is 3 + 253 = 2^8 = the unit row in 8-bit fields: too narrow a field would accept it
+    monkeypatch.setattr(mtransform, "mnukhin_power", lambda *args, **kw: IntMatrix([{0: 1}, {0: 253}], 2))
+    with pytest.raises(AssertionError):
+        inverse_mtransform(IntMatrix.from_rows([[1, 0], [3, 1]]), (0, 1), complete=True)
+
+
+def test_inverse_check_derives_its_field_width(e7):
+    # product entries up to 2^80: no fixed field width would hold them
+    m = IntMatrix.from_rows([[1, 0], [2**40, 1]])
+    assert inverse_mtransform(m, (0, 1), complete=True) == unitriangular_inverse(m)
+    # up to 2^21 * C(21, 10) on E(7), over 2^39
+    p, e = e7
+    assert inverse_mtransform(e, p.degrees(), complete=True) == mnukhin_power(e, p.degrees(), -1)
+    p = build_full_poset(7, 10)
+    e = build_mtransform(p)
+    assert inverse_mtransform(e, p.degrees(), complete=True) == unitriangular_inverse(e)
 
 
 def test_sparse_inverse_against_closed_form(e4_poset, e5_poset):
