@@ -20,8 +20,8 @@ from .graph import (
     count_subgraphs,
 )
 from .mtransform import IntMatrix, exact_rank
-from .perm import CycleType, pair_slot, symmetric_group, induced_pair_permutation
-from .poset import build_full_poset
+from .perm import CycleType, symmetric_group, induced_pair_permutation
+from .poset import build_full_poset, one_edge_additions
 
 CYCLE_INDEX_VERTEX_CAP = 16
 GRAPH_COUNT_VERTEX_CAP = 12
@@ -224,27 +224,19 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
 
 @functools.cache
 def connected_classes_by_degree(max_degree: int) -> dict[int, list[IsoClass]]:
-    """Connected classes grouped by edge count, grown one edge at a time
-    (adding an edge to a connected graph never disconnects it)."""
+    """Connected classes grouped by edge count, grown one edge at a time: the
+    additions of `poset.one_edge_additions` to a class on cv vertices placed in
+    K_(cv+1), which join two support vertices or a support vertex to one fresh
+    vertex (adding an edge to a connected graph never disconnects it)."""
     if max_degree > CONNECTED_DEGREE_CAP:
         raise CapError(f"connected enumeration capped at degree {CONNECTED_DEGREE_CAP}")
     levels: dict[int, list[IsoClass]] = {}
     if max_degree >= 1:
-        k2 = canonicalize_bits(1)
-        levels[1] = [k2]
-        current = {k2}
-        for _d in range(1, max_degree):
-            nxt = set()
-            for cls in current:
-                cv = cls.cv
-                for j in range(1, cv + 1):
-                    for i in range(j):
-                        slot = pair_slot(i, j)
-                        if j < cv and cls.bits >> slot & 1:
-                            continue
-                        nxt.add(canonicalize_bits(cls.bits | 1 << slot))
-            current = nxt
-            levels[_d + 1] = sorted(nxt, key=lambda c: c.sort_key)
+        current = {canonicalize_bits(1)}
+        levels[1] = list(current)
+        for d in range(2, max_degree + 1):
+            current = {grown for cls in current for grown, _w in one_edge_additions(cls, cls.cv + 1)}
+            levels[d] = sorted(current, key=lambda c: c.sort_key)
     return levels
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations as _combinations, permutations as _permutations, product as _product
@@ -21,12 +20,11 @@ from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     IsoClass,
     canonicalize,
-    canonicalize_bits,
     complement,
     stab_order,
     subgraph_class_counts,
 )
-from .poset import GPoset
+from .poset import GPoset, one_edge_additions
 
 if TYPE_CHECKING:
     from .algebra import LinComb
@@ -112,10 +110,11 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
         (|g| - |g_j|) * e_gj = sum_k c_gk * e_kj,
-    where c_gk counts the one-edge deletions of g that land in member k.  The
-    poset is an E(n, d), closed under edge deletion, so each k is an earlier
-    member whose row is already built; a deletion that lands outside the poset
-    raises PosetError.  `_mtransform_by_subsets` is the subset-counting oracle.
+    where c_gk counts the one-edge deletions of g that land in member k, taken
+    from `_cover_counts` with no canonical search of their own.  The poset is
+    an E(n, d), closed under edge deletion, so each k is an earlier member
+    whose row is already built.  `_mtransform_by_subsets` is the
+    subset-counting oracle.
 
     The arithmetic runs on packed rows: row g is one int with a field of
     `width` bits per column, so the sum over k is a few big-integer
@@ -135,28 +134,58 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
     width = next(w for w in _FIELD_CODES if w >= bits + top.bit_length())
     high = _high_bits(width, bits, len(members))
     blocks = [(d, idx[0], (1 << (width * len(idx))) - 1) for d, idx in sorted(poset.by_degree().items())]
-    rows: dict[int, int] = {}  # packed rows by canonical bits
-    for pos, g in enumerate(members):
-        down: Counter = Counter()
-        rest = g.bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            down[canonicalize_bits(g.bits ^ low).bits] += 1
-        acc = 0
-        for k_bits, c in down.items():
-            down_row = rows.get(k_bits)
-            if down_row is None:
-                raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
-            acc += c * down_row
+    rows: list[int] = []  # packed rows in member order
+    for pos, (g, down) in enumerate(zip(members, _cover_counts(poset))):
+        acc = sum(c * rows[k] for k, c in down.items())
         row = 1 << (width * pos)
         for d, start, mask in blocks:
             if d >= g.degree:
                 break
             shift = width * start
             row |= _exact_field_quotient((acc >> shift) & mask, g.degree - d, high) << shift
-        rows[g.bits] = row
-    return IntMatrix(_unpack_rows([rows[g.bits] for g in members], width), len(members))
+        rows.append(row)
+    return IntMatrix(_unpack_rows(rows, width), len(members))
+
+
+def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
+    """c_gk by position: for each member g, {k: the one-edge deletions of g that land in k}.
+
+    They come from the other side of each cover: `one_edge_additions(k, n)`
+    gives a_kg, the non-edges of one labeled copy of k in K_n whose addition
+    makes g.  Counting the (labeled copy of g, edge) pairs both ways gives
+    c_gk * orb(g) = a_kg * orb(k), where orb(x) = n! / ((n - cv)! aut) counts
+    the labeled copies of x in K_n; a quotient that is not exact raises
+    AssertionError.  The additions are those `build_full_poset` made, so after
+    a build in the same process every one is a memo hit.  The c_gk of g must
+    sum to |g|: a deletion that lands outside the poset leaves the sum short
+    and raises PosetError, as does a member that does not fit in K_n.
+    """
+    members = poset.members
+    n = poset.ambient_n
+    if any(g.cv > n for g in members):
+        raise PosetError(f"a member of the poset does not fit in K_{n}")
+    top = max((g.degree for g in members), default=0)
+    ups: list[dict[int, int]] = [{} for _ in members]  # ups[g][k] = a_kg
+    for pos, k in enumerate(members):
+        if k.degree == top:
+            break
+        for grown, weight in one_edge_additions(k, n):
+            at = poset.index.get(grown.bits)  # None: the addition leaves the poset
+            if at is not None:
+                ups[at][pos] = ups[at].get(pos, 0) + weight
+    orbits = [math.perm(n, g.cv) // g.aut_support for g in members]
+    covers = []
+    for g, up, orbit in zip(members, ups, orbits):
+        down = {}
+        for k, a in up.items():
+            c, rest = divmod(a * orbits[k], orbit)
+            if rest:
+                raise AssertionError(f"cover counts of {g.graph6!r}: inexact orbit quotient")
+            down[k] = c
+        if sum(down.values()) != g.degree:
+            raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
+        covers.append(down)
+    return covers
 
 
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> memoryview format
@@ -220,27 +249,34 @@ def check_transform_rows(matrix: IntMatrix, degrees) -> None:
 def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
     """The transform of poset, through the file cache when cache_dir is given,
     under `mtransform:n=<n>:d=<max_degree>`: one [[j, e], ...] row of int pairs
-    per member.  A loaded entry must pass that shape check; built or loaded,
-    the matrix passes `check_transform_rows` before it is served.  Either
-    check raises AssertionError."""
+    per member.  On a miss the matrix just built is served, not the rows
+    written; a loaded entry must pass that shape check.  Built or loaded, the
+    matrix passes `check_transform_rows` before it is served.  Either check
+    raises AssertionError."""
     if not cache_dir:
         matrix = build_mtransform(poset)
     else:
         from .util import cache_fetch
 
+        built: list[IntMatrix] = []
+
         def build():
             e = build_mtransform(poset)
+            built.append(e)
             return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
 
         rows = cache_fetch(cache_dir, f"mtransform:n={poset.ambient_n}:d={poset.max_degree}", build)
-        if not (
+        if built:
+            matrix = built[0]
+        elif (
             type(rows) is list
             and all(type(row) is list for row in rows)
             and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
                     for row in rows for pair in row)
         ):
+            matrix = IntMatrix((dict(row) for row in rows), len(poset))
+        else:
             raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
-        matrix = IntMatrix((dict(row) for row in rows), len(poset))
     check_transform_rows(matrix, poset.degrees())
     return matrix
 

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     EMPTY_CLASS,
     IsoClass,
+    _canon_from_packed,
     _support_mask,
-    canonicalize_bits,
     is_connected_class,
 )
-from .perm import pair_slot
 
 FULL_POSET_VERTEX_CAP = 8  # |E(8)| = 12,346 members
 
@@ -77,28 +75,39 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     classes = {EMPTY_CLASS}
     current = {EMPTY_CLASS}
     for _d in range(max_degree):
-        nxt = set()
-        for cls in current:
-            cv = cls.cv
-            hi = min(cv + 2, n)
-            for i, j in combinations(range(hi), 2):
-                # a new edge may touch existing support, one fresh vertex (cv),
-                # or be the fresh pair (cv, cv+1); anything else duplicates a case
-                if j > cv and not (i == cv and j == cv + 1):
-                    continue
-                slot = pair_slot(i, j)
-                if cls.bits >> slot & 1:
-                    continue
-                grown = canonicalize_bits(cls.bits | 1 << slot)
-                if grown.cv <= n:
-                    nxt.add(grown)
-        classes |= nxt
-        current = nxt
+        current = {grown for cls in current for grown, _w in one_edge_additions(cls, n)}
+        classes |= current
         if not current:
             break
     members = tuple(sorted(classes, key=lambda c: c.sort_key))
     index = {m.bits: pos for pos, m in enumerate(members)}
     return GPoset(members, n, max_degree, True, index)
+
+
+def one_edge_additions(cls: IsoClass, n: int):
+    """Each way to add one edge to cls placed in K_n, up to relabeling: yields
+    (grown class, weight), the weight being how many of the C(n, 2) - |cls|
+    non-edges of one labeled copy the case stands for.
+
+    The new edge lies inside the support [0..cv) (weight 1), joins vertex i of
+    the support to the fresh vertex cv (weight n - cv), or is the fresh pair
+    (cv, cv + 1) (weight C(n - cv, 2)).  Cases of weight 0 are not yielded, so
+    every grown class fits in K_n.  A grown support is already
+    [0..max(cv, j + 1)), so the memoized search runs without repacking.
+    """
+    cv, bits = cls.cv, cls.bits
+    fresh = n - cv
+    slot = 0  # colex: the pairs (i, j), i < j, of [0..cv) come first
+    for j in range(1, cv):
+        for _i in range(j):
+            if not bits >> slot & 1:
+                yield _canon_from_packed(cv, bits | 1 << slot), 1
+            slot += 1
+    if fresh >= 1:
+        for i in range(cv):  # slot is now pair_slot(0, cv)
+            yield _canon_from_packed(cv + 1, bits | 1 << (slot + i)), fresh
+    if fresh >= 2:
+        yield _canon_from_packed(cv + 2, bits | 1 << (slot + 2 * cv)), fresh * (fresh - 1) // 2
 
 
 def _degree_bound(n: int, max_degree: int | None) -> int:

@@ -589,7 +589,7 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 def test_transform_member_cap_refuses_before_the_build(capsys, monkeypatch):
     assert 1044 < mtransform.TRANSFORM_MEMBER_CAP < 12346  # admits E(7), refuses E(8)
     monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", 10)  # |E(4)| = 11
-    monkeypatch.setattr(mtransform, "canonicalize_bits", None)  # the recursion must not start
+    monkeypatch.setattr(mtransform, "one_edge_additions", None)  # the recursion must not start
     for command in ("mtransform", "invert"):
         code, out, err = run_cli(capsys, command, "--n", "4")
         assert code == 2 and out == "" and err.startswith("error:") and "cap" in err

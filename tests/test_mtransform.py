@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinv import mtransform
+from graphinv import graph, mtransform
 from graphinv.errors import CapError, PosetError, PreconditionError
-from graphinv.graph import complement, count_subgraphs, count_subgraphs_injective
+from graphinv.graph import canonicalize_bits, complement, count_subgraphs, count_subgraphs_injective
 from graphinv.mtransform import (
     IntMatrix,
+    _cover_counts,
     _exact_field_quotient,
     _high_bits,
     _mtransform_by_subsets,
@@ -82,6 +84,40 @@ def test_cover_recursion_refuses_a_poset_that_is_not_down_closed():
         build_mtransform(_not_down_closed(("empty", "K3"), 3, 3, complete=True))
 
 
+def test_cover_recursion_refuses_a_member_that_does_not_fit_in_k_n():
+    # P3 has 3 vertices, so it has no labeled copy in K_2
+    with pytest.raises(PosetError):
+        build_mtransform(_not_down_closed(("empty", "K2", "P3"), 2, 2, complete=True))
+
+
+def _deleted_covers(poset):
+    """c_gk counted directly: canonicalize every one-edge deletion of g."""
+    covers = []
+    for g in poset.members:
+        down = Counter()
+        rest = g.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            down[poset.position(canonicalize_bits(g.bits ^ low))] += 1
+        covers.append(dict(down))
+    return covers
+
+
+@pytest.mark.parametrize("n, max_degree", [(7, None), (8, 6)])
+def test_cover_counts_from_additions_equal_counted_deletions(n, max_degree):
+    p = build_full_poset(n, max_degree)
+    assert _cover_counts(p) == _deleted_covers(p)
+
+
+def test_transform_after_the_poset_build_canonicalizes_nothing():
+    graph._canon_from_packed.cache_clear()
+    p = build_full_poset(7, 10)
+    misses = graph._canon_from_packed.cache_info().misses
+    build_mtransform(p)
+    assert graph._canon_from_packed.cache_info().misses == misses
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=15))
 def test_cover_recursion_property_on_random_spans(n, max_degree):
@@ -126,6 +162,17 @@ def test_cached_mtransform_without_a_cache_dir_still_checks_rows(monkeypatch, e4
     monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
     with pytest.raises(AssertionError):
         cached_mtransform(e4_poset, None)
+
+
+def test_cached_mtransform_serves_the_matrix_it_built_and_checks_it(monkeypatch, tmp_path, e4_poset, e4_matrix):
+    monkeypatch.setattr(mtransform, "build_mtransform", lambda p: e4_matrix)
+    assert cached_mtransform(e4_poset, str(tmp_path)) is e4_matrix  # a miss: no decode of the rows written
+    loaded = cached_mtransform(e4_poset, str(tmp_path))
+    assert loaded == e4_matrix and loaded is not e4_matrix
+    forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
+    monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
+    with pytest.raises(AssertionError):
+        cached_mtransform(e4_poset, str(tmp_path / "fresh"))
 
 
 def test_mnukhin_power_small(e3_poset):

@@ -7,7 +7,7 @@ import pytest
 from graphinv.enumeration import graph_count
 from graphinv.errors import PosetError
 from graphinv.graph import EMPTY_CLASS, canonicalize_bits
-from graphinv.poset import build_full_poset, poset_from_sidecar, poset_sidecar
+from graphinv.poset import build_full_poset, one_edge_additions, poset_from_sidecar, poset_sidecar
 from graphinv.smallgraphs import named_class
 from graphinv.util import CACHE_FORMAT
 
@@ -43,6 +43,15 @@ def test_every_subgraph_present(e4_poset):
         for s in range(m.bits.bit_length()):
             if m.bits >> s & 1:
                 assert canonicalize_bits(m.bits & ~(1 << s)) in e4_poset
+
+
+def test_addition_weights_count_the_non_edges_in_k_n():
+    for n in range(8):
+        p = build_full_poset(n)
+        for k in p.members:
+            additions = list(one_edge_additions(k, n))
+            assert sum(w for _grown, w in additions) == n * (n - 1) // 2 - k.degree, (n, k)
+            assert all(grown in p and grown.degree == k.degree + 1 for grown, _w in additions)
 
 
 def test_build_determinism():
