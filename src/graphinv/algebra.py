@@ -307,14 +307,15 @@ def verify_product_identity(a: IsoClass, b: IsoClass, comb: LinComb, hosts) -> b
 # ── expression in the basic basis and degree identities ──────────────────
 
 def express_invariant(values, poset: GPoset, matrix) -> LinComb:
-    """Solve E c = values as c = E^-1 values (unique by unitriangularity)."""
-    from .mtransform import unitriangular_inverse  # general-product never loads the transform layer
+    """Solve E c = values as c = E^-1 values (unique by unitriangularity),
+    E^-1 the closed-form inverse `inverse_mtransform` proves."""
+    from .mtransform import inverse_mtransform  # general-product never loads the transform layer
 
     n = len(poset)
     if len(values) != n:
         raise PreconditionError(f"expected {n} values, got {len(values)}")
     vals = [Fraction(v) for v in values]
-    inv = unitriangular_inverse(matrix)
+    inv = inverse_mtransform(matrix, poset.degrees(), poset.complete)
     return LinComb.from_terms({
         m: sum((x * vals[j] for j, x in inv.row(i).items()), Fraction(0))
         for i, m in enumerate(poset.members)

@@ -173,10 +173,20 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    import math
+
     from . import graph
 
     pattern = graph.canonicalize(graph.parse_graph(args.pattern))
     host = graph.parse_graph(args.host)
+    # the count classifies the host's |pattern|-edge subsets; the oracle tries every support injection
+    work = {"edge subsets": math.comb(host.degree, pattern.degree)}
+    if args.oracle:
+        work["support injections"] = math.perm(host.cv, pattern.cv)
+    cap = graph.COUNT_ENUMERATION_CAP
+    for what, size in work.items():
+        if size > cap:
+            raise CapError(f"{size} {what} of the host to enumerate, over the cap of {cap}")
     result = graph.count_subgraphs(pattern, host)
     if args.oracle and graph.count_subgraphs_injective(pattern, host) != result:
         raise AssertionError("subset and injection counts disagree")
@@ -354,6 +364,8 @@ def _cmd_rank_minor(args) -> int:
     else:
         if args.n is None:
             raise PreconditionError("need --n or --trivial-vars")
+        if not 0 <= args.delta <= args.big_delta:
+            raise PreconditionError(f"need 0 <= --delta <= --Delta, got {args.delta} and {args.big_delta}")
         p, e = _transform_for(args.n, None, args.cache_dir)
         m = mtransform.minor_by_degree(e, p.degrees(), args.delta, args.big_delta)
     rank = mtransform.exact_rank(m)

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapError
-from .graph import (
-    IsoClass,
-    canonicalize_bits,
-    count_subgraphs,
-)
-from .mtransform import IntMatrix, exact_rank
+from .graph import IsoClass, canonicalize_bits
+from .mtransform import IntMatrix, build_mtransform, exact_rank, minor_by_degree
 from .perm import CycleType, symmetric_group, induced_pair_permutation
 from .poset import build_full_poset, one_edge_additions
 
@@ -186,7 +182,8 @@ def ulam_table_csv(max_n: int = 12, max_d: int = 12, table: dict | None = None) 
 def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dict:
     """Counting condition h_{n+1}(d) - h_{n+1}(d-1) <= h_n(d), plus the exact rank
     of the minor pairing degree-d classes on exactly v supported vertices against
-    degree-(d-1) classes on at most v (v = rank_support, default n+1, capped at 5)."""
+    degree-(d-1) classes on at most v (v = rank_support, default n+1, capped at 5):
+    the rows on exactly v vertices of the E(v) transform's degree minor."""
     from .util import in_half_range
 
     if n + 1 > GRAPH_COUNT_VERTEX_CAP:
@@ -206,14 +203,15 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
     v = n + 1 if rank_support is None else rank_support
     if v <= 5:
         poset = build_full_poset(v)
-        rows = [m for m in poset.members if m.degree == d and m.cv == v]
-        cols = [m for m in poset.members if m.degree == d - 1 and m.cv <= v]
-        matrix = IntMatrix.from_rows([[count_subgraphs(c, r) for c in cols] for r in rows])
-        rank = exact_rank(matrix)
+        degs = poset.degrees()
+        minor = minor_by_degree(build_mtransform(poset), degs, d - 1, d)
+        row_members = [m for m in poset.members if m.degree == d]  # the minor's rows, in order
+        rows = [minor.row(r) for r, m in enumerate(row_members) if m.cv == v]
+        rank = exact_rank(IntMatrix(rows, minor.cols))
         report["minor"] = {
             "v": v,
             "rows": len(rows),
-            "cols": len(cols),
+            "cols": degs.count(d - 1),  # a minor without rows has no columns
             "rank": rank,
             "full_row_rank": rank == len(rows),
         }

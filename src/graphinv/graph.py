@@ -20,6 +20,7 @@ from .perm import pair_from_slot, pair_slot
 
 MAX_VERTICES = 16
 MAX_SUPPORT = 10  # canonical forms refuse larger supports
+COUNT_ENUMERATION_CAP = 10**6  # host edge subsets or oracle injections of one `count`; K12 has 720,720 4-edge subsets
 
 
 def _bits_to_slots(bits: int) -> list[int]:

@@ -24,7 +24,7 @@ from .graph import (
     stab_order,
     subgraph_class_counts,
 )
-from .poset import GPoset, one_edge_additions
+from .poset import GPoset, build_full_poset, one_edge_additions
 
 if TYPE_CHECKING:
     from .algebra import LinComb
@@ -281,21 +281,22 @@ def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
     return matrix
 
 
-def _subset_count_row(host: IsoClass, members) -> list[int]:
-    """Row of host counted directly, by classifying every edge subset of host."""
-    counts = {d: subgraph_class_counts(host, d) for d in range(host.degree + 1)}
-    return [counts[m.degree].get(m, 0) if m.degree <= host.degree else 0 for m in members]
-
-
 def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
-    """Oracle for build_mtransform: every row counted directly from its 2^|g_i| edge subsets."""
-    return IntMatrix.from_rows([_subset_count_row(m, poset.members) for m in poset.members])
+    """Oracle for build_mtransform: every row counted directly, by classifying
+    each of the 2^|g_i| edge subsets of g_i."""
+    members = poset.members
+    counts = [[subgraph_class_counts(host, d) for d in range(host.degree + 1)] for host in members]
+    return IntMatrix.from_rows([[c[m.degree].get(m, 0) if m.degree < len(c) else 0 for m in members] for c in counts])
 
 
 def mnukhin_power(matrix: IntMatrix, degrees, k: int, complete: bool = True) -> IntMatrix:
     """Closed-form k-th power: entry (i, j) becomes k^(deg_i - deg_j) * e_ij.
 
-    Valid for complete multilinear posets; k = -1 gives the two-sided inverse.
+    Valid for the transform of a complete graph poset and of every multiset
+    orbit poset (`multiset.build_general_mtransform`): E is the tensor Pascal
+    matrix prod_i C(w_i, m_i) acting on orbit sums, it commutes with the
+    group, and its k-th power is k^(|w| - |m|) times itself.  k = -1 gives
+    the two-sided inverse.
     """
     if not complete:
         raise PosetError("closed-form power law requires a subgraph-closed poset")
@@ -311,6 +312,7 @@ def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
     """Exact inverse of a lower unitriangular integer matrix by forward substitution.
 
     Row by row over the nonzeros: inv_i = e_i - sum_{j<i, a_ij != 0} a_ij * inv_j.
+    The tests' oracle for the closed-form inverse; no production route calls it.
     """
     n = matrix.rows
     if n != matrix.cols:
@@ -326,14 +328,11 @@ def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
     return IntMatrix(inv_rows, n)
 
 
-def inverse_mtransform(matrix: IntMatrix, degrees=None, complete: bool = False) -> IntMatrix:
-    """Inverse of a transform: the closed form `mnukhin_power(-1)` on a
-    complete poset, proved by `_check_packed_inverse`; elimination by
-    `unitriangular_inverse` otherwise.  Elimination is the tests' oracle for
-    the closed form."""
-    if not (complete and degrees is not None):
-        return unitriangular_inverse(matrix)
-    closed = mnukhin_power(matrix, degrees, -1, complete=True)
+def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> IntMatrix:
+    """Inverse of a transform: the closed form `mnukhin_power(-1)`, proved by
+    `_check_packed_inverse`; `complete=False` raises PosetError.  The
+    elimination `unitriangular_inverse` is the tests' oracle for it."""
+    closed = mnukhin_power(matrix, degrees, -1, complete)
     _check_packed_inverse(matrix, closed)
     return closed
 
@@ -400,25 +399,27 @@ def solve_upper_half(
 ) -> IntMatrix:
     """Rebuild the full transform of E(n) from rows of degree <= floor(C(n,2)/2).
 
-    Rows up to the cap are counted directly; every higher row is recovered from
-    the complement recursion
+    Rows up to the cap are those of `build_mtransform` on E(n, cap), whose
+    members are a prefix of E(n); every higher row is recovered from the
+    complement recursion
         e_ij = sum_{k<=j} (-1)^|g_k| e_jk (|Stab k| / |Stab j|) e_{comp(i),k}.
     Middle-degree rows may be withheld via extra_unknown and are then solved
     from their complement partners the same way.
     """
     n = ambient_n
+    if n != poset.ambient_n:
+        raise PreconditionError(f"ambient_n {n} is not the poset's ambient {poset.ambient_n}")
     nslots = n * (n - 1) // 2
     cap = nslots // 2 if known_degree_cap is None else known_degree_cap
     comp = complement_pairing(poset, n)
-    members = poset.members
-    size = len(members)
-    stab = [stab_order(m, n) for m in members]
+    size = len(poset)
+    stab = [stab_order(m, n) for m in poset.members]
     degs = poset.degrees()
     withheld = {poset.position(c) for c in extra_unknown}
-    rows: list[list[int] | None] = [None] * size
-    for i, m in enumerate(members):
-        if degs[i] <= cap and i not in withheld:
-            rows[i] = _subset_count_row(m, members)
+    known = build_mtransform(build_full_poset(n, cap))
+    rows: list[dict[int, int] | None] = [
+        known.row(i) if i < known.rows and i not in withheld else None for i in range(size)
+    ]
     for i in range(size):
         if rows[i] is not None:
             continue
@@ -427,27 +428,24 @@ def solve_upper_half(
             raise PosetError(
                 f"cannot solve row {i}: complement row of degree {degs[ci]} unknown"
             )
-        terms = [
-            (k, (stab[k] if degs[k] % 2 == 0 else -stab[k]) * e_ck)
-            for k, e_ck in enumerate(rows[ci])
-            if e_ck
-        ]
-        row: list[int] = []
+        terms = [(k, (stab[k] if degs[k] % 2 == 0 else -stab[k]) * e_ck) for k, e_ck in rows[ci].items()]
+        row: dict[int, int] = {}
         for j in range(i + 1):
-            row_j = rows[j] if j < i else row + [1]  # j == i: the prefix just solved, e_ii = 1
+            row_j = rows[j] if j < i else {**row, i: 1}  # j == i: the prefix just solved, e_ii = 1
             acc = 0
-            for k, w in terms:
+            for k, w in terms:  # in column order; row j has no entry past column j
                 if k > j:
                     break
-                acc += row_j[k] * w
+                acc += w * row_j.get(k, 0)
             q, r = divmod(acc, stab[j])
             if r:
                 raise PosetError(f"inconsistent partial data at entry ({i},{j})")
-            row.append(q)
-        if row[i] != 1:
-            raise PosetError(f"inconsistent partial data: diagonal at row {i} is {row[i]}")
-        rows[i] = row + [0] * (size - i - 1)
-    return IntMatrix.from_rows(rows)
+            if q:
+                row[j] = q
+        if row.get(i) != 1:
+            raise PosetError(f"inconsistent partial data: diagonal at row {i} is {row.get(i, 0)}")
+        rows[i] = row
+    return IntMatrix(rows, size)
 
 
 # ── minors, rank, block recursion, ordering search ───────────────────────

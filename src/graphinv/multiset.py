@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product as _product
 
 from .errors import CapError, PreconditionError
-from .mtransform import IntMatrix, unitriangular_inverse
+from .mtransform import IntMatrix, inverse_mtransform
 from .perm import PermGroup
 
 MEMBER_CAP = 100_000
@@ -139,13 +139,14 @@ def build_general_mtransform(p: MultisetPoset) -> IntMatrix:
 
 def express_orbit_sum(a, p: MultisetPoset) -> list:
     """Coefficients c with sum_k c_k I(m_k) identical to the orbit sum of a
-    on the whole grid {0..cap}^N; found by the triangular solve E c = values."""
+    on the whole grid {0..cap}^N; found as c = E^-1 values, E^-1 the
+    closed-form inverse, which holds on every orbit transform."""
     a = tuple(a)
     if max(a, default=0) > p.cap:
         raise CapError(f"exponent {max(a)} exceeds poset cap {p.cap}")
     if len(a) != p.group.n:
         raise PreconditionError("monomial length != number of positions")
-    inv = unitriangular_inverse(build_general_mtransform(p))
+    inv = inverse_mtransform(build_general_mtransform(p), p.degrees())
     values = [orbit_sum_value(a, m, p.group) for m in p.members]
     return [sum(x * values[j] for j, x in inv.row(i).items()) for i in range(inv.rows)]
 

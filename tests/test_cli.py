@@ -544,6 +544,35 @@ def test_oversized_work_refused_before_it_starts(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_rank_minor_refuses_bad_degrees_before_the_build(capsys, monkeypatch):
+    monkeypatch.setattr("graphinv.cli._transform_for", None)  # the transform must not be built
+    for delta, big_delta in (("-1", "1"), ("3", "2")):
+        code, out, err = run_cli(capsys, "rank-minor", "--n", "3", "--delta", delta, "--Delta", big_delta)
+        assert code == 2 and out == "" and err.startswith("error:") and "--delta" in err
+
+
+def _complete_edges(n: int) -> str:
+    return ",".join(f"{i}-{j}" for j in range(n) for i in range(j))
+
+
+_P5 = "0-1,1-2,2-3,3-4"
+
+
+def test_count_refuses_over_the_cap_before_counting(capsys, monkeypatch):
+    assert graph.COUNT_ENUMERATION_CAP == 10**6
+    code, out, _ = run_cli(capsys, "count", "--pattern", _P5, "--host", _complete_edges(8), "--oracle")
+    assert code == 0 and json.loads(out) == {"count": 3360}
+    monkeypatch.setattr(graph, "count_subgraphs", None)  # counting must not start
+    monkeypatch.setattr(graph, "count_subgraphs_injective", None)
+    # C(120, 4) = 8,214,570 edge subsets of K16
+    code, out, err = run_cli(capsys, "count", "--pattern", _P5, "--host", _complete_edges(16))
+    assert code == 2 and out == "" and err.startswith("error:") and "cap" in err
+    # 56 edge subsets, but P(16, 6) = 5,765,760 injections for the oracle
+    matching = ",".join(f"{2 * i}-{2 * i + 1}" for i in range(8))
+    code, out, err = run_cli(capsys, "count", "--pattern", "0-1,2-3,4-5", "--host", matching, "--oracle")
+    assert code == 2 and out == "" and "injections" in err
+
+
 def test_express_bad_fraction_exits_2(capsys):
     code, out, err = run_cli(capsys, "express", "--n", "3", "--values", "1,2,3,x")
     assert code == 2 and out == "" and err.startswith("error:")

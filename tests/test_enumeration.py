@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphinv import enumeration
 from graphinv.enumeration import (
     connected_counts,
     generator_lower_bound_report,
@@ -15,6 +16,9 @@ from graphinv.enumeration import (
     ulam_table_csv,
 )
 from graphinv.errors import CapError
+from graphinv.graph import count_subgraphs
+from graphinv.mtransform import IntMatrix, exact_rank
+from graphinv.poset import build_full_poset
 
 
 def test_cycle_index_n3_closed_form():
@@ -97,6 +101,24 @@ def test_ulam_minor_full_rank_small():
             minor = ulam_condition_check(v - 1, d, rank_support=v)["minor"]
             if minor["rows"]:
                 assert minor["full_row_rank"], (v, d)
+
+
+def _ulam_minor_by_counting(v: int, d: int) -> dict:
+    """The Ulam minor with every entry counted by `count_subgraphs`."""
+    members = build_full_poset(v).members
+    rows = [m for m in members if m.degree == d and m.cv == v]
+    cols = [m for m in members if m.degree == d - 1]
+    rank = exact_rank(IntMatrix.from_rows([[count_subgraphs(c, r) for c in cols] for r in rows]))
+    return {"v": v, "rows": len(rows), "cols": len(cols), "rank": rank, "full_row_rank": rank == len(rows)}
+
+
+def test_ulam_minor_matches_the_counting_oracle(monkeypatch):
+    cells = [(v, d) for v in range(1, 6) for d in range(v * (v - 1) // 2 + 2)]
+    want = {cell: _ulam_minor_by_counting(*cell) for cell in cells}
+    assert want[3, 4] == {"v": 3, "rows": 0, "cols": 1, "rank": 0, "full_row_rank": True}
+    monkeypatch.setattr(enumeration, "count_subgraphs", None, raising=False)  # the minor is the transform's
+    for v, d in cells:
+        assert ulam_condition_check(v - 1, d)["minor"] == want[v, d], (v, d)
 
 
 def test_connected_counts():

@@ -191,6 +191,8 @@ def test_mnukhin_requires_complete():
     e = _mtransform_by_subsets(p)
     with pytest.raises(PosetError):
         mnukhin_power(e, p.degrees(), -1, complete=p.complete)
+    with pytest.raises(PosetError):
+        inverse_mtransform(e, p.degrees(), p.complete)
 
 
 def test_inverse_cross_assertion(e4_poset, e4_matrix):
@@ -222,6 +224,33 @@ def test_complete_inverse_is_checked_without_elimination(monkeypatch, e4_poset, 
     monkeypatch.setattr(mtransform, "mnukhin_power", lambda *args, **kw: IntMatrix([{0: 1}, {0: 253}], 2))
     with pytest.raises(AssertionError):
         inverse_mtransform(IntMatrix.from_rows([[1, 0], [3, 1]]), (0, 1), complete=True)
+
+
+def test_solves_use_the_closed_form_not_elimination(monkeypatch, e5_poset):
+    from graphinv import multiset
+    from graphinv.algebra import LinComb, express_invariant
+    from graphinv.perm import symmetric_group
+
+    e5 = build_mtransform(e5_poset)
+    values = [Fraction(m.degree**2 - m.cv, m.aut_support) for m in e5_poset.members]
+    inv = unitriangular_inverse(e5)
+    want = LinComb.from_terms({
+        m: sum(x * values[j] for j, x in inv.row(i).items()) for i, m in enumerate(e5_poset.members)
+    })
+    p = multiset.build_multiset_poset(symmetric_group(3), 2)
+    a = (2, 1, 0)
+    orbit_values = [multiset.orbit_sum_value(a, m, p.group) for m in p.members]
+    inv = unitriangular_inverse(multiset.build_general_mtransform(p))
+    want_orbit = [sum(x * orbit_values[j] for j, x in inv.row(i).items()) for i in range(inv.rows)]
+
+    def no_elimination(matrix):
+        raise AssertionError("elimination ran in a production solve")
+
+    monkeypatch.setattr(mtransform, "unitriangular_inverse", no_elimination)
+    monkeypatch.setattr(multiset, "unitriangular_inverse", no_elimination, raising=False)
+    assert express_invariant(values, e5_poset, e5) == want
+    assert multiset.express_orbit_sum(a, p) == want_orbit
+    assert multiset.verify_orbit_sum_expression(a, p, want_orbit)
 
 
 def test_inverse_check_derives_its_field_width(e7):
@@ -277,12 +306,19 @@ def test_complement_pairing(e4_poset):
     assert complement_class(named_class("C4"), 4) == named_class("2K2")
 
 
-def test_solve_upper_half_matches_direct(e4_poset, e4_matrix):
+def test_solve_upper_half_matches_direct(monkeypatch, e4_poset, e4_matrix):
+    monkeypatch.setattr(mtransform, "subgraph_class_counts", None)  # the known rows are the cover recursion's
     assert solve_upper_half(e4_poset, 4) == e4_matrix
     e3p = build_full_poset(3)
     assert solve_upper_half(e3p, 3) == build_mtransform(e3p)
     e2p = build_full_poset(2)
     assert solve_upper_half(e2p, 2) == build_mtransform(e2p)
+
+
+def test_solve_upper_half_refuses_another_ambient(e4_poset):
+    # the rows of E(5, cap) are not a prefix of E(4)
+    with pytest.raises(PreconditionError, match="ambient"):
+        solve_upper_half(e4_poset, 5)
 
 
 def test_solve_upper_half_with_withheld_middle_row(e4_poset, e4_matrix):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from graphinv.errors import CapError, PreconditionError
-from graphinv.mtransform import IntMatrix, build_mtransform, mnukhin_power
+from graphinv.mtransform import IntMatrix, build_mtransform, mnukhin_power, unitriangular_inverse
 from graphinv.multiset import (
     _order_key,
     binomial_transform_coeffs,
@@ -112,6 +112,17 @@ def test_mnukhin_on_multilinear_posets():
     for k in (0, 1, 2, 3):
         assert mnukhin_power(e, degs, k) == e.power(k)
     assert mnukhin_power(e, degs, -1) @ e == IntMatrix.identity(7)
+
+
+def test_closed_form_inverse_on_orbit_transforms():
+    # E is the tensor Pascal matrix on orbit sums, so E^-1 = (-1)^(|w| - |m|) E off the multilinear case too
+    for positions in (2, 3, 4):
+        cycle = Permutation(tuple((i + 1) % positions for i in range(positions)))
+        groups = (trivial_group(positions), symmetric_group(positions), close_generators(positions, [cycle]))
+        for group, cap, include_empty in product(groups, (2, 3), (True, False)):
+            p = build_multiset_poset(group, cap, include_empty)
+            e = build_general_mtransform(p)
+            assert mnukhin_power(e, p.degrees(), -1) == unitriangular_inverse(e), (positions, cap, include_empty)
 
 
 def test_express_orbit_sum_multilinear_is_indicator():
