@@ -14,6 +14,7 @@ simple graphs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ from .perm import pair_slot
 from .poset import GPoset
 
 GENERAL_PRODUCT_SUPPORT_CAP = 10
+# copy lists kept by `_distinct_copies`; bounded because one list at m = 10
+# can hold about a million bitsets
+COPY_LISTS_MEMO_SIZE = 1 << 6
 
 
 def _as_coeff(x):
@@ -106,10 +110,12 @@ class ColoringClass:
 
 # ── placement enumeration (shared by the general product and cap checks) ──
 
-def _distinct_copies(cls: IsoClass, m: int) -> list[int]:
-    """All distinct edge bitsets isomorphic to cls inside K_m."""
+@functools.lru_cache(maxsize=COPY_LISTS_MEMO_SIZE)
+def _distinct_copies(cls: IsoClass, m: int) -> tuple[int, ...]:
+    """All distinct edge bitsets isomorphic to cls inside K_m, sorted; a
+    shared cached value, hence a tuple."""
     if cls.degree == 0:
-        return [0]
+        return (0,)
     verts = range(m)
     rep_edges = cls.rep().edge_list()
     seen: set[int] = set()
@@ -118,7 +124,7 @@ def _distinct_copies(cls: IsoClass, m: int) -> list[int]:
         for i, j in rep_edges:
             bits |= 1 << pair_slot(images[i], images[j])
         seen.add(bits)
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def union_class_distribution(a: IsoClass, b: IsoClass, m: int) -> Counter:

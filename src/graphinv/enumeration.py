@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapError
+from .errors import CapError, PreconditionError
 from .graph import IsoClass, canonicalize_bits
 from .mtransform import IntMatrix, build_mtransform, exact_rank, minor_by_degree
 from .perm import CycleType, symmetric_group, induced_pair_permutation
@@ -106,7 +106,9 @@ def _induced_pair_cycles(counts) -> Counter:
 
 def pair_group_cycle_index(n: int) -> CyclePolynomial:
     """Cycle index of S_n acting on the C(n,2) unordered vertex pairs."""
-    if n < 0 or n > CYCLE_INDEX_VERTEX_CAP:
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    if n > CYCLE_INDEX_VERTEX_CAP:
         raise CapError(f"cycle index capped at n <= {CYCLE_INDEX_VERTEX_CAP}")
     order = math.factorial(n)
     merged: dict = {}

@@ -115,9 +115,17 @@ EMPTY_CLASS = IsoClass(0, 0, 0, 1)
 # ── canonical-form machinery ─────────────────────────────────────────────
 #
 # The memos are functools caches on the functions that compute their values:
-# `_canon_from_packed` (keyed by the packed support), `support_automorphisms`
-# (by class) and `_class_counts` (by host bits and degree).  Read them with
-# `cache_info()`, clear them with `cache_clear()`.
+# `canonicalize_bits` (the front memo, keyed by the raw bitset, so a repeated
+# labeled edge set costs one lookup and no repacking), `_canon_from_packed`
+# (keyed by the packed support, behind it), `support_automorphisms` (by class)
+# and `_class_counts` (by host bits and degree).  The front memo and
+# `_class_counts` are bounded LRU caches, because their keys are labeled edge
+# sets, which seldom repeat across hosts; the other two are keyed by classes
+# or packed supports and stay unbounded.  Read them with `cache_info()`, clear
+# them with `cache_clear()`.
+
+CANON_MEMO_SIZE = 1 << 16  # raw bitsets kept by `canonicalize_bits`; about 150 B each, 10 MB at the bound
+CLASS_COUNTS_MEMO_SIZE = 1 << 12  # subset histograms kept by `_class_counts`
 
 _SLOT_PAIRS = tuple(pair_from_slot(s) for s in range(MAX_VERTICES * (MAX_VERTICES - 1) // 2))
 
@@ -299,6 +307,7 @@ def _canon_from_packed(cv: int, bits: int) -> IsoClass:
     return IsoClass(best, bits.bit_count(), cv, count)
 
 
+@functools.lru_cache(maxsize=CANON_MEMO_SIZE)
 def canonicalize_bits(bits: int) -> IsoClass:
     """Canonical class of an edge bitset (ambient vertex count is irrelevant)."""
     if bits == 0:
@@ -345,19 +354,33 @@ def permute_bits(bits: int, images) -> int:
 # ── subgraph counting ────────────────────────────────────────────────────
 
 def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Counter:
-    """Histogram of the isomorphism classes of all degree-edge subsets of host."""
+    """Histogram of the isomorphism classes of all degree-edge subsets of host.
+
+    Subsets whose support exceeds MAX_SUPPORT have no canonical form and are
+    left out: no class with a canonical form can be a copy of one.
+    """
     return _class_counts(host.bits, degree)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CLASS_COUNTS_MEMO_SIZE)
 def _class_counts(bits: int, degree: int) -> Counter:
-    hist: Counter = Counter()
     if degree == 0:
-        hist[EMPTY_CLASS] = 1
-        return hist
+        return Counter({EMPTY_CLASS: 1})
+    # tallied by canonical bits, whose hash runs in C; one IsoClass key per class
+    tally: dict[int, int] = {}
+    classes: dict[int, IsoClass] = {}
     for combo in combinations([1 << s for s in _bits_to_slots(bits)], degree):
-        hist[canonicalize_bits(sum(combo))] += 1
-    return hist
+        try:
+            cls = canonicalize_bits(sum(combo))
+        except CapError:
+            continue
+        key = cls.bits
+        if key in tally:
+            tally[key] += 1
+        else:
+            tally[key] = 1
+            classes[key] = cls
+    return Counter({classes[key]: k for key, k in tally.items()})
 
 
 def count_subgraphs(pattern: IsoClass, host: LabeledGraph | IsoClass) -> int:

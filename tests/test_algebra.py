@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from graphinv.algebra import (
     LinComb,
+    _distinct_copies,
     fleischmann_totals,
     general_product,
     is_general_identity,
@@ -221,3 +222,12 @@ def test_general_product_commutes(na, nb, rnd):
     a = canonicalize(random_labeled_graph(rnd, na))
     b = canonicalize(random_labeled_graph(rnd, nb))
     assert general_product(a, b) == general_product(b, a)
+
+
+def test_copy_lists_are_shared_tuples():
+    p3 = named_class("P3")
+    copies = _distinct_copies(p3, 5)
+    assert isinstance(copies, tuple) and copies is _distinct_copies(p3, 5)
+    assert _distinct_copies.cache_parameters()["maxsize"] is not None
+    assert list(copies) == sorted(set(copies)) and len(copies) == 5 * 4 * 3 // 2
+    assert all(canonicalize_bits(bits) == p3 for bits in copies)

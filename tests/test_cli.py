@@ -193,6 +193,18 @@ def test_ulam_check_cli(capsys):
     assert code == 0 and payload["inequality_holds"] is True
 
 
+def test_ulam_check_refuses_a_negative_n(capsys):
+    code, out, err = run_cli(capsys, "ulam-check", "--n", "-1", "--d", "0")
+    assert (code, out) == (2, "") and err == "error: n must be nonnegative\n"
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["count", "oracle"])
+def test_count_on_a_host_whose_subsets_exceed_the_support_cap(capsys, oracle):
+    host = "0-1,2-3,4-5,6-7,8-9,10-11,12-13,12-14,12-15,13-14,13-15,14-15"
+    code, out, err = run_cli(capsys, "count", "--pattern", "0-1,0-2,0-3,1-2,1-3,2-3", "--host", host, *oracle)
+    assert (code, err) == (0, "") and json.loads(out) == {"count": 1}
+
+
 def test_multiset_eval_cli(capsys):
     code, out, _ = run_cli(capsys, "multiset-eval", "--m", "1,2", "--w", "2,2", "--group", "sym")
     assert code == 0 and json.loads(out)["value"] == 4
@@ -384,6 +396,7 @@ def test_warm_commands_canonicalize_nothing(tmp_path, capsys):
     cached = ["--cache-dir", str(tmp_path)]
     cold = [run_cli(capsys, *argv, *cached) for argv in commands]
     for argv, reference in zip(commands, cold):
+        graph.canonicalize_bits.cache_clear()  # else the front memo answers what the cold run saw
         graph._canon_from_packed.cache_clear()
         assert run_cli(capsys, *argv, *cached) == reference
         assert graph._canon_from_packed.cache_info().misses == 0, argv

@@ -1,12 +1,13 @@
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphinv import graph
 from graphinv.errors import CapError, FormatError, PreconditionError
 from graphinv.graph import (
     EMPTY_CLASS,
@@ -14,6 +15,7 @@ from graphinv.graph import (
     _canon_pure,
     _pack_support,
     canonicalize,
+    canonicalize_bits,
     complement,
     connected_component_classes,
     count_subgraphs,
@@ -73,6 +75,29 @@ def test_canonicalize_matches_pure_route():
         assert (cls.bits, cls.aut_support) == (best, count)
 
 
+def test_front_memo_matches_pure_route_on_relabelings():
+    rng = random.Random(47)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        g = random_labeled_graph(rng, n, rng.choice((0.2, 0.4)))
+        if not 0 < g.cv <= 7:
+            continue
+        cv, packed = _pack_support(g.bits)
+        expected = _canon_pure(cv, packed)
+        for _ in range(4):
+            images = list(range(n))
+            rng.shuffle(images)
+            bits = permute_bits(g.bits, images)
+            canonicalize_bits(bits)  # the second call is answered by the memo
+            cls = canonicalize_bits(bits)
+            assert (cls.bits, cls.aut_support) == expected
+
+
+def test_labeled_memos_are_bounded():
+    for memo in (canonicalize_bits, graph._class_counts):
+        assert memo.cache_parameters()["maxsize"] is not None
+
+
 def test_canonicalize_constant_on_orbits():
     rng = random.Random(23)
     for _ in range(100):
@@ -124,6 +149,15 @@ def test_histogram_totals(e4_poset):
     hist = subgraph_class_counts(k4, 3)
     assert sum(hist.values()) == 20  # C(6,3) edge subsets
     assert hist[named_class("K3")] == 4
+
+
+def test_count_leaves_out_subsets_over_the_support_cap():
+    # six disjoint edges and a K4: the 6-edge subsets of the matching have support 12
+    host = parse_edge_list("0-1,2-3,4-5,6-7,8-9,10-11,12-13,12-14,12-15,13-14,13-15,14-15")
+    k4 = named_class("K4")
+    assert count_subgraphs(k4, host) == count_subgraphs_injective(k4, host) == 1
+    within_cap = sum(1 for combo in combinations(host.edge_list(), 6) if len({v for e in combo for v in e}) <= 10)
+    assert sum(subgraph_class_counts(host, 6).values()) == within_cap < math.comb(12, 6)
 
 
 def test_complement_examples():

@@ -5,6 +5,7 @@ caller or is a listed oracle."""
 import ast
 import importlib
 import pkgutil
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import graphinv
-from graphinv import enumeration, graph, poset
+from graphinv import algebra, enumeration, graph, poset
 from graphinv.smallgraphs import named_class
+from graphinv.util import random_labeled_graph
 
 
 def _undeclared_state(module) -> list[str]:
@@ -27,44 +29,95 @@ def _undeclared_state(module) -> list[str]:
     )
 
 
+def _package_modules():
+    return [
+        importlib.import_module(f"graphinv.{info.name}")
+        for info in pkgutil.iter_modules(graphinv.__path__)
+        if info.name != "__main__"
+    ]
+
+
 def test_no_undeclared_module_state():
     found = {}
-    for info in pkgutil.iter_modules(graphinv.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"graphinv.{info.name}")
+    for module in _package_modules():
         names = _undeclared_state(module)
         if names:
-            found[info.name] = names
+            found[module.__name__] = names
     assert found == {}
 
 
-_CACHES = (
-    graph._canon_from_packed,
-    graph.support_automorphisms,
-    graph._class_counts,
-    enumeration._edge_series,
-    enumeration.connected_classes_by_degree,
-)
+def _functools_caches() -> dict[str, object]:
+    """Every functools cache wrapper (an object with `cache_info` and
+    `cache_clear`) defined at module level in the package, by name; a name
+    imported from another module is counted where it is defined."""
+    found = [
+        (name, value)
+        for module in _package_modules()
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and hasattr(value, "cache_clear")
+        and getattr(value, "__module__", None) == module.__name__
+    ]
+    caches = dict(found)
+    assert len(caches) == len(found), "two modules define caches of the same name"
+    return caches
 
 
-@pytest.mark.parametrize("cache", _CACHES, ids=lambda c: c.__name__)
-def test_memos_are_clearable_caches(cache):
-    def work():
-        p4 = poset.build_full_poset(4)
-        return (
-            [graph.support_automorphisms(m) for m in p4.members],
-            graph.subgraph_class_counts(named_class("K4"), 3),
-            enumeration.graph_count_series(5),
-            enumeration.connected_classes_by_degree(3),
-        )
+_CACHES = _functools_caches()
 
-    before = work()
+
+def test_cache_registry_finds_the_known_memos():
+    assert {
+        "canonicalize_bits", "_canon_from_packed", "_class_counts", "support_automorphisms",
+        "_distinct_copies", "_edge_series", "connected_classes_by_degree",
+    } <= set(_CACHES)
+
+
+def _work():
+    p4 = poset.build_full_poset(4)
+    k2, p3 = named_class("K2"), named_class("P3")
+    return (
+        [graph.support_automorphisms(m) for m in p4.members],
+        graph.subgraph_class_counts(named_class("K4"), 3),
+        enumeration.graph_count_series(5),
+        enumeration.connected_classes_by_degree(3),
+        algebra.general_product(k2, p3),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_CACHES))
+def test_memos_are_clearable_caches(name):
+    cache = _CACHES[name]
+    before = _work()
     assert cache.cache_info().currsize > 0
     cache.cache_clear()
     assert cache.cache_info().currsize == 0
-    assert work() == before
+    assert _work() == before
     assert cache.cache_info().currsize > 0
+
+
+def _clear_every_cache():
+    for cache in _CACHES.values():
+        cache.cache_clear()
+
+
+def test_results_equal_cold_warm_and_after_clearing():
+    rng = random.Random(29)
+    hosts = [random_labeled_graph(rng, 7) for _ in range(6)]
+    patterns = [m for m in poset.build_full_poset(4).members if m.degree]
+    pairs = [(a, b) for a in patterns[:5] for b in patterns[:5]]
+
+    def queries():
+        return (
+            [graph.count_subgraphs(p, h) for p in patterns for h in hosts],
+            [algebra.union_class_distribution(a, b, a.cv + b.cv) for a, b in pairs],
+            [graph.connected_component_classes(h) for h in hosts],
+        )
+
+    _clear_every_cache()
+    cold = queries()
+    assert queries() == cold
+    _clear_every_cache()
+    assert queries() == cold
 
 
 def _listed_oracles() -> set[str]:
