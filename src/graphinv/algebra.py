@@ -32,6 +32,7 @@ from .graph import (
     permute_bits,
     stab_order,
     support_automorphisms,
+    tally_classes,
 )
 from .perm import pair_slot
 from .poset import GPoset
@@ -132,10 +133,7 @@ def union_class_distribution(a: IsoClass, b: IsoClass, m: int) -> Counter:
     if m < max(a.cv, b.cv):
         raise PreconditionError("ambient too small for the factors")
     a_bits = a.bits  # canonical rep already packed onto the lowest vertices
-    dist: Counter = Counter()
-    for d_bits in _distinct_copies(b, m):
-        dist[canonicalize_bits(a_bits | d_bits)] += 1
-    return dist
+    return tally_classes(canonicalize_bits(a_bits | d_bits) for d_bits in _distinct_copies(b, m))
 
 
 def union_classes(a: IsoClass, b: IsoClass, m: int) -> list[IsoClass]:

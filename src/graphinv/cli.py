@@ -262,6 +262,8 @@ def _cmd_express(args) -> int:
 def _cmd_separators(args) -> int:
     from . import generators, graph, poset
 
+    if not args.set:
+        generators.check_search_pool(args.n)
     p = poset.cached_poset(args.cache_dir, args.n)
     if args.set:
         invs = [graph.canonicalize(graph.parse_graph(tok)) for tok in args.set.split(",")]

@@ -53,6 +53,20 @@ def is_separator(invariants, poset: GPoset) -> SeparatorReport:
     return SeparatorReport(True, None)
 
 
+def check_search_pool(n: int) -> None:
+    """Refuse the default-pool separator search on E(n) without building E(n).
+
+    The pool, the connected members of E(n), contains that of every E(m) with
+    m <= n, so the first E(m) whose pool exceeds the cap settles the refusal:
+    E(5), with 30 connected members, under the cap of 20.  E(n) itself is left
+    to `minimal_separators`, whose caller builds it anyway.
+    """
+    for m in range(n):
+        pool = len(build_full_poset(m).connected_members())
+        if pool > SEARCH_POOL_CAP:
+            raise CapError(f"candidate pool of E({n}) exceeds cap {SEARCH_POOL_CAP}: E({m}) alone has {pool}")
+
+
 def minimal_separators(poset: GPoset, pool=None, max_size: int | None = None):
     """Exhaustive search by increasing cardinality over the candidate pool
     (connected members by default); returns (size, all separator subsets of

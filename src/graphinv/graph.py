@@ -366,21 +366,30 @@ def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Counter
 def _class_counts(bits: int, degree: int) -> Counter:
     if degree == 0:
         return Counter({EMPTY_CLASS: 1})
-    # tallied by canonical bits, whose hash runs in C; one IsoClass key per class
+
+    def classes():
+        for combo in combinations([1 << s for s in _bits_to_slots(bits)], degree):
+            try:
+                yield canonicalize_bits(sum(combo))
+            except CapError:
+                continue
+
+    return tally_classes(classes())
+
+
+def tally_classes(classes) -> Counter:
+    """Counter of an iterable of classes, tallied by canonical bits, whose hash
+    runs in C where the dataclass hash runs in Python; one IsoClass key per class."""
     tally: dict[int, int] = {}
-    classes: dict[int, IsoClass] = {}
-    for combo in combinations([1 << s for s in _bits_to_slots(bits)], degree):
-        try:
-            cls = canonicalize_bits(sum(combo))
-        except CapError:
-            continue
+    first: dict[int, IsoClass] = {}
+    for cls in classes:
         key = cls.bits
         if key in tally:
             tally[key] += 1
         else:
             tally[key] = 1
-            classes[key] = cls
-    return Counter({classes[key]: k for key, k in tally.items()})
+            first[key] = cls
+    return Counter({first[key]: k for key, k in tally.items()})
 
 
 def count_subgraphs(pattern: IsoClass, host: LabeledGraph | IsoClass) -> int:

@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING
 from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     IsoClass,
-    canonicalize,
-    complement,
+    canonicalize_bits,
     stab_order,
     subgraph_class_counts,
 )
@@ -150,33 +149,51 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
 def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     """c_gk by position: for each member g, {k: the one-edge deletions of g that land in k}.
 
-    They come from the other side of each cover: `one_edge_additions(k, n)`
-    gives a_kg, the non-edges of one labeled copy of k in K_n whose addition
-    makes g.  Counting the (labeled copy of g, edge) pairs both ways gives
-    c_gk * orb(g) = a_kg * orb(k), where orb(x) = n! / ((n - cv)! aut) counts
-    the labeled copies of x in K_n; a quotient that is not exact raises
-    AssertionError.  The additions are those `build_full_poset` made, so after
-    a build in the same process every one is a memo hit.  The c_gk of g must
-    sum to |g|: a deletion that lands outside the poset leaves the sum short
-    and raises PosetError, as does a member that does not fit in K_n.
+    Members of degree at most half = C(n, 2) // 2 take them from the other
+    side of each cover: `one_edge_additions(k, n)` gives a_kg, the non-edges
+    of one labeled copy of k in K_n whose addition makes g.  Counting the
+    (labeled copy of g, edge) pairs both ways gives c_gk * orb(g) = a_kg *
+    orb(k), where orb(x) = n! / ((n - cv)! aut) counts the labeled copies of x
+    in K_n; a quotient that is not exact raises AssertionError.  Only members
+    below half are extended, the additions `build_full_poset` made, so after a
+    build in the same process they are memo hits.
+
+    A member g above half takes them from its complement: deleting an edge of
+    g adds it to the complement, so c_gk = a_(comp g)(comp k) exactly.  The
+    complement map is built from the members at or below half, mostly the
+    searches the build made for the upper degrees; only one layer at the
+    middle degree is new, its additions when C(n, 2) is odd and its
+    complements when even.  A complement outside the poset, or a map that is
+    not a bijection, raises PosetError.
+
+    The c_gk of g must sum to |g|: a deletion that lands outside the poset
+    leaves the sum short and raises PosetError, as does a member that does
+    not fit in K_n.
     """
     members = poset.members
     n = poset.ambient_n
     if any(g.cv > n for g in members):
         raise PosetError(f"a member of the poset does not fit in K_{n}")
+    nslots = n * (n - 1) // 2
+    half = nslots // 2
     top = max((g.degree for g in members), default=0)
     ups: list[dict[int, int]] = [{} for _ in members]  # ups[g][k] = a_kg
     for pos, k in enumerate(members):
-        if k.degree == top:
+        if k.degree >= min(top, half):
             break
         for grown, weight in one_edge_additions(k, n):
             at = poset.index.get(grown.bits)  # None: the addition leaves the poset
             if at is not None:
                 ups[at][pos] = ups[at].get(pos, 0) + weight
+    comp = _complement_positions(poset, nslots - top, half) if top > half else {}
     orbits = [math.perm(n, g.cv) // g.aut_support for g in members]
     covers = []
-    for g, up, orbit in zip(members, ups, orbits):
-        down = {}
+    for pos, (g, up, orbit) in enumerate(zip(members, ups, orbits)):
+        down: dict[int, int] = {}
+        if g.degree > half:
+            for grown, weight in one_edge_additions(members[_lookup(comp, pos)], n):
+                k = _lookup(comp, poset.index.get(grown.bits))
+                down[k] = down.get(k, 0) + weight
         for k, a in up.items():
             c, rest = divmod(a * orbits[k], orbit)
             if rest:
@@ -186,6 +203,32 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
             raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
         covers.append(down)
     return covers
+
+
+def _complement_positions(poset: GPoset, low: int, high: int) -> dict[int, int]:
+    """The complement in K_n of each member of degree low..high, and back, by position."""
+    n = poset.ambient_n
+    full = (1 << (n * (n - 1) // 2)) - 1
+    comp: dict[int, int] = {}
+    for pos, x in enumerate(poset.members):
+        if x.degree > high:
+            break
+        if x.degree >= low:
+            y = canonicalize_bits(full ^ x.bits)
+            at = poset.index.get(y.bits)
+            if at is None:
+                raise PosetError(f"the complement of {x.graph6!r} is not a member of the poset")
+            if comp.setdefault(pos, at) != at or comp.setdefault(at, pos) != pos:
+                raise PosetError("complementation is not a bijection of the poset's members")
+    return comp
+
+
+def _lookup(comp: dict[int, int], pos: int | None) -> int:
+    """comp[pos], raising PosetError for a position outside the complement map."""
+    at = comp.get(pos)
+    if at is None:
+        raise PosetError("a complement in K_n is not a member of the poset")
+    return at
 
 
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> memoryview format
@@ -382,13 +425,12 @@ def complement_invariant_expansion(g: IsoClass, poset: GPoset, ambient_n: int) -
     return LinComb.from_terms(terms)
 
 
-def complement_class(cls: IsoClass, n: int) -> IsoClass:
-    return canonicalize(complement(cls.rep(n), n))
-
-
-def complement_pairing(poset: GPoset, n: int) -> list[int]:
-    """Position of the complement class of each member; raises if any is missing."""
-    return [poset.position(complement_class(m, n)) for m in poset.members]
+def complement_pairing(poset: GPoset) -> list[int]:
+    """Position of the complement class in K_n of each member, taken from the
+    members at or below the middle degree; raises PosetError if any is missing."""
+    n = poset.ambient_n
+    comp = _complement_positions(poset, 0, n * (n - 1) // 2 // 2)
+    return [_lookup(comp, pos) for pos in range(len(poset))]
 
 
 def solve_upper_half(
@@ -411,7 +453,7 @@ def solve_upper_half(
         raise PreconditionError(f"ambient_n {n} is not the poset's ambient {poset.ambient_n}")
     nslots = n * (n - 1) // 2
     cap = nslots // 2 if known_degree_cap is None else known_degree_cap
-    comp = complement_pairing(poset, n)
+    comp = complement_pairing(poset)
     size = len(poset)
     stab = [stab_order(m, n) for m in poset.members]
     degs = poset.degrees()

@@ -4,6 +4,10 @@ most n vertices with at most d edges, which is closed under edge deletion.
 Members are ordered by (degree, canonical bitset); the tie-break inside a
 degree class is a documented convention, so two independent builds always
 produce identical sequences and every transform built on top is reproducible.
+
+Complementation in K_n maps degree k to C(n, 2) - k, so only the lower half
+of the degrees is grown edge by edge; each member above the middle degree is
+the complement of one below it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .graph import (
     IsoClass,
     _canon_from_packed,
     _support_mask,
+    canonicalize_bits,
     is_connected_class,
 )
 
@@ -64,7 +69,15 @@ class GPoset:
 
 
 def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
-    """All classes with cv <= n and degree <= max_degree, by incremental edge extension."""
+    """All classes with cv <= n and degree <= max_degree.
+
+    Degrees up to half = C(n, 2) // 2 are grown by `one_edge_additions`, one
+    canonical search per addition.  Each degree k above half is taken whole
+    from degree C(n, 2) - k <= half: complementation in K_n is a bijection of
+    the classes, so the complements of its members are exactly the members of
+    degree k, one search each.  A complement may leave vertices isolated, so it
+    goes through `canonicalize_bits`, which repacks the support.
+    """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     if n > FULL_POSET_VERTEX_CAP:
@@ -72,14 +85,16 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     if max_degree is not None and max_degree < 0:
         raise PreconditionError("max_degree must be nonnegative")
     max_degree = _degree_bound(n, max_degree)
-    classes = {EMPTY_CLASS}
-    current = {EMPTY_CLASS}
-    for _d in range(max_degree):
-        current = {grown for cls in current for grown, _w in one_edge_additions(cls, n)}
-        classes |= current
-        if not current:
-            break
-    members = tuple(sorted(classes, key=lambda c: c.sort_key))
+    nslots = n * (n - 1) // 2
+    levels = [{0: EMPTY_CLASS}]  # levels[k]: the members of degree k, by canonical bits
+    for _k in range(min(max_degree, nslots // 2)):
+        levels.append(
+            {grown.bits: grown for cls in levels[-1].values() for grown, _w in one_edge_additions(cls, n)}
+        )
+    full = (1 << nslots) - 1
+    for k in range(len(levels), max_degree + 1):
+        levels.append({c.bits: c for c in (canonicalize_bits(full ^ bits) for bits in levels[nslots - k])})
+    members = tuple(level[bits] for level in levels for bits in sorted(level))
     index = {m.bits: pos for pos, m in enumerate(members)}
     return GPoset(members, n, max_degree, True, index)
 

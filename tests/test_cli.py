@@ -108,6 +108,30 @@ def test_separators_search(capsys):
     assert [named_class("K2").graph6] in payload["separators"]
 
 
+def test_separators_search_refuses_before_building_the_poset(capsys, monkeypatch):
+    from graphinv import generators
+
+    real = poset.build_full_poset
+
+    def small_only(n, max_degree=None):
+        if n >= 6:
+            raise AssertionError(f"E({n}) must not be built")
+        return real(n, max_degree)
+
+    monkeypatch.setattr(poset, "build_full_poset", small_only)
+    monkeypatch.setattr(generators, "build_full_poset", small_only)
+    code, out, err = run_cli(capsys, "separators", "--n", "8")
+    assert (code, out) == (2, "") and err.startswith("error: candidate pool of E(8) exceeds cap 20")
+    code, out, _ = run_cli(capsys, "separators", "--n", "4")
+    assert code == 0 and json.loads(out) == {
+        "minimum_size": 3,
+        "n": 4,
+        "separators": [["A_", "Bo", "Bw"], ["A_", "Bo", "Cs"]],
+    }
+    code, _, err = run_cli(capsys, "separators", "--n", "5")
+    assert code == 2 and err.startswith("error: candidate pool 30 exceeds cap 20")
+
+
 def test_separators_set_check(capsys):
     k2 = named_class("K2").graph6
     code, out, _ = run_cli(capsys, "separators", "--n", "4", "--set", k2)

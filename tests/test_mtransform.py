@@ -18,7 +18,7 @@ from graphinv.mtransform import (
     build_mtransform,
     cached_mtransform,
     check_transform_rows,
-    complement_class,
+    complement_pairing,
     complement_invariant_expansion,
     exact_rank,
     find_orderings_matching,
@@ -104,7 +104,7 @@ def _deleted_covers(poset):
     return covers
 
 
-@pytest.mark.parametrize("n, max_degree", [(7, None), (8, 6)])
+@pytest.mark.parametrize("n, max_degree", [(5, None), (6, None), (7, None), (8, 6)])
 def test_cover_counts_from_additions_equal_counted_deletions(n, max_degree):
     p = build_full_poset(n, max_degree)
     assert _cover_counts(p) == _deleted_covers(p)
@@ -116,6 +116,34 @@ def test_transform_after_the_poset_build_canonicalizes_nothing():
     misses = graph._canon_from_packed.cache_info().misses
     build_mtransform(p)
     assert graph._canon_from_packed.cache_info().misses == misses
+
+
+def test_full_transform_searches_the_crossing_layer_once():
+    # the upper half's covers come from its complements' additions: only the
+    # additions of degree-10 members of E(7), which reach degree 11, are new
+    graph._canon_from_packed.cache_clear()
+    graph.canonicalize_bits.cache_clear()
+    build_mtransform(build_full_poset(7))
+    assert graph._canon_from_packed.cache_info().misses < 6_000
+
+
+def _missing(p, name):
+    """p without the member `name`, still claiming p's degree bound."""
+    members = tuple(m for m in p.members if m != named_class(name))
+    return GPoset(members, p.ambient_n, p.max_degree, True, {m.bits: pos for pos, m in enumerate(members)})
+
+
+def test_cover_counts_refuse_a_missing_complement(e4_poset):
+    # C4 is the complement of 2K2 in K_4, which stays; C4's own covers are then
+    # missing too, but the complement map refuses first
+    with pytest.raises(PosetError, match="complement of"):
+        _cover_counts(_missing(e4_poset, "C4"))
+
+
+def test_cover_counts_refuse_a_complement_map_that_is_not_a_bijection(monkeypatch, e3_poset):
+    monkeypatch.setattr(mtransform, "canonicalize_bits", lambda bits: named_class("K3"))
+    with pytest.raises(PosetError, match="bijection"):
+        _cover_counts(e3_poset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,9 +329,16 @@ def test_complement_expansion_missing_class():
 
 
 def test_complement_pairing(e4_poset):
-    assert complement_class(named_class("K3"), 4) == named_class("K1,3")
-    assert complement_class(named_class("P4"), 4) == named_class("P4")
-    assert complement_class(named_class("C4"), 4) == named_class("2K2")
+    comp = complement_pairing(e4_poset)
+    for a, b in (("K3", "K1,3"), ("P4", "P4"), ("C4", "2K2"), ("empty", "K4")):
+        assert comp[e4_poset.position(named_class(a))] == e4_poset.position(named_class(b))
+    assert [comp[c] for c in comp] == list(range(len(e4_poset)))
+    for n in range(7):
+        p = build_full_poset(n)
+        full = (1 << n * (n - 1) // 2) - 1
+        assert [p.members[c] for c in complement_pairing(p)] == [canonicalize_bits(full ^ m.bits) for m in p.members]
+    with pytest.raises(PosetError):
+        complement_pairing(build_full_poset(4, 5))
 
 
 def test_solve_upper_half_matches_direct(monkeypatch, e4_poset, e4_matrix):

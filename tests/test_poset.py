@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from graphinv import graph
 from graphinv.enumeration import graph_count
 from graphinv.errors import PosetError
 from graphinv.graph import EMPTY_CLASS, canonicalize_bits
@@ -52,6 +53,45 @@ def test_addition_weights_count_the_non_edges_in_k_n():
             additions = list(one_edge_additions(k, n))
             assert sum(w for _grown, w in additions) == n * (n - 1) // 2 - k.degree, (n, k)
             assert all(grown in p and grown.degree == k.degree + 1 for grown, _w in additions)
+
+
+def _grown_through_every_degree(n):
+    """E(n) grown one edge at a time through all C(n, 2) degrees, without complements."""
+    levels = [{0: EMPTY_CLASS}]
+    for _k in range(n * (n - 1) // 2):
+        levels.append({g.bits: g for c in levels[-1].values() for g, _w in one_edge_additions(c, n)})
+    members = [m for level in levels for m in sorted(level.values(), key=lambda c: c.sort_key)]
+    return [(m.bits, m.degree, m.cv, m.aut_support) for m in members]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_complemented_upper_half_equals_growth_through_every_degree(n):
+    grown = _grown_through_every_degree(n)
+    for d in range(n * (n - 1) // 2 + 1):
+        p = build_full_poset(n, d)
+        assert [(m.bits, m.degree, m.cv, m.aut_support) for m in p.members] == [r for r in grown if r[1] <= d]
+        assert p.max_degree == d and p.index == {m.bits: pos for pos, m in enumerate(p.members)}
+
+
+@pytest.fixture(scope="module")
+def e8_poset():
+    return build_full_poset(8)
+
+
+def test_built_posets_pass_the_sidecar_orbit_count(e8_poset):
+    # an independent check that the complements give exactly all of E(n)
+    for p in [build_full_poset(n) for n in range(8)] + [e8_poset]:
+        again = poset_from_sidecar(poset_sidecar(p), p.ambient_n)
+        assert again.members == p.members
+
+
+def test_cold_build_searches_only_the_lower_half():
+    # growing all 21 degrees of E(7) makes 8,852 searches; the lower half and one
+    # search per complemented member make 4,645
+    graph._canon_from_packed.cache_clear()
+    graph.canonicalize_bits.cache_clear()
+    build_full_poset(7)
+    assert graph._canon_from_packed.cache_info().misses <= 4_700
 
 
 def test_build_determinism():
