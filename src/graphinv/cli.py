@@ -262,10 +262,10 @@ def _cmd_express(args) -> int:
 def _cmd_separators(args) -> int:
     from . import generators, graph, poset
 
-    if not args.set:
+    if args.set is None:
         generators.check_search_pool(args.n)
     p = poset.cached_poset(args.cache_dir, args.n)
-    if args.set:
+    if args.set is not None:
         invs = [graph.canonicalize(graph.parse_graph(tok)) for tok in args.set.split(",")]
         rep = generators.is_separator(invs, p)
         out = {

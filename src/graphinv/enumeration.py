@@ -190,6 +190,8 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
 
     if n + 1 > GRAPH_COUNT_VERTEX_CAP:
         raise CapError(f"counting check capped at n <= {GRAPH_COUNT_VERTEX_CAP - 1}")
+    if rank_support is not None and rank_support < 0:
+        raise PreconditionError("rank_support must be nonnegative")
     lhs = graph_count(n + 1, d) - graph_count(n + 1, d - 1)
     rhs = graph_count(n, d)
     report = {

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import CapError, PosetError, PreconditionError
 from .graph import (
@@ -23,7 +23,7 @@ from .graph import (
     is_connected_class,
     MAX_SUPPORT,
 )
-from .mtransform import build_mtransform, exact_rank, inverse_mtransform, minor_by_degree
+from .mtransform import IntMatrix, build_mtransform, exact_rank, exact_solve, inverse_mtransform, minor_by_degree
 from .poset import GPoset, build_full_poset
 
 SEARCH_POOL_CAP = 20
@@ -71,6 +71,8 @@ def minimal_separators(poset: GPoset, pool=None, max_size: int | None = None):
     """Exhaustive search by increasing cardinality over the candidate pool
     (connected members by default); returns (size, all separator subsets of
     that size), or (None, ()) if nothing up to max_size separates."""
+    if max_size is not None and max_size < 0:
+        raise PreconditionError("max_size must be nonnegative")
     candidates = tuple(pool) if pool is not None else poset.connected_members()
     if len(candidates) > SEARCH_POOL_CAP:
         raise CapError(f"candidate pool {len(candidates)} exceeds cap {SEARCH_POOL_CAP}")
@@ -234,32 +236,32 @@ def signed_degree_sum(d: int) -> int:
 
 def half_degree_system_check(n: int) -> dict:
     """Past half degree, degree-(d+1) invariant values are solvable from degree-d
-    values through the edge-multiplication identity; checks exact solvability
-    (full column rank) and the recovered values, member by member."""
-    if n > 5:
-        raise CapError("half-degree system check capped at n <= 5")
+    values through the edge-multiplication identity: for each member g the
+    system sum_k e_ki x_k = (|g| - d) e_gi, k of degree d+1, i of degree d.
+    `exact_rank` proves full column rank, so the solution is unique and g's
+    values are recovered iff they solve it, checked with no solve as the block
+    identity sum_k e_gk e_ki = (|g| - d) e_gi over the members of degree > d.
+    Capped at n <= 7 before any build."""
+    if n > 7:
+        raise CapError("half-degree system check capped at n <= 7")
     poset = build_full_poset(n)
     e = build_mtransform(poset)
     degs = poset.degrees()
     nslots = n * (n - 1) // 2
-    half = nslots // 2
     steps = []
     ok = True
-    for d in range(half, nslots):
-        eq_idx = [i for i, dd in enumerate(degs) if dd == d]
-        unk_idx = [k for k, dd in enumerate(degs) if dd == d + 1]
-        if not unk_idx:
+    for d in range(nslots // 2, nslots):
+        minor = minor_by_degree(e, degs, d, d + 1)  # row k, column i: the system transposed
+        if not minor.rows:
             continue
-        rank = exact_rank(minor_by_degree(e, degs, d, d + 1))  # the transpose of m_rows
-        m_rows = [[e.entry(k, i) for k in unk_idx] for i in eq_idx]
-        full = rank == len(unk_idx)
-        # with full column rank the solution is unique, so it must be the row itself
+        rank = exact_rank(minor)
+        full = rank == minor.rows
         recovered_ok = full and all(
-            _solve(m_rows, [(host.degree - d) * e.entry(pos, i) for i in eq_idx])
-            == [e.entry(pos, k) for k in unk_idx]
-            for pos, host in enumerate(poset.members)
+            (minor_by_degree(e, degs, d + 1, big) @ minor).nonzeros
+            == tuple({i: (big - d) * x for i, x in row.items()} for row in minor_by_degree(e, degs, d, big).nonzeros)
+            for big in range(d + 1, nslots + 1)
         )
-        steps.append({"degree": d, "unknowns": len(unk_idx), "rank": rank, "full_rank": full,
+        steps.append({"degree": d, "unknowns": minor.rows, "rank": rank, "full_rank": full,
                       "recovered": recovered_ok})
         ok = ok and full and recovered_ok
     return {"n": n, "ok": ok, "steps": steps}
@@ -296,48 +298,14 @@ def derive_relation_in_basis(target: IsoClass, basis, poset: GPoset, max_powers)
     """Express the target invariant as a polynomial in the basis invariants,
     exactly on every poset member.  max_powers bounds the exponent of each
     basis invariant; returns {monomial-exponents: coefficient} or None."""
-    from itertools import product as _prod
-
-    monos = list(_prod(*[range(p + 1) for p in max_powers]))
-    rows = []
-    rhs = []
-    for host in poset.members:
-        base_vals = [count_subgraphs(b, host) for b in basis]
-        rows.append(
-            [math.prod(v**e for v, e in zip(base_vals, exps)) for exps in monos]
-        )
-        rhs.append(count_subgraphs(target, host))
-    sol = _solve(rows, rhs)
+    basis = list(basis)
+    if len(max_powers) != len(basis) or any(p < 0 for p in max_powers):
+        raise PreconditionError("need one nonnegative exponent bound per basis invariant")
+    monos = list(product(*[range(p + 1) for p in max_powers]))
+    vals = [[count_subgraphs(b, host) for b in basis] for host in poset.members]
+    rows = [[math.prod(v**e for v, e in zip(vs, exps)) for exps in monos] for vs in vals]
+    rhs = [count_subgraphs(target, host) for host in poset.members]
+    sol = exact_solve(IntMatrix.from_rows(rows), rhs)
     if sol is None:
         return None
     return {exps: c for exps, c in zip(monos, sol) if c}
-
-
-def _solve(m_rows, rhs):
-    """An exact solution of a linear system by Gauss-Jordan elimination over the
-    rationals (free unknowns set to zero), or None when it is inconsistent."""
-    nr = len(m_rows)
-    nc = len(m_rows[0]) if nr else 0
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m_rows, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(nr):
-            if r != rank and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nr):
-        if a[r][nc]:
-            return None
-    sol = [Fraction(0)] * nc
-    for r, col in enumerate(pivots):
-        sol[col] = a[r][nc]
-    return sol

@@ -1,9 +1,10 @@
 """Exact integer transform matrices over posets: closed-form powers and inverse,
-complement identities, half-matrix reconstruction, minors, exact rank.
+complement identities, half-matrix reconstruction, minors, exact rank and solve.
 
 All arithmetic is exact.  Rationals appear only inside complement-expansion
-coefficients and must clear to integers on evaluation; rank uses fraction-free
-elimination so no floating point ever enters.
+coefficients, which must clear to integers on evaluation, and in the values a
+solve returns; rank and solve share one fraction-free elimination, so no
+floating point ever enters.
 """
 
 from __future__ import annotations
@@ -490,7 +491,7 @@ def solve_upper_half(
     return IntMatrix(rows, size)
 
 
-# ── minors, rank, block recursion, ordering search ───────────────────────
+# ── minors, rank and solve, block recursion, ordering search ─────────────
 
 def minor_by_degree(matrix: IntMatrix, degrees, delta: int, big_delta: int) -> IntMatrix:
     """Rows of degree big_delta against columns of degree delta."""
@@ -503,12 +504,40 @@ def minor_by_degree(matrix: IntMatrix, degrees, delta: int, big_delta: int) -> I
 
 
 def exact_rank(matrix: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination on the
-    sparse rows: a zero stays zero when a row is only rescaled."""
-    a = [dict(matrix.row(i)) for i in range(matrix.rows)]
-    rank = 0
+    """Rank over the rationals, by `_eliminate` on a copy of the sparse rows."""
+    return len(_eliminate([dict(matrix.row(i)) for i in range(matrix.rows)], matrix.cols))
+
+
+def exact_solve(matrix: IntMatrix, rhs) -> list[Fraction] | None:
+    """A solution x of matrix @ x = rhs, or None when the system is inconsistent.
+
+    `_eliminate` runs on the augmented rows, pivoting on the real columns
+    only, so a zero row left with a right-hand side is inconsistent.  The free
+    unknowns are 0, as in Gauss-Jordan elimination; back substitution makes
+    only the solution values Fractions."""
+    if len(rhs) != matrix.rows:
+        raise PreconditionError(f"{len(rhs)} right-hand sides for {matrix.rows} rows")
+    n = matrix.cols
+    a = [{**matrix.row(i), n: b} if b else dict(matrix.row(i)) for i, b in enumerate(rhs)]
+    pivots = _eliminate(a, n)
+    if any(a[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * n
+    for row, col in reversed(list(zip(a, pivots))):
+        sol[col] = Fraction(row.get(n, 0) - sum(v * sol[c] for c, v in row.items() if col < c < n)) / row[col]
+    return sol
+
+
+def _eliminate(a: list[dict[int, int]], cols: int) -> list[int]:
+    """Fraction-free (Bareiss) elimination of sparse rows in place, pivoting on
+    columns 0 .. cols - 1; returns the pivot columns, the leftmost independent
+    ones.  Row r < len(pivots) then starts at pivots[r], and the rows below
+    are zero on those columns.  Entries are minors of the input, so each division
+    by the previous pivot is exact, and a zero stays zero when only rescaled."""
+    pivots: list[int] = []
     prev = 1
-    for col in range(matrix.cols):
+    for col in range(cols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(a)) if col in a[r]), None)
         if pivot is None:
             continue
@@ -525,10 +554,10 @@ def exact_rank(matrix: IntMatrix) -> int:
                         new[c] = new.get(c, 0) - f * v
             a[r] = {c: v // prev for c, v in new.items() if v}
         prev = p
-        rank += 1
-        if rank == len(a):
+        pivots.append(col)
+        if len(pivots) == len(a):
             break
-    return rank
+    return pivots
 
 
 def _check_subset_minor_size(n_vars: int, delta: int, big_delta: int) -> None:

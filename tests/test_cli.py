@@ -140,6 +140,17 @@ def test_separators_set_check(capsys):
     assert set(payload["witness"]) == {named_class("2K2").graph6, named_class("P3").graph6}
 
 
+def test_separators_refuse_a_negative_max_size(capsys):
+    code, out, err = run_cli(capsys, "separators", "--n", "4", "--max-size", "-1")
+    assert (code, out) == (2, "") and err == "error: max_size must be nonnegative\n"
+
+
+def test_separators_check_an_empty_set_as_given(capsys):
+    # an empty token is the empty graph, as in "0-1,", which never separates
+    code, out, _ = run_cli(capsys, "separators", "--n", "4", "--set", "")
+    assert code == 0 and json.loads(out) == {"is_separator": False, "n": 4, "set": ["?"], "witness": ["?", "A_"]}
+
+
 def test_inseparable_cli(capsys):
     code, out, _ = run_cli(capsys, "inseparable", "--d", "1")
     assert code == 0
@@ -220,6 +231,11 @@ def test_ulam_check_cli(capsys):
 def test_ulam_check_refuses_a_negative_n(capsys):
     code, out, err = run_cli(capsys, "ulam-check", "--n", "-1", "--d", "0")
     assert (code, out) == (2, "") and err == "error: n must be nonnegative\n"
+
+
+def test_ulam_check_refuses_a_negative_rank_support(capsys):
+    code, out, err = run_cli(capsys, "ulam-check", "--n", "3", "--d", "2", "--rank-support", "-1")
+    assert (code, out) == (2, "") and err == "error: rank_support must be nonnegative\n"
 
 
 @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["count", "oracle"])

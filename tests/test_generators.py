@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from graphinv.errors import PreconditionError
+from graphinv import generators
+from graphinv.errors import CapError, PreconditionError
 from graphinv.generators import (
     derive_relation_in_basis,
     half_degree_system_check,
@@ -23,6 +24,7 @@ from graphinv.graph import (
     count_subgraphs,
     disjoint_union,
 )
+from graphinv.mtransform import IntMatrix, build_mtransform
 from graphinv.poset import build_full_poset
 from graphinv.smallgraphs import class_name, named_class
 
@@ -173,6 +175,36 @@ def test_half_degree_system():
             assert step["full_rank"] and step["recovered"]
 
 
+def test_half_degree_system_through_e7():
+    for n, count in ((6, 8), (7, 11)):
+        report = half_degree_system_check(n)
+        assert report["ok"] and len(report["steps"]) == count
+        assert all(step["full_rank"] and step["recovered"] for step in report["steps"])
+
+
+def test_half_degree_system_refuses_n8_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a poset was built before the refusal")
+
+    monkeypatch.setattr(generators, "build_full_poset", no_build)
+    with pytest.raises(CapError):
+        half_degree_system_check(8)
+
+
+def test_half_degree_system_catches_a_corrupted_entry(monkeypatch, e4_poset):
+    # the degree-5 row (diamond) counts one more C4 than it has: step 3 reads it as a
+    # recovered value, step 4 in its minor, which keeps rank 1
+    diamond, c4 = e4_poset.position(named_class("diamond")), e4_poset.position(named_class("C4"))
+    e = build_mtransform(e4_poset)
+    rows = [dict(e.row(i)) for i in range(e.rows)]
+    rows[diamond][c4] += 1
+    monkeypatch.setattr(generators, "build_mtransform", lambda poset: IntMatrix(rows, e.cols))
+    report = half_degree_system_check(4)
+    bad = [step for step in report["steps"] if not step["recovered"]]
+    assert not report["ok"] and [step["degree"] for step in bad] == [3, 4]
+    assert all(step["full_rank"] for step in report["steps"])
+
+
 def test_verify_relation_examples(e3_poset):
     k2, p3, k3 = named_class("K2"), named_class("P3"), named_class("K3")
     half = Fraction(1, 2)
@@ -202,6 +234,15 @@ def test_derive_relation_matches_direct_solution(e3_poset):
         g1 = count_subgraphs(named_class("K2"), host)
         value = sum(c * g1**e[0] for e, c in sol.items())
         assert value == count_subgraphs(named_class("P3"), host)
+
+
+def test_derive_relation_needs_one_bound_per_basis_invariant(e4_poset):
+    k2, p3, two_k2 = named_class("K2"), named_class("P3"), named_class("2K2")
+    for bounds in ((6,), (6, 2, 1), (6, -1)):
+        with pytest.raises(PreconditionError):
+            derive_relation_in_basis(two_k2, [k2, p3], e4_poset, bounds)
+    half = Fraction(1, 2)
+    assert derive_relation_in_basis(two_k2, [k2, p3], e4_poset, (6, 2)) == {(2, 0): half, (1, 0): -half, (0, 1): -1}
 
 
 def test_separators_e4_against_networkx(e4_poset):

@@ -21,6 +21,7 @@ from graphinv.mtransform import (
     complement_pairing,
     complement_invariant_expansion,
     exact_rank,
+    exact_solve,
     find_orderings_matching,
     minor_by_degree,
     mnukhin_power,
@@ -393,11 +394,15 @@ def test_minor_requires_order():
         minor_by_degree(IntMatrix.identity(2), (0, 1), 1, 0)
 
 
-def _rank_oracle(rows):
-    # independent route: straightforward Gaussian elimination over Fractions
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
+def _fraction_gauss_jordan(rows, rhs=None):
+    """Independent route: Gauss-Jordan elimination over Fractions.  Returns the
+    rank and the solution with free unknowns 0, or None for an inconsistent system."""
+    width = len(rows[0]) if rows else 0
+    rhs = [0] * len(rows) if rhs is None else rhs
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             continue
@@ -407,8 +412,14 @@ def _rank_oracle(rows):
             if r != rank and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    rank = len(pivots)
+    if any(a[r][width] for r in range(rank, len(a))):
+        return rank, None
+    sol = [Fraction(0)] * width
+    for r, col in enumerate(pivots):
+        sol[col] = a[r][width]
+    return rank, sol
 
 
 def test_exact_rank_against_fraction_oracle():
@@ -417,11 +428,63 @@ def test_exact_rank_against_fraction_oracle():
         rows = [[rng.randint(-4, 4) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 5))]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        assert exact_rank(IntMatrix.from_rows(rows)) == _rank_oracle(rows)
+        assert exact_rank(IntMatrix.from_rows(rows)) == _fraction_gauss_jordan(rows)[0]
     for _ in range(100):  # mostly zeros, as in the transform minors
         width = rng.randint(1, 8)
         rows = [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(width)] for _ in range(rng.randint(1, 8))]
-        assert exact_rank(IntMatrix.from_rows(rows)) == _rank_oracle(rows)
+        assert exact_rank(IntMatrix.from_rows(rows)) == _fraction_gauss_jordan(rows)[0]
+
+
+def test_exact_solve_against_fraction_oracle():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(300):
+        height, width = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 0, 1, 2, -1, 3)) for _ in range(width)] for _ in range(height)]
+        if rng.random() < 0.5:  # consistent: the image of a known vector
+            x = [rng.randint(-3, 3) for _ in range(width)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(height)]
+        rank, expected = _fraction_gauss_jordan(rows, rhs)
+        got = exact_solve(IntMatrix.from_rows(rows), rhs)
+        assert got == expected
+        if got is not None:
+            assert all(sum(a * v for a, v in zip(row, got)) == b for row, b in zip(rows, rhs))
+            assert all(type(v) is Fraction for v in got)
+        seen["inconsistent" if got is None else "full rank" if rank == width else "rank-deficient"] += 1
+    assert min(seen[k] for k in ("full rank", "rank-deficient", "inconsistent")) >= 20, seen
+
+
+def test_exact_solve_small_cases():
+    # free unknowns are 0: x + y = 2 is solved on the leftmost column
+    assert exact_solve(IntMatrix.from_rows([[1, 1], [2, 2]]), [2, 4]) == [2, 0]
+    assert exact_solve(IntMatrix.from_rows([[0, 1, 1]]), [3]) == [0, 3, 0]
+    assert exact_solve(IntMatrix.from_rows([[1, 1], [2, 2]]), [1, 3]) is None
+    assert exact_solve(IntMatrix.from_rows([[0, 0]]), [1]) is None
+    assert exact_solve(IntMatrix.from_rows([[2, 0], [0, 3]]), [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert exact_solve(IntMatrix.from_rows([]), []) == [] == _fraction_gauss_jordan([], [])[1]
+    with pytest.raises(PreconditionError):
+        exact_solve(IntMatrix.identity(2), [1])
+
+
+def test_derived_relations_equal_the_fraction_oracle():
+    # the seven relations of selftest check 09, on E(4) in the basis K2, P3, K1,3
+    from itertools import product
+
+    from graphinv import generators
+
+    p = build_full_poset(4)
+    basis = [named_class(x) for x in ("K2", "P3", "K1,3")]
+    monos = list(product(range(7), range(3), range(2)))
+    vals = [[count_subgraphs(b, host) for b in basis] for host in p.members]
+    rows = [[v[0] ** i * v[1] ** j * v[2] ** k for i, j, k in monos] for v in vals]
+    for name in ("2K2", "P4", "K3", "C4", "paw", "diamond", "K4"):
+        target = named_class(name)
+        _rank, sol = _fraction_gauss_jordan(rows, [count_subgraphs(target, host) for host in p.members])
+        assert sol is not None
+        expected = {exps: c for exps, c in zip(monos, sol) if c}
+        assert generators.derive_relation_in_basis(target, basis, p, (6, 2, 1)) == expected
 
 
 def test_block_recursion_bases():
@@ -481,6 +544,8 @@ def test_the_compute_path_never_densifies(monkeypatch, tmp_path):
     assert all(degree_sum_identity_check(g, 2, p4, e4)["holds"] for g in p4.members)
     inseparable_pair(3)
     assert half_degree_system_check(4)["ok"]
+    known = [Fraction(i % 3) for i in range(len(p6))]
+    assert exact_solve(e6, [sum(x * known[j] for j, x in e6.row(i).items()) for i in range(e6.rows)]) == known
     for _pass in ("built", "loaded"):
         assert _transform_for(6, None, str(tmp_path))[1] == e6
     for m in (e6, inv, e4, *minors, mnukhin_power(e6, degs, 0), e6 @ inv):
