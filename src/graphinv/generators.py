@@ -23,11 +23,12 @@ from .graph import (
     is_connected_class,
     MAX_SUPPORT,
 )
-from .mtransform import IntMatrix, build_mtransform, exact_rank, exact_solve, inverse_mtransform, minor_by_degree
+from .mtransform import IntMatrix, build_mtransform, exact_rank, exact_solve, inverse_mtransform, minor_by_degree, transform_columns
 from .poset import GPoset, build_full_poset
 
 SEARCH_POOL_CAP = 20
 RECONSTRUCT_SUBSET_CAP = 100_000  # host edge subsets counted: K6 has 2^15 - 1, K7 2^21 - 1
+RELATION_POWER_CAP = 256  # total power of one monomial; the paper's relations reach K2^7
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,11 @@ class SeparatorReport:
         assert (self.witness is None) == self.is_separator
 
 
-def invariant_vectors(invariants, poset: GPoset) -> list[tuple[int, ...]]:
-    return [tuple(count_subgraphs(inv, m) for inv in invariants) for m in poset.members]
-
-
 def is_separator(invariants, poset: GPoset) -> SeparatorReport:
-    """Separator iff every member's value vector is distinct; first collision wins."""
+    """Separator iff every member's value vector, read from the transform
+    columns, is distinct; the first collision in member order wins."""
     seen: dict[tuple[int, ...], IsoClass] = {}
-    for member, vec in zip(poset.members, invariant_vectors(invariants, poset)):
+    for member, vec in zip(poset.members, transform_columns(poset, invariants)):
         if vec in seen:
             return SeparatorReport(False, (seen[vec], member))
         seen[vec] = member
@@ -70,18 +68,20 @@ def check_search_pool(n: int) -> None:
 def minimal_separators(poset: GPoset, pool=None, max_size: int | None = None):
     """Exhaustive search by increasing cardinality over the candidate pool
     (connected members by default); returns (size, all separator subsets of
-    that size), or (None, ()) if nothing up to max_size separates."""
+    that size), or (None, ()) if nothing up to max_size separates.  The pool's
+    transform columns are read once and every subset is tested on them."""
     if max_size is not None and max_size < 0:
         raise PreconditionError("max_size must be nonnegative")
     candidates = tuple(pool) if pool is not None else poset.connected_members()
     if len(candidates) > SEARCH_POOL_CAP:
         raise CapError(f"candidate pool {len(candidates)} exceeds cap {SEARCH_POOL_CAP}")
     top = len(candidates) if max_size is None else min(max_size, len(candidates))
+    values = transform_columns(poset, candidates)
     for size in range(top + 1):
         found = [
             subset
-            for subset in combinations(candidates, size)
-            if is_separator(subset, poset).is_separator
+            for subset, cols in zip(combinations(candidates, size), combinations(range(len(candidates)), size))
+            if len({tuple(vec[c] for c in cols) for vec in values}) == len(values)
         ]
         if found:
             return size, tuple(found)
@@ -269,26 +269,20 @@ def half_degree_system_check(n: int) -> dict:
 
 # ── polynomial relations between invariants ──────────────────────────────
 
-def evaluate_relation_at(terms, value_of) -> Fraction:
-    """terms: iterable of (coeff, {IsoClass: power}); value_of maps class -> int."""
-    total = Fraction(0)
-    for coeff, mono in terms:
-        prod = Fraction(coeff)
-        for cls, power in mono.items():
-            prod *= Fraction(value_of(cls)) ** power
-        total += prod
-    return total
-
-
 def verify_relation(terms, poset: GPoset) -> dict:
     """Evaluate a polynomial-in-invariants identity (terms sum to zero) at every
-    poset member; reports the first violating host."""
+    poset member, on its classes' transform columns; reports the first violating
+    host.  A monomial of total power over RELATION_POWER_CAP is refused first."""
     for _coeff, mono in terms:
+        if sum(mono.values()) > RELATION_POWER_CAP:
+            raise CapError(f"monomial of total power {sum(mono.values())}, over the cap of {RELATION_POWER_CAP}")
         for cls in mono:
             if cls not in poset:
                 raise PosetError(f"unknown invariant {cls.graph6!r}")
-    for host in poset.members:
-        val = evaluate_relation_at(terms, lambda cls: count_subgraphs(cls, host))
+    classes = list(dict.fromkeys(cls for _coeff, mono in terms for cls in mono))
+    for host, vals in zip(poset.members, transform_columns(poset, classes)):
+        value = dict(zip(classes, vals))
+        val = sum(Fraction(coeff) * math.prod(value[cls] ** power for cls, power in mono.items()) for coeff, mono in terms)
         if val != 0:
             return {"holds": False, "first_violation": host, "value": val}
     return {"holds": True, "first_violation": None, "value": 0}
@@ -302,9 +296,9 @@ def derive_relation_in_basis(target: IsoClass, basis, poset: GPoset, max_powers)
     if len(max_powers) != len(basis) or any(p < 0 for p in max_powers):
         raise PreconditionError("need one nonnegative exponent bound per basis invariant")
     monos = list(product(*[range(p + 1) for p in max_powers]))
-    vals = [[count_subgraphs(b, host) for b in basis] for host in poset.members]
-    rows = [[math.prod(v**e for v, e in zip(vs, exps)) for exps in monos] for vs in vals]
-    rhs = [count_subgraphs(target, host) for host in poset.members]
+    vals = transform_columns(poset, [*basis, target])
+    rows = [[math.prod(v**e for v, e in zip(vs, exps)) for exps in monos] for *vs, _ in vals]
+    rhs = [vs[-1] for vs in vals]
     sol = exact_solve(IntMatrix.from_rows(rows), rhs)
     if sol is None:
         return None

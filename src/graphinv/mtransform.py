@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 SUBSET_MINOR_CAP = 10**6  # C(N, Delta) * C(N, delta) entries of a subset minor
 TRANSFORM_MEMBER_CAP = 2_000  # members of a built transform: |E(7)| = 1,044, |E(8)| = 12,346
+COVER_COUNTS_MEMO_SIZE = 8  # posets whose cover counts `_poset_covers` keeps, the posets with them
 
 
 @dataclass(frozen=True)
@@ -105,46 +106,80 @@ class IntMatrix:
 
 
 def build_mtransform(poset: GPoset) -> IntMatrix:
-    """The transform: entry (i, j) = number of copies of member j inside member i.
+    """The transform, entry (i, j) = copies of member j in member i: `_packed_columns`
+    on every column, decoded once; `_mtransform_by_subsets` is its oracle."""
+    members = poset.members
+    if len(members) > TRANSFORM_MEMBER_CAP:
+        raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
+    rows, width = _packed_columns(poset, range(len(members)))
+    return IntMatrix(_unpack_rows(rows, width), len(members))
+
+
+def transform_columns(poset: GPoset, invariants) -> list[tuple[int, ...]]:
+    """The values of the invariants on every member, one tuple per member:
+    entry t for member g is e_gj, j = invariants[t], by `_packed_columns` on
+    these columns alone, so no member cap applies.  A class that is not a
+    member reads as the zero column: the poset is an E(n, d), so it has more
+    than n vertices or d edges and is a copy inside no member."""
+    at = [poset.index.get(inv.bits) for inv in invariants]
+    positions = sorted(set(at) - {None})
+    rows, width = _packed_columns(poset, positions)
+    field = {pos: width * t for t, pos in enumerate(positions)}
+    mask = (1 << width) - 1
+    cols = [[row >> field[pos] & mask for row in rows] if pos in field else [0] * len(rows) for pos in at]
+    return list(zip(*cols)) if cols else [()] * len(rows)
+
+
+def _packed_columns(poset: GPoset, positions) -> tuple[list[int], int]:
+    """(rows, width): the transform's rows in member order on the columns at the
+    ascending member positions `positions`, field t of row g holding e_gj, j = positions[t].
 
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
         (|g| - |g_j|) * e_gj = sum_k c_gk * e_kj,
     where c_gk counts the one-edge deletions of g that land in member k, taken
-    from `_cover_counts` with no canonical search of their own.  The poset is
+    from `_poset_covers` with no canonical search of their own.  The poset is
     an E(n, d), closed under edge deletion, so each k is an earlier member
-    whose row is already built.  `_mtransform_by_subsets` is the
-    subset-counting oracle.
+    whose row is already built; the columns j it reads are only its own.
 
-    The arithmetic runs on packed rows: row g is one int with a field of
-    `width` bits per column, so the sum over k is a few big-integer
-    multiply-adds, and each degree block of columns (contiguous, as members
-    sort by degree) is divided by |g| - delta in one divmod.  Every entry is
-    at most C(D, D // 2) < 2^bits, D the top degree, and g has |g| <= D
-    deletions, so a summed field stays under D * 2^bits <= 2^width and no
-    carry crosses fields.  `_exact_field_quotient` proves each field divided
-    exactly.  The rows are decoded into sparse dict rows once, at the end.
+    The sum over k is a few big-integer multiply-adds, and each degree block
+    of fields (contiguous, as members sort by degree) is divided by
+    |g| - delta in one divmod.  Every entry is at most C(D, D // 2) < 2^bits,
+    D the top degree, and g has |g| <= D deletions, so a summed field stays
+    under D * 2^bits <= 2^width and no carry crosses fields.
+    `_exact_field_quotient` proves each field divided exactly.
     """
     members = poset.members
-    if len(members) > TRANSFORM_MEMBER_CAP:
-        raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
-    top = max((g.degree for g in members), default=0)
+    top = members[-1].degree if members else 0
     bits = math.comb(top, top // 2).bit_length()
     # top <= C(8, 2) = 28 under the poset vertex cap, so bits + 5 <= 31 fits 32-bit fields
     width = next(w for w in _FIELD_CODES if w >= bits + top.bit_length())
-    high = _high_bits(width, bits, len(members))
-    blocks = [(d, idx[0], (1 << (width * len(idx))) - 1) for d, idx in sorted(poset.by_degree().items())]
-    rows: list[int] = []  # packed rows in member order
-    for pos, (g, down) in enumerate(zip(members, _cover_counts(poset))):
-        acc = sum(c * rows[k] for k, c in down.items())
-        row = 1 << (width * pos)
-        for d, start, mask in blocks:
+    field = {pos: t for t, pos in enumerate(positions)}
+    degrees = [members[pos].degree for pos in positions]
+    starts = [t for t, d in enumerate(degrees) if not t or d != degrees[t - 1]]
+    blocks = [(degrees[a], width * a, (1 << (width * (b - a))) - 1) for a, b in zip(starts, starts[1:] + [len(degrees)])]
+    high = _high_bits(width, bits, len(degrees))
+    lowest = degrees[0] if degrees else top  # a row of degree <= lowest is at most its diagonal
+    rows: list[int] = []
+    for pos, (g, down) in enumerate(zip(members, _poset_covers(poset))):
+        t = field.get(pos)
+        row = 0 if t is None else 1 << (width * t)
+        acc = 0
+        if g.degree > lowest:
+            for k, c in down.items():
+                acc += c * rows[k]
+        for d, shift, mask in blocks if acc else ():  # a zero sum leaves the diagonal alone
             if d >= g.degree:
                 break
-            shift = width * start
             row |= _exact_field_quotient((acc >> shift) & mask, g.degree - d, high) << shift
         rows.append(row)
-    return IntMatrix(_unpack_rows(rows, width), len(members))
+    return rows, width
+
+
+@functools.lru_cache(maxsize=COVER_COUNTS_MEMO_SIZE)
+def _poset_covers(poset: GPoset) -> tuple[dict[int, int], ...]:
+    """`_cover_counts`, memoized by poset; the dicts are shared, not to be mutated."""
+    return tuple(_cover_counts(poset))
 
 
 def _cover_counts(poset: GPoset) -> list[dict[int, int]]:

@@ -270,6 +270,56 @@ def test_verify_relation_cli(capsys):
     assert code == 0 and json.loads(out)["holds"] is True
 
 
+def test_verify_relation_refuses_a_monomial_power_over_the_cap(capsys, monkeypatch):
+    from graphinv import generators
+
+    k2 = named_class("K2").graph6
+    monkeypatch.setattr(generators, "transform_columns", None)  # no member may be evaluated
+
+    def relation(power):
+        return json.dumps({"terms": [{"coeff": 1, "monomial": {k2: power}}, {"coeff": -1, "monomial": {k2: power}}]})
+
+    code, out, err = run_cli(capsys, "verify-relation", "--n", "4", "--relation", relation(4_000_000))
+    assert (code, out) == (2, "") and err == (
+        f"error: monomial of total power 4000000, over the cap of {generators.RELATION_POWER_CAP}\n"
+    )
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "verify-relation", "--n", "4", "--relation", relation(generators.RELATION_POWER_CAP))
+    assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_separators_and_relations_read_transform_columns_not_subgraph_counts(capsys, monkeypatch):
+    import graphinv
+    from graphinv import selftest
+
+    k2, p3, k3 = (named_class(name).graph6 for name in ("K2", "P3", "K3"))
+    relations = [
+        {"terms": [{"coeff": 1, "monomial": {p3: 1}}, {"coeff": "-1/2", "monomial": {k2: 2}},
+                   {"coeff": "1/2", "monomial": {k2: 1}}]},
+        {"terms": [{"coeff": 1, "monomial": {k3: 1}}, {"coeff": "-1/6", "monomial": {k2: 3}},
+                   {"coeff": "1/2", "monomial": {k2: 2}}, {"coeff": -1, "monomial": {k2: 1}}]},
+    ]
+    commands = [["separators", "--n", "4"], ["separators", "--n", "4", "--set", "A_,Bo,Cs"]]
+    commands += [["verify-relation", "--n", "3", "--relation", json.dumps(r)] for r in relations]
+
+    def outputs():
+        runs = [run_cli(capsys, *argv) for argv in commands]
+        return runs, [(r.ok, r.detail) for r in map(selftest.run_one, ("09", "10"))]
+
+    before = outputs()
+    assert all(code == 0 for code, _, _ in before[0]) and all(ok for ok, _ in before[1])
+    assert json.loads(before[0][3][1])["holds"] is False  # the printed triangle relation
+
+    def refuse(pattern, host):
+        raise AssertionError("count_subgraphs called")
+
+    counted = graph.count_subgraphs
+    for module in [getattr(graphinv, name) for name in dir(graphinv)]:
+        if getattr(module, "count_subgraphs", None) is counted:
+            monkeypatch.setattr(module, "count_subgraphs", refuse)
+    assert outputs() == before
+
+
 def test_precondition_violations_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "--pattern", "A_", "--host", "notagraph6~~~")
     assert code == 2 and "error:" in err

@@ -227,6 +227,15 @@ def test_verify_relation_unknown_invariant(e3_poset):
         verify_relation([(1, {named_class("K4"): 1})], e3_poset)
 
 
+def test_verify_relation_caps_the_power_of_a_monomial(e3_poset):
+    k2, p3 = named_class("K2"), named_class("P3")
+    cap = generators.RELATION_POWER_CAP
+    assert cap >= 9  # the syzygy reaches K2^7, the selftest bases K2^6 P3^2 K1,3
+    with pytest.raises(CapError):
+        verify_relation([(1, {k2: cap - 1, p3: 2}), (-1, {k2: cap - 1, p3: 2})], e3_poset)
+    assert verify_relation([(1, {k2: cap - 1, p3: 1}), (-1, {k2: cap - 1, p3: 1})], e3_poset)["holds"]
+
+
 def test_derive_relation_matches_direct_solution(e3_poset):
     sol = derive_relation_in_basis(named_class("P3"), [named_class("K2")], e3_poset, (3,))
     # evaluates to (g^2 - g)/2 on every member even if expressed differently

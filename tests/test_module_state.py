@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import graphinv
-from graphinv import algebra, enumeration, graph, poset
+from graphinv import algebra, enumeration, generators, graph, poset
 from graphinv.smallgraphs import named_class
 from graphinv.util import random_labeled_graph
 
@@ -68,7 +68,7 @@ _CACHES = _functools_caches()
 def test_cache_registry_finds_the_known_memos():
     assert {
         "canonicalize_bits", "_canon_from_packed", "_class_counts", "support_automorphisms",
-        "_distinct_copies", "_edge_series", "connected_classes_by_degree",
+        "_distinct_copies", "_edge_series", "connected_classes_by_degree", "_poset_covers",
     } <= set(_CACHES)
 
 
@@ -81,6 +81,7 @@ def _work():
         enumeration.graph_count_series(5),
         enumeration.connected_classes_by_degree(3),
         algebra.general_product(k2, p3),
+        generators.is_separator([k2, p3], p4),
     )
 
 

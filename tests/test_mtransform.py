@@ -29,6 +29,7 @@ from graphinv.mtransform import (
     solve_upper_half,
     subset_inclusion_minor,
     subset_minor_blocks,
+    transform_columns,
     unitriangular_inverse,
 )
 from graphinv.poset import (
@@ -58,7 +59,30 @@ def test_unitriangular(e3_poset, e4_poset, e5_poset):
 
 def test_cover_recursion_matches_subset_oracle_on_full_posets():
     for p in [build_full_poset(n) for n in range(2, 7)] + [build_full_poset(7, max_degree=7)]:
-        assert build_mtransform(p) == _mtransform_by_subsets(p)
+        e = build_mtransform(p)
+        assert e == _mtransform_by_subsets(p)
+        assert transform_columns(p, p.members) == [tuple(row) for row in e.data]
+
+
+def test_transform_columns_answer_over_the_member_cap():
+    p = build_full_poset(8, 11)  # 2,481 members
+    assert len(p) > mtransform.TRANSFORM_MEMBER_CAP
+    with pytest.raises(CapError):
+        build_mtransform(p)
+    invariants = [named_class(name) for name in ("K2", "P3", "K3")]
+    values = transform_columns(p, invariants)
+    assert [v[0] for v in values] == [m.degree for m in p.members]  # the K2 column counts edges
+    for i in random.Random(811).sample(range(len(p)), 12):
+        assert values[i] == tuple(count_subgraphs_injective(c, p.members[i]) for c in invariants)
+
+
+def test_transform_columns_read_a_class_outside_the_poset_as_zeros(e3_poset):
+    k2, k4, p4 = named_class("K2"), named_class("K4"), named_class("P4")
+    assert [v[1] for v in transform_columns(e3_poset, [k2, k4])] == [0] * len(e3_poset)  # K4 has 4 vertices
+    p = build_full_poset(4, 2)
+    assert [v[0] for v in transform_columns(p, [p4, k2])] == [0] * len(p)  # P4 has 3 edges
+    assert transform_columns(p, [k2, k2]) == [(v, v) for v in (m.degree for m in p.members)]
+    assert transform_columns(p, []) == [()] * len(p)
 
 
 def _not_down_closed(names, n, max_degree, complete):
