@@ -319,7 +319,7 @@ def express_invariant(values, poset: GPoset, matrix) -> LinComb:
     if len(values) != n:
         raise PreconditionError(f"expected {n} values, got {len(values)}")
     vals = [Fraction(v) for v in values]
-    inv = inverse_mtransform(matrix, poset.degrees(), poset.complete)
+    inv = inverse_mtransform(matrix, poset.degrees())
     return LinComb.from_terms({
         m: sum((x * vals[j] for j, x in inv.row(i).items()), Fraction(0))
         for i, m in enumerate(poset.members)
@@ -331,8 +331,6 @@ def degree_sum_identity_check(g_i: IsoClass, big_d: int, poset: GPoset, matrix) 
     I(g_i) * sum of all degree-D invariants; D = 1 is the edge-multiplication
     special case.  Unions past the ambient's C(n, 2) edges cannot occur, so
     every member of a full E(n) can be checked."""
-    if not poset.complete:
-        raise PosetError("identity check requires a subgraph-closed poset")
     if _realizable_degree(big_d + g_i.degree, poset) > poset.max_degree:
         raise PosetError(
             f"poset degree cap {poset.max_degree} below D+|g_i| = {big_d + g_i.degree}"

@@ -163,7 +163,7 @@ def _cmd_invert(args) -> int:
     from . import mtransform
 
     p, m = _transform_for(args.n, args.max_degree, args.cache_dir)
-    inv = mtransform.inverse_mtransform(m, p.degrees(), complete=p.complete)
+    inv = mtransform.inverse_mtransform(m, p.degrees())
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
         sys.stdout.write(_matrix_csv(inv, labels, labels))
@@ -376,13 +376,11 @@ def _cmd_rank_minor(args) -> int:
 
 
 def _cmd_ulam_table(args) -> int:
-    from .util import cached_ulam_table
+    from .util import cached_ulam_table, ulam_table_csv
 
     table = cached_ulam_table(args.cache_dir, args.max_n, args.max_d)
     if args.format == "csv":
-        from .enumeration import ulam_table_csv
-
-        sys.stdout.write(ulam_table_csv(args.max_n, args.max_d, table))
+        sys.stdout.write(ulam_table_csv(table, args.max_n, args.max_d))
     else:
         _emit({"cells": [{"d": d, "n": n, "value": v} for (d, n), v in table.items()]}, args.format)
     return 0

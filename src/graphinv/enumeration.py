@@ -10,8 +10,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import CapError, PreconditionError
 from .graph import IsoClass, canonicalize_bits
@@ -29,7 +31,6 @@ class CyclePolynomial:
     """A rational combination of monomials in the cycle variables s_1..s_K,
     keyed by sparse ((k, exponent), ...) tuples."""
 
-    n: int
     terms: tuple
 
     def substitute_edge_series(self, trunc: int) -> list[int]:
@@ -118,7 +119,7 @@ def pair_group_cycle_index(n: int) -> CyclePolynomial:
         mono = tuple(sorted((k, e) for k, e in induced.items() if e))
         merged[mono] = merged.get(mono, Fraction(0)) + Fraction(size, order)
     ordered = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
-    return CyclePolynomial(n, ordered)
+    return CyclePolynomial(ordered)
 
 
 def pair_cycle_index_bruteforce(n: int) -> CyclePolynomial:
@@ -131,29 +132,29 @@ def pair_cycle_index_bruteforce(n: int) -> CyclePolynomial:
         q = induced_pair_permutation(p)
         mono = tuple(sorted((k, e) for k, e in enumerate(q.cycle_type().counts, start=1) if e))
         merged[mono] = merged.get(mono, Fraction(0)) + Fraction(1, group.order)
-    return CyclePolynomial(n, tuple(sorted(merged.items(), key=lambda kv: kv[0])))
+    return CyclePolynomial(tuple(sorted(merged.items(), key=lambda kv: kv[0])))
 
 
 # ── counts and tables ────────────────────────────────────────────────────
 
 def graph_count_series(n: int, trunc: int | None = None) -> list[int]:
     """h_n(0..trunc): unlabeled graphs on n vertices by edge count."""
-    if n > GRAPH_COUNT_VERTEX_CAP:
-        raise CapError(f"graph counts capped at n <= {GRAPH_COUNT_VERTEX_CAP}")
-    nslots = n * (n - 1) // 2
-    return _edge_series(n, nslots if trunc is None else min(trunc, nslots))
+    series = _edge_series(n)
+    return list(series if trunc is None else series[: max(trunc + 1, 0)])
 
 
 @functools.cache
-def _edge_series(n: int, trunc: int) -> list[int]:
-    return pair_group_cycle_index(n).substitute_edge_series(trunc)
+def _edge_series(n: int) -> tuple[int, ...]:
+    """h_n(0..C(n, 2)), one series per n."""
+    if n > GRAPH_COUNT_VERTEX_CAP:
+        raise CapError(f"graph counts capped at n <= {GRAPH_COUNT_VERTEX_CAP}")
+    return tuple(pair_group_cycle_index(n).substitute_edge_series(n * (n - 1) // 2))
 
 
 def graph_count(n: int, d: int) -> int:
     """h_n(d): number of unlabeled simple graphs with n vertices and d edges."""
-    if d < 0 or d > n * (n - 1) // 2:
-        return 0
-    return graph_count_series(n, d)[d]
+    series = _edge_series(n)
+    return series[d] if 0 <= d < len(series) else 0
 
 
 def ulam_difference_entry(n: int, d: int) -> int:
@@ -165,20 +166,6 @@ def ulam_difference_table(max_n: int = 12, max_d: int = 12) -> dict:
     from .util import ulam_cell_keys  # importing the layer loads no file-cache code
 
     return {(d, n): ulam_difference_entry(n, d) for d, n in ulam_cell_keys(max_n, max_d)}
-
-
-def ulam_table_csv(max_n: int = 12, max_d: int = 12, table: dict | None = None) -> str:
-    """The difference table as CSV, from `ulam_difference_table(max_n, max_d)`
-    when the caller does not already hold it."""
-    if table is None:
-        table = ulam_difference_table(max_n, max_d)
-    lines = ["d," + ",".join(str(n) for n in range(4, max_n + 1))]
-    for d in range(2, max_d + 1):
-        row = [str(d)]
-        for n in range(4, max_n + 1):
-            row.append(str(table[(d, n)]) if (d, n) in table else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dict:
@@ -225,21 +212,22 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
 # ── connected counts ─────────────────────────────────────────────────────
 
 @functools.cache
-def connected_classes_by_degree(max_degree: int) -> dict[int, list[IsoClass]]:
-    """Connected classes grouped by edge count, grown one edge at a time: the
-    additions of `poset.one_edge_additions` to a class on cv vertices placed in
-    K_(cv+1), which join two support vertices or a support vertex to one fresh
-    vertex (adding an edge to a connected graph never disconnects it)."""
+def connected_classes_by_degree(max_degree: int) -> Mapping[int, tuple[IsoClass, ...]]:
+    """Connected classes grouped by edge count (a read-only mapping of tuples),
+    grown one edge at a time: the additions of `poset.one_edge_additions` to a
+    class on cv vertices placed in K_(cv+1), which join two support vertices or
+    a support vertex to one fresh vertex (adding an edge to a connected graph
+    never disconnects it)."""
     if max_degree > CONNECTED_DEGREE_CAP:
         raise CapError(f"connected enumeration capped at degree {CONNECTED_DEGREE_CAP}")
-    levels: dict[int, list[IsoClass]] = {}
+    levels: dict[int, tuple[IsoClass, ...]] = {}
     if max_degree >= 1:
         current = {canonicalize_bits(1)}
-        levels[1] = list(current)
+        levels[1] = tuple(current)
         for d in range(2, max_degree + 1):
             current = {grown for cls in current for grown, _w in one_edge_additions(cls, cls.cv + 1)}
-            levels[d] = sorted(current, key=lambda c: c.sort_key)
-    return levels
+            levels[d] = tuple(sorted(current, key=lambda c: c.sort_key))
+    return MappingProxyType(levels)
 
 
 def connected_counts(max_degree: int) -> tuple[list[int], list[int]]:

@@ -1,7 +1,7 @@
 """Separator analysis, component reconstruction, inseparable pairs, relation checks.
 
 A set of invariants separates a poset when the value vectors of the members
-are pairwise distinct; for simple graphs this is also the complete test for
+are pairwise distinct; for simple graphs this is also exactly the test for
 generation, so the search below reports separators and nothing weaker.
 """
 
@@ -33,11 +33,13 @@ RELATION_POWER_CAP = 256  # total power of one monomial; the paper's relations r
 
 @dataclass(frozen=True)
 class SeparatorReport:
-    is_separator: bool
+    """The first two members with equal value vectors, or None for a separator."""
+
     witness: tuple[IsoClass, IsoClass] | None
 
-    def __post_init__(self) -> None:
-        assert (self.witness is None) == self.is_separator
+    @property
+    def is_separator(self) -> bool:
+        return self.witness is None
 
 
 def is_separator(invariants, poset: GPoset) -> SeparatorReport:
@@ -46,9 +48,9 @@ def is_separator(invariants, poset: GPoset) -> SeparatorReport:
     seen: dict[tuple[int, ...], IsoClass] = {}
     for member, vec in zip(poset.members, transform_columns(poset, invariants)):
         if vec in seen:
-            return SeparatorReport(False, (seen[vec], member))
+            return SeparatorReport((seen[vec], member))
         seen[vec] = member
-    return SeparatorReport(True, None)
+    return SeparatorReport(None)
 
 
 def check_search_pool(n: int) -> None:
@@ -65,14 +67,14 @@ def check_search_pool(n: int) -> None:
             raise CapError(f"candidate pool of E({n}) exceeds cap {SEARCH_POOL_CAP}: E({m}) alone has {pool}")
 
 
-def minimal_separators(poset: GPoset, pool=None, max_size: int | None = None):
-    """Exhaustive search by increasing cardinality over the candidate pool
-    (connected members by default); returns (size, all separator subsets of
-    that size), or (None, ()) if nothing up to max_size separates.  The pool's
-    transform columns are read once and every subset is tested on them."""
+def minimal_separators(poset: GPoset, max_size: int | None = None):
+    """Exhaustive search by increasing cardinality over the candidate pool, the
+    connected members; returns (size, all separator subsets of that size), or
+    (None, ()) if nothing up to max_size separates.  The pool's transform
+    columns are read once and every subset is tested on them."""
     if max_size is not None and max_size < 0:
         raise PreconditionError("max_size must be nonnegative")
-    candidates = tuple(pool) if pool is not None else poset.connected_members()
+    candidates = poset.connected_members()
     if len(candidates) > SEARCH_POOL_CAP:
         raise CapError(f"candidate pool {len(candidates)} exceeds cap {SEARCH_POOL_CAP}")
     top = len(candidates) if max_size is None else min(max_size, len(candidates))
@@ -177,7 +179,7 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
         if generator.degree != d + 1 or not is_connected_class(generator):
             raise PreconditionError("generator override must be connected of degree d+1")
     e = build_mtransform(poset)
-    inv = inverse_mtransform(e, poset.degrees(), complete=poset.complete)
+    inv = inverse_mtransform(e, poset.degrees())
     coeffs = [0] * len(poset)
     for i, g in enumerate(poset.members):
         value = count_subgraphs(g, generator)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from .errors import CapError, FormatError, PreconditionError
 from .perm import pair_from_slot, pair_slot
@@ -353,8 +355,9 @@ def permute_bits(bits: int, images) -> int:
 
 # ── subgraph counting ────────────────────────────────────────────────────
 
-def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Counter:
-    """Histogram of the isomorphism classes of all degree-edge subsets of host.
+def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Mapping[IsoClass, int]:
+    """Histogram of the isomorphism classes of all degree-edge subsets of host,
+    as a read-only view of the memoized Counter.
 
     Subsets whose support exceeds MAX_SUPPORT have no canonical form and are
     left out: no class with a canonical form can be a copy of one.
@@ -363,9 +366,9 @@ def subgraph_class_counts(host: LabeledGraph | IsoClass, degree: int) -> Counter
 
 
 @functools.lru_cache(maxsize=CLASS_COUNTS_MEMO_SIZE)
-def _class_counts(bits: int, degree: int) -> Counter:
+def _class_counts(bits: int, degree: int) -> Mapping[IsoClass, int]:
     if degree == 0:
-        return Counter({EMPTY_CLASS: 1})
+        return MappingProxyType(Counter({EMPTY_CLASS: 1}))
 
     def classes():
         for combo in combinations([1 << s for s in _bits_to_slots(bits)], degree):
@@ -374,7 +377,7 @@ def _class_counts(bits: int, degree: int) -> Counter:
             except CapError:
                 continue
 
-    return tally_classes(classes())
+    return MappingProxyType(tally_classes(classes()))
 
 
 def tally_classes(classes) -> Counter:
@@ -564,8 +567,8 @@ def emit_edge_list(g: LabeledGraph) -> str:
     return ",".join(f"{i}-{j}" for i, j in g.edge_list())
 
 
-def parse_edge_list(text: str, n: int | None = None) -> LabeledGraph:
-    """Parse "i-j,i-j,..."; n defaults to 1 + max vertex (0 when empty)."""
+def parse_edge_list(text: str) -> LabeledGraph:
+    """Parse "i-j,i-j,..." on 1 + its largest vertex (0 vertices when empty)."""
     s = text.strip()
     edges = []
     if s:
@@ -578,19 +581,12 @@ def parse_edge_list(text: str, n: int | None = None) -> LabeledGraph:
             except ValueError as exc:
                 raise FormatError(f"bad edge token {tok!r}") from exc
             edges.append((i, j))
-    if n is None:
-        n = 1 + max((max(e) for e in edges), default=-1)
-    return LabeledGraph.from_edges(n, edges)
+    return LabeledGraph.from_edges(1 + max((max(e) for e in edges), default=-1), edges)
 
 
-def parse_graph(text: str, n: int | None = None) -> LabeledGraph:
-    """Accept either graph6 or the i-j,... edge-list format."""
+def parse_graph(text: str) -> LabeledGraph:
+    """Accept either graph6, whose header holds n, or the i-j,... edge-list format."""
     s = text.strip()
     if "-" in s or s == "":
-        return parse_edge_list(s, n)
-    g = parse_graph6(s)
-    if n is not None and n != g.n:
-        if n < g.n:
-            raise PreconditionError(f"requested n={n} smaller than graph6 n={g.n}")
-        g = LabeledGraph(n, g.bits)
-    return g
+        return parse_edge_list(s)
+    return parse_graph6(s)

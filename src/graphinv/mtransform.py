@@ -368,17 +368,15 @@ def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
     return IntMatrix.from_rows([[c[m.degree].get(m, 0) if m.degree < len(c) else 0 for m in members] for c in counts])
 
 
-def mnukhin_power(matrix: IntMatrix, degrees, k: int, complete: bool = True) -> IntMatrix:
+def mnukhin_power(matrix: IntMatrix, degrees, k: int) -> IntMatrix:
     """Closed-form k-th power: entry (i, j) becomes k^(deg_i - deg_j) * e_ij.
 
-    Valid for the transform of a complete graph poset and of every multiset
+    Valid for the transform of every graph poset E(n, d) and of every multiset
     orbit poset (`multiset.build_general_mtransform`): E is the tensor Pascal
     matrix prod_i C(w_i, m_i) acting on orbit sums, it commutes with the
     group, and its k-th power is k^(|w| - |m|) times itself.  k = -1 gives
     the two-sided inverse.
     """
-    if not complete:
-        raise PosetError("closed-form power law requires a subgraph-closed poset")
     if matrix.rows != matrix.cols or matrix.rows != len(degrees):
         raise PreconditionError("matrix/degree dimensions do not match")
     return IntMatrix((
@@ -411,7 +409,9 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
     """Inverse of a transform: the closed form `mnukhin_power(-1)`, proved by
     `_check_packed_inverse`; `complete=False` raises PosetError.  The
     elimination `unitriangular_inverse` is the tests' oracle for it."""
-    closed = mnukhin_power(matrix, degrees, -1, complete)
+    if not complete:
+        raise PosetError("closed-form inverse requires a subgraph-closed poset")
+    closed = mnukhin_power(matrix, degrees, -1)
     _check_packed_inverse(matrix, closed)
     return closed
 
@@ -469,32 +469,26 @@ def complement_pairing(poset: GPoset) -> list[int]:
     return [_lookup(comp, pos) for pos in range(len(poset))]
 
 
-def solve_upper_half(
-    poset: GPoset,
-    ambient_n: int,
-    known_degree_cap: int | None = None,
-    extra_unknown=(),
-) -> IntMatrix:
-    """Rebuild the full transform of E(n) from rows of degree <= floor(C(n,2)/2).
+def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatrix:
+    """Rebuild the full transform of E(n) from rows of degree <= half = floor(C(n,2)/2).
 
-    Rows up to the cap are those of `build_mtransform` on E(n, cap), whose
+    The known rows are those of `build_mtransform` on E(n, half), whose
     members are a prefix of E(n); every higher row is recovered from the
     complement recursion
         e_ij = sum_{k<=j} (-1)^|g_k| e_jk (|Stab k| / |Stab j|) e_{comp(i),k}.
     Middle-degree rows may be withheld via extra_unknown and are then solved
-    from their complement partners the same way.
+    from their complement partners the same way (selftest check 12 recovers
+    the triangle row of E(4) from the star's).
     """
     n = ambient_n
     if n != poset.ambient_n:
         raise PreconditionError(f"ambient_n {n} is not the poset's ambient {poset.ambient_n}")
-    nslots = n * (n - 1) // 2
-    cap = nslots // 2 if known_degree_cap is None else known_degree_cap
     comp = complement_pairing(poset)
     size = len(poset)
     stab = [stab_order(m, n) for m in poset.members]
     degs = poset.degrees()
     withheld = {poset.position(c) for c in extra_unknown}
-    known = build_mtransform(build_full_poset(n, cap))
+    known = build_mtransform(build_full_poset(n, n * (n - 1) // 2 // 2))
     rows: list[dict[int, int] | None] = [
         known.row(i) if i < known.rows and i not in withheld else None for i in range(size)
     ]
@@ -509,7 +503,7 @@ def solve_upper_half(
         terms = [(k, (stab[k] if degs[k] % 2 == 0 else -stab[k]) * e_ck) for k, e_ck in rows[ci].items()]
         row: dict[int, int] = {}
         for j in range(i + 1):
-            row_j = rows[j] if j < i else {**row, i: 1}  # j == i: the prefix just solved, e_ii = 1
+            row_j = rows[j] if j < i else row  # j == i: the prefix just solved; row comp(i) has no column i
             acc = 0
             for k, w in terms:  # in column order; row j has no entry past column j
                 if k > j:

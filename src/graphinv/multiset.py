@@ -98,9 +98,11 @@ class MultisetPoset:
 
     group: PermGroup
     cap: int
-    include_empty: bool
     members: tuple
-    index: dict = field(repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)  # member -> position
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {m: pos for pos, m in enumerate(self.members)})
 
     def __len__(self) -> int:
         return len(self.members)
@@ -123,8 +125,7 @@ def build_multiset_poset(group: PermGroup, cap: int, include_empty: bool = True)
     members = tuple(sorted(reps, key=_order_key))
     if len(members) > MEMBER_CAP:
         raise CapError(f"poset exceeds member cap of {MEMBER_CAP}")
-    index = {m: pos for pos, m in enumerate(members)}
-    return MultisetPoset(group, cap, include_empty, members, index)
+    return MultisetPoset(group, cap, members)
 
 
 def build_general_mtransform(p: MultisetPoset) -> IntMatrix:

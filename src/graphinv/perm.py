@@ -122,8 +122,9 @@ class PermGroup:
         return p in set(self.elements)
 
 
-def close_generators(n: int, gens, cap: int = GROUP_SIZE_CAP) -> PermGroup:
-    """BFS closure of a generator list; elements sorted lexicographically by images."""
+def close_generators(n: int, gens) -> PermGroup:
+    """BFS closure of a generator list; elements sorted lexicographically by images.
+    A closure past GROUP_SIZE_CAP elements raises CapError."""
     for g in gens:
         if g.n != n:
             raise PreconditionError(f"generator degree {g.n} does not match n={n}")
@@ -137,8 +138,8 @@ def close_generators(n: int, gens, cap: int = GROUP_SIZE_CAP) -> PermGroup:
             for g in gen_list:
                 q = g * p
                 if q.images not in seen:
-                    if len(seen) >= cap:
-                        raise CapError(f"group closure exceeds cap of {cap} elements")
+                    if len(seen) >= GROUP_SIZE_CAP:
+                        raise CapError(f"group closure exceeds cap of {GROUP_SIZE_CAP} elements")
                     seen[q.images] = q
                     nxt.append(q)
         frontier = nxt

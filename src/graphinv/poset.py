@@ -32,13 +32,16 @@ FULL_POSET_VERTEX_CAP = 8  # |E(8)| = 12,346 members
 class GPoset:
     """The members of E(ambient_n, max_degree) in (degree, bits) order, indexed
     by canonical bits.  `complete` (closed under edge deletion) is True on
-    every poset the package builds or loads."""
+    every poset the package builds or loads, and no package code reads it."""
 
     members: tuple[IsoClass, ...]
     ambient_n: int
     max_degree: int
     complete: bool
-    index: dict = field(repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)  # canonical bits -> position
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {m.bits: pos for pos, m in enumerate(self.members)})
 
     def __len__(self) -> int:
         return len(self.members)
@@ -94,9 +97,7 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     full = (1 << nslots) - 1
     for k in range(len(levels), max_degree + 1):
         levels.append({c.bits: c for c in (canonicalize_bits(full ^ bits) for bits in levels[nslots - k])})
-    members = tuple(level[bits] for level in levels for bits in sorted(level))
-    index = {m.bits: pos for pos, m in enumerate(members)}
-    return GPoset(members, n, max_degree, True, index)
+    return GPoset(tuple(level[bits] for level in levels for bits in sorted(level)), n, max_degree, True)
 
 
 def one_edge_additions(cls: IsoClass, n: int):
@@ -190,5 +191,4 @@ def poset_from_sidecar(obj, n: int, max_degree: int | None = None) -> GPoset:
         members.append(cls)
     if orbits != [math.comb(n * (n - 1) // 2, k) for k in range(bound + 1)]:
         raise AssertionError(f"poset sidecar: the members are not all of E({n}, {bound})")
-    index = {m.bits: pos for pos, m in enumerate(members)}
-    return GPoset(tuple(members), n, bound, True, index)
+    return GPoset(tuple(members), n, bound, True)

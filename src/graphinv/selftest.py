@@ -459,7 +459,9 @@ def check_inseparable_pairs():
 
 
 def check_complement_machinery():
-    """Expansion vs direct complement counts on all member pairs; upper-half rebuild."""
+    """Expansion vs direct complement counts on all member pairs; upper-half
+    rebuild, also of the paper's worked example: the triangle row withheld and
+    recovered from its complement partner, the star."""
     p = build_full_poset(4)
     e = build_mtransform(p)
     from .graph import complement as _complement
@@ -472,6 +474,8 @@ def check_complement_machinery():
                 return False, f"expansion of {g.graph6} wrong at {h.graph6}"
     if solve_upper_half(p, 4) != e:
         return False, "upper-half reconstruction differs from the direct build"
+    if solve_upper_half(p, 4, extra_unknown=[named_class("K3")]) != e:
+        return False, "triangle row recovered from the star differs from the direct build"
     quoted = [
         (named_class("K3"), named_class("K2"), 3),
         (named_class("paw"), named_class("K2"), 4),
@@ -481,7 +485,7 @@ def check_complement_machinery():
     for row, col, want in quoted:
         if e.entry(p.position(row), p.position(col)) != want:
             return False, f"entry ({class_name(row)},{class_name(col)}) != {want}"
-    return True, "121 expansion evaluations + reconstruction + 4 quoted entries"
+    return True, "121 expansion evaluations + reconstruction + triangle row from the star + 4 quoted entries"
 
 
 def check_rank_properties():

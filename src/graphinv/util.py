@@ -35,6 +35,18 @@ def ulam_cell_keys(max_n: int, max_d: int) -> list[tuple[int, int]]:
     return [(d, n) for d in range(2, max_d + 1) for n in range(4, max_n + 1) if in_half_range(n, d)]
 
 
+def ulam_table_csv(table: dict[tuple[int, int], int], max_n: int, max_d: int) -> str:
+    """The difference table {(d, n): value} as CSV: one row per d, one column per
+    n, blank where the table has no cell."""
+    lines = ["d," + ",".join(str(n) for n in range(4, max_n + 1))]
+    for d in range(2, max_d + 1):
+        row = [str(d)]
+        for n in range(4, max_n + 1):
+            row.append(str(table[(d, n)]) if (d, n) in table else "")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 CACHE_FORMAT = b"graphinv-cache 2"  # the entry layout; bump it to retire every entry
 
 

@@ -49,7 +49,7 @@ def test_kocay_p3_squared(e4_poset):
 
 def test_kocay_missing_union_class():
     members = (EMPTY_CLASS, named_class("K2"), named_class("2K2"))  # lacks the 2-edge path
-    p = GPoset(members, 4, 2, False, {m.bits: pos for pos, m in enumerate(members)})
+    p = GPoset(members, 4, 2, False)
     with pytest.raises(PosetError):
         product_kocay(named_class("K2"), named_class("K2"), p)
 

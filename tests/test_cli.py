@@ -780,9 +780,10 @@ def test_help_loads_no_layer():
 
 
 def test_warm_ulam_table_loads_no_enumeration(tmp_path):
-    argv = ["ulam-table", "--max-n", "6", "--max-d", "6", "--cache-dir", str(tmp_path)]
-    assert "enumeration" in _modules_loaded(*argv)
-    assert "enumeration" not in _modules_loaded(*argv)
+    for fmt in ("json", "csv"):
+        argv = ["ulam-table", "--max-n", "6", "--max-d", "6", "--format", fmt, "--cache-dir", str(tmp_path / fmt)]
+        assert "enumeration" in _modules_loaded(*argv)
+        assert "enumeration" not in _modules_loaded(*argv), fmt
 
 
 def test_closed_stdout_exits_quietly():

@@ -1,3 +1,4 @@
+import contextlib
 from collections import Counter
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from graphinv import enumeration
 from graphinv.enumeration import (
+    connected_classes_by_degree,
     connected_counts,
     generator_lower_bound_report,
     graph_count,
@@ -13,12 +15,12 @@ from graphinv.enumeration import (
     pair_group_cycle_index,
     ulam_condition_check,
     ulam_difference_table,
-    ulam_table_csv,
 )
 from graphinv.errors import CapError
 from graphinv.graph import count_subgraphs
 from graphinv.mtransform import IntMatrix, exact_rank
 from graphinv.poset import build_full_poset
+from graphinv.util import ulam_table_csv
 
 
 def test_cycle_index_n3_closed_form():
@@ -58,6 +60,18 @@ def test_graph_count_examples():
     assert graph_count(3, 4) == 0  # beyond the slot count
 
 
+def test_series_memo_survives_a_caller_mutating_it():
+    graph_count_series(4)[0] = 99
+    assert graph_count_series(4) == [1, 1, 2, 3, 2, 1, 1]
+    assert graph_count_series(4, 2) == [1, 1, 2]
+
+
+def test_one_edge_series_per_n():
+    enumeration._edge_series.cache_clear()
+    ulam_difference_table(12, 12)
+    assert enumeration._edge_series.cache_info().currsize == len(range(3, 13))
+
+
 def test_count_symmetry_under_complementation():
     for n in range(2, 13):
         series = graph_count_series(n)
@@ -81,7 +95,7 @@ def test_ulam_table_blank_rule():
 
 
 def test_ulam_csv_layout():
-    csv = ulam_table_csv(6, 4)
+    csv = ulam_table_csv(ulam_difference_table(6, 4), 6, 4)
     lines = csv.strip().split("\n")
     assert lines[0] == "d,4,5,6"
     assert lines[1] == "2,0,1,1"
@@ -127,6 +141,15 @@ def test_connected_counts():
     assert big_f[6] == 52
     report = generator_lower_bound_report(2)
     assert report == {"d": 2, "F": 2, "lower_bound": 3, "poset_degree": 9}
+
+
+def test_connected_classes_memo_survives_a_caller_mutating_it():
+    levels = connected_classes_by_degree(3)
+    with contextlib.suppress(AttributeError):
+        levels[3].clear()
+    with contextlib.suppress(TypeError):
+        levels[3] = []
+    assert connected_counts(3)[0] == [0, 1, 1, 3]
 
 
 def test_caps():

@@ -167,6 +167,70 @@ def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
     assert _uncalled_public_names() == []
 
 
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter name, call-site position or None) for every parameter
+    with a default of every function in the tree, nested ones included; a
+    method's position does not count `self`, and a keyword-only one has none."""
+    def walk(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                first = len(positional) - len(args.defaults)
+                for at, arg in enumerate(positional[first:], start=first):
+                    yield child, arg.arg, at - skip
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield child, arg.arg, None
+            yield from walk(child, isinstance(child, ast.ClassDef))
+
+    yield from walk(tree, False)
+
+
+def _unpassed_defaulted_parameters() -> list[str]:
+    """`module.function(parameter)` for each parameter with a default in the
+    package that no call in the package or in perfbench/ passes, by position or
+    keyword, to a function of that name; a function's own recursive calls count.
+    A function handed to a call, as in perfbench's `log.call(name, fn, *args)`,
+    counts as called with the positional arguments after it."""
+    package = Path(graphinv.__file__).parent
+    sources = sorted(package.glob("*.py")) + sorted((package.parent.parent / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+
+    def name_of(node) -> str | None:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(name_of(node.func), []).append(node)
+                for at, arg in enumerate(node.args):
+                    if isinstance(arg, (ast.Name, ast.Attribute)):
+                        calls.setdefault(name_of(arg), []).append(ast.Call(arg, node.args[at + 1:], []))
+
+    def passed(call: ast.Call, name: str, at: int | None) -> bool:
+        if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **mapping
+            return True
+        return at is not None and (len(call.args) > at or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return [
+        f"{path.stem}.{fn.name}({name})"
+        for path in sources if path.parent == package
+        for fn, name, at in _defaulted_parameters(trees[path])
+        if not any(passed(call, name, at) for call in calls.get(fn.name, []))
+    ]
+
+
+def test_every_defaulted_parameter_has_a_production_caller():
+    # a value only tests set is a constant; the one exemption: tests draw sparse
+    # random hosts (the support-10 general-product test), production draws none
+    assert _unpassed_defaulted_parameters() == ["util.random_labeled_graph(p)"]
+
+
 def test_listed_oracles_exist():
     for dotted in _listed_oracles():
         module, name = dotted.split(".")

@@ -88,7 +88,7 @@ def test_transform_columns_read_a_class_outside_the_poset_as_zeros(e3_poset):
 def _not_down_closed(names, n, max_degree, complete):
     """A hand-built poset whose members are not closed under edge deletion."""
     members = tuple(sorted((named_class(x) for x in names), key=lambda c: c.sort_key))
-    return GPoset(members, n, max_degree, complete, {m.bits: pos for pos, m in enumerate(members)})
+    return GPoset(members, n, max_degree, complete)
 
 
 def test_cover_recursion_matches_subset_oracle_on_spans():
@@ -155,7 +155,7 @@ def test_full_transform_searches_the_crossing_layer_once():
 def _missing(p, name):
     """p without the member `name`, still claiming p's degree bound."""
     members = tuple(m for m in p.members if m != named_class(name))
-    return GPoset(members, p.ambient_n, p.max_degree, True, {m.bits: pos for pos, m in enumerate(members)})
+    return GPoset(members, p.ambient_n, p.max_degree, True)
 
 
 def test_cover_counts_refuse_a_missing_complement(e4_poset):
@@ -243,9 +243,20 @@ def test_mnukhin_requires_complete():
     p = _not_down_closed(("empty", "K3"), 3, 3, complete=False)
     e = _mtransform_by_subsets(p)
     with pytest.raises(PosetError):
-        mnukhin_power(e, p.degrees(), -1, complete=p.complete)
-    with pytest.raises(PosetError):
         inverse_mtransform(e, p.degrees(), p.complete)
+
+
+def test_the_packed_proof_not_the_flag_guards_the_inverse():
+    # posets that are not closed under edge deletion, with the flag forged: on
+    # {empty, K3} the closed form (-1)^3 * 1 is the true inverse entry, and is served
+    p = _not_down_closed(("empty", "K3"), 3, 3, complete=True)
+    e = _mtransform_by_subsets(p)
+    assert inverse_mtransform(e, p.degrees()) == unitriangular_inverse(e)
+    # on {empty, P3} the closed form (-1)^2 * 1 is not the true -1, and is refused
+    p = _not_down_closed(("empty", "P3"), 3, 2, complete=True)
+    e = _mtransform_by_subsets(p)
+    with pytest.raises(AssertionError, match="row 1 of E C is not a unit row"):
+        inverse_mtransform(e, p.degrees())
 
 
 def test_inverse_cross_assertion(e4_poset, e4_matrix):
@@ -263,8 +274,8 @@ def test_complete_inverse_is_checked_without_elimination(monkeypatch, e4_poset, 
     monkeypatch.setattr(mtransform, "unitriangular_inverse", no_elimination)
     assert inverse_mtransform(e4_matrix, degs, complete=True) == inv
 
-    def one_entry_wrong(matrix, degrees, k, complete=True):
-        closed = mnukhin_power(matrix, degrees, k, complete)
+    def one_entry_wrong(matrix, degrees, k):
+        closed = mnukhin_power(matrix, degrees, k)
         rows = list(closed.nonzeros)
         rows[-1] = {**rows[-1], 3: rows[-1].get(3, 0) + 1}
         return IntMatrix(rows, closed.cols)
@@ -389,15 +400,6 @@ def test_solve_upper_half_with_withheld_middle_row(e4_poset, e4_matrix):
     with pytest.raises(PosetError):
         # withholding both partners of a complement pair is unsolvable
         solve_upper_half(e4_poset, 4, extra_unknown=[named_class("K3"), named_class("K1,3")])
-
-
-def test_solve_upper_half_with_withheld_low_rows(e5_poset):
-    # a withheld row below the middle whose complement row contains it:
-    # the diagonal term e_ii * e_{comp(i),i} enters the recursion
-    e = build_mtransform(e5_poset)
-    for d in (1, 2, 4):
-        withheld = [m for m in e5_poset.members if m.degree == d]
-        assert solve_upper_half(e5_poset, 5, known_degree_cap=10, extra_unknown=withheld) == e
 
 
 def test_minor_examples(e4_poset, e4_matrix):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from graphinv import perm
 from graphinv.errors import CapError, PreconditionError
 from graphinv.graph import LabeledGraph, complement
 from graphinv.perm import (
@@ -116,9 +117,10 @@ def test_close_generators_ordering_deterministic():
     assert images == sorted(images)
 
 
-def test_close_generators_cap():
+def test_close_generators_cap(monkeypatch):
+    monkeypatch.setattr(perm, "GROUP_SIZE_CAP", 1000)
     with pytest.raises(CapError):
-        close_generators(10, [from_cycles(10, (0, 1)), from_cycles(10, tuple(range(10)))], cap=1000)
+        close_generators(10, [from_cycles(10, (0, 1)), from_cycles(10, tuple(range(10)))])
 
 
 def test_group_closure_properties():
