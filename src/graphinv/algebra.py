@@ -55,15 +55,9 @@ class LinComb:
     terms: dict
 
     @classmethod
-    def from_terms(cls, items) -> LinComb:
-        terms = {}
-        for key, coeff in (items.items() if isinstance(items, dict) else items):
-            coeff = _as_coeff(coeff)
-            if coeff:
-                terms[key] = terms.get(key, 0) + coeff
-                if not terms[key]:
-                    del terms[key]
-        return cls(terms)
+    def from_terms(cls, terms: dict) -> LinComb:
+        """From {class: coefficient}, each coefficient normalized by `_as_coeff` and zeros dropped."""
+        return cls({key: c for key, coeff in terms.items() if (c := _as_coeff(coeff))})
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)

@@ -23,7 +23,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .mtransform import IntMatrix
-    from .poset import GPoset
 
 
 def _coeff_json(c):
@@ -102,18 +101,13 @@ def _parse_relation(text: str) -> list[tuple[Fraction, dict]]:
     return terms
 
 
-def _transform_for(n: int, max_degree: int | None, cache_dir: str | None) -> tuple[GPoset, IntMatrix]:
-    """E(n, max_degree) and its transform, each through the file cache."""
-    from . import mtransform, poset
+def _refuse_enumeration(work: dict[str, int]) -> None:
+    """CapError before any work when a {what: size} enumeration is over `graph.COUNT_ENUMERATION_CAP`."""
+    from .graph import COUNT_ENUMERATION_CAP
 
-    if n >= 8:  # |E(7)| = 1,044 is under the cap: refuse a larger poset before building it
-        from .enumeration import graph_count_series
-
-        size = sum(graph_count_series(n, max_degree))
-        if size > mtransform.TRANSFORM_MEMBER_CAP:
-            raise CapError(f"transform of {size} members, over the cap of {mtransform.TRANSFORM_MEMBER_CAP}")
-    p = poset.cached_poset(cache_dir, n, max_degree)
-    return p, mtransform.cached_mtransform(p, cache_dir)
+    for what, size in work.items():
+        if size > COUNT_ENUMERATION_CAP:
+            raise CapError(f"{size} {what} to enumerate, over the cap of {COUNT_ENUMERATION_CAP}")
 
 
 def _group_for(name: str, n_positions: int):
@@ -150,7 +144,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mtransform(args) -> int:
-    p, m = _transform_for(args.n, args.max_degree, args.cache_dir)
+    from . import mtransform
+
+    p, m = mtransform.cached_transform(args.cache_dir, args.n, args.max_degree)
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
         sys.stdout.write(_matrix_csv(m, labels, labels))
@@ -162,7 +158,7 @@ def _cmd_mtransform(args) -> int:
 def _cmd_invert(args) -> int:
     from . import mtransform
 
-    p, m = _transform_for(args.n, args.max_degree, args.cache_dir)
+    p, m = mtransform.cached_transform(args.cache_dir, args.n, args.max_degree)
     inv = mtransform.inverse_mtransform(m, p.degrees())
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
@@ -180,13 +176,10 @@ def _cmd_count(args) -> int:
     pattern = graph.canonicalize(graph.parse_graph(args.pattern))
     host = graph.parse_graph(args.host)
     # the count classifies the host's |pattern|-edge subsets; the oracle tries every support injection
-    work = {"edge subsets": math.comb(host.degree, pattern.degree)}
+    work = {"edge subsets of the host": math.comb(host.degree, pattern.degree)}
     if args.oracle:
-        work["support injections"] = math.perm(host.cv, pattern.cv)
-    cap = graph.COUNT_ENUMERATION_CAP
-    for what, size in work.items():
-        if size > cap:
-            raise CapError(f"{size} {what} of the host to enumerate, over the cap of {cap}")
+        work["support injections of the host"] = math.perm(host.cv, pattern.cv)
+    _refuse_enumeration(work)
     result = graph.count_subgraphs(pattern, host)
     if args.oracle and graph.count_subgraphs_injective(pattern, host) != result:
         raise AssertionError("subset and injection counts disagree")
@@ -195,10 +188,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    from . import algebra, graph, poset
+    from . import algebra, graph, mtransform, poset
 
     if args.method in ("mtransform", "all"):
-        p, e = _transform_for(args.n, None, args.cache_dir)
+        p, e = mtransform.cached_transform(args.cache_dir, args.n)
     else:
         p = poset.cached_poset(args.cache_dir, args.n)
     a = graph.canonicalize(graph.parse_graph(args.a))
@@ -250,10 +243,10 @@ def _cmd_general_product(args) -> int:
 
 
 def _cmd_express(args) -> int:
-    from . import algebra
+    from . import algebra, mtransform
 
     values = [_parse_fraction(tok, "--values") for tok in args.values.split(",")]
-    p, e = _transform_for(args.n, None, args.cache_dir)
+    p, e = mtransform.cached_transform(args.cache_dir, args.n)
     comb = algebra.express_invariant(values, p, e)
     _emit({"n": args.n, "terms": comb.to_json_obj()}, args.format)
     return 0
@@ -344,16 +337,26 @@ def _cmd_inseparable(args) -> int:
 
 
 def _cmd_complement_solve(args) -> int:
+    import math
+
     from . import graph, mtransform, poset
 
-    p = poset.cached_poset(args.cache_dir, args.n)
     g = graph.canonicalize(graph.parse_graph(args.g))
+    # the expansion classifies every edge subset of g; a host adds its subsets of at
+    # most |g| edges for the value, and the |g|-edge subsets of its complement for the count
+    work = {"edge subsets of g": 2**g.degree}
+    if args.host:
+        host = graph.canonicalize(graph.parse_graph(args.host))
+        rest = graph.complement(host.rep(args.n), args.n)
+        work["edge subsets of the host"] = sum(math.comb(host.degree, d) for d in range(g.degree + 1))
+        work["edge subsets of the host's complement"] = math.comb(rest.degree, g.degree)
+    _refuse_enumeration(work)
+    p = poset.cached_poset(args.cache_dir, args.n)
     comb = mtransform.complement_invariant_expansion(g, p, args.n)
     out = {"n": args.n, "g": g.graph6, "terms": comb.to_json_obj()}
     if args.host:
-        host = graph.canonicalize(graph.parse_graph(args.host))
         out["value_at_host"] = _coeff_json(comb.evaluate(host))
-        out["direct"] = graph.count_subgraphs(g, graph.complement(host.rep(args.n), args.n))
+        out["direct"] = graph.count_subgraphs(g, rest)
     _emit(out, args.format)
     return 0
 
@@ -368,7 +371,7 @@ def _cmd_rank_minor(args) -> int:
             raise PreconditionError("need --n or --trivial-vars")
         if not 0 <= args.delta <= args.big_delta:
             raise PreconditionError(f"need 0 <= --delta <= --Delta, got {args.delta} and {args.big_delta}")
-        p, e = _transform_for(args.n, None, args.cache_dir)
+        p, e = mtransform.cached_transform(args.cache_dir, args.n)
         m = mtransform.minor_by_degree(e, p.degrees(), args.delta, args.big_delta)
     rank = mtransform.exact_rank(m)
     _emit({"rows": m.rows, "cols": m.cols, "rank": rank, "full": rank == min(m.rows, m.cols)}, args.format)

@@ -23,7 +23,7 @@ from .graph import (
     is_connected_class,
     MAX_SUPPORT,
 )
-from .mtransform import IntMatrix, build_mtransform, exact_rank, exact_solve, inverse_mtransform, minor_by_degree, transform_columns
+from .mtransform import IntMatrix, build_mtransform, cached_transform, exact_rank, exact_solve, inverse_mtransform, minor_by_degree, transform_columns
 from .poset import GPoset, build_full_poset
 
 SEARCH_POOL_CAP = 20
@@ -168,8 +168,6 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
     degree <= d."""
     if d < 1:
         raise PreconditionError("need d >= 1")
-    if d > 4:
-        raise CapError("inseparable-pair construction supported for d <= 4")
     poset = build_full_poset(2 * d, d)
     if generator is None:
         from .enumeration import connected_classes_by_degree
@@ -243,11 +241,8 @@ def half_degree_system_check(n: int) -> dict:
     `exact_rank` proves full column rank, so the solution is unique and g's
     values are recovered iff they solve it, checked with no solve as the block
     identity sum_k e_gk e_ki = (|g| - d) e_gi over the members of degree > d.
-    Capped at n <= 7 before any build."""
-    if n > 7:
-        raise CapError("half-degree system check capped at n <= 7")
-    poset = build_full_poset(n)
-    e = build_mtransform(poset)
+    E(n) and its transform come from `cached_transform`: n >= 8 is refused."""
+    poset, e = cached_transform(None, n)
     degs = poset.degrees()
     nslots = n * (n - 1) // 2
     steps = []

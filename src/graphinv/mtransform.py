@@ -24,7 +24,7 @@ from .graph import (
     stab_order,
     subgraph_class_counts,
 )
-from .poset import GPoset, build_full_poset, one_edge_additions
+from .poset import GPoset, build_full_poset, cached_poset, one_edge_additions
 
 if TYPE_CHECKING:
     from .algebra import LinComb
@@ -325,13 +325,23 @@ def check_transform_rows(matrix: IntMatrix, degrees) -> None:
             raise AssertionError(f"transform row {i}: sums by degree {sums} are not binomial")
 
 
-def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
-    """The transform of poset, through the file cache when cache_dir is given,
-    under `mtransform:n=<n>:d=<max_degree>`: one [[j, e], ...] row of int pairs
-    per member.  On a miss the matrix just built is served, not the rows
-    written; a loaded entry must pass that shape check.  Built or loaded, the
-    matrix passes `check_transform_rows` before it is served.  Either check
-    raises AssertionError."""
+def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = None) -> tuple[GPoset, IntMatrix]:
+    """E(n, max_degree) and its transform, each through the file cache when
+    cache_dir is given.  An E(n, d) over TRANSFORM_MEMBER_CAP members, counted
+    by `enumeration.graph_count_series`, is refused before anything is built.
+    The poset comes from `cached_poset`, the transform from the entry
+    `mtransform:n=<n>:d=<bound>`: one [[j, e], ...] row of int pairs per
+    member.  On a miss the matrix just built is served, not the rows written;
+    a loaded entry must pass that shape check.  Built or loaded, the matrix
+    passes `check_transform_rows` before it is served.  Either check raises
+    AssertionError."""
+    if n >= 8:  # |E(7)| = 1,044 is under the cap, so n <= 7 loads no enumeration
+        from .enumeration import graph_count_series
+
+        size = sum(graph_count_series(n, max_degree))
+        if size > TRANSFORM_MEMBER_CAP:
+            raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
+    poset = cached_poset(cache_dir, n, max_degree)
     if not cache_dir:
         matrix = build_mtransform(poset)
     else:
@@ -344,7 +354,7 @@ def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
             built.append(e)
             return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
 
-        rows = cache_fetch(cache_dir, f"mtransform:n={poset.ambient_n}:d={poset.max_degree}", build)
+        rows = cache_fetch(cache_dir, f"mtransform:n={n}:d={poset.max_degree}", build)
         if built:
             matrix = built[0]
         elif (
@@ -357,7 +367,7 @@ def cached_mtransform(poset: GPoset, cache_dir: str | None) -> IntMatrix:
         else:
             raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
     check_transform_rows(matrix, poset.degrees())
-    return matrix
+    return poset, matrix
 
 
 def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:

@@ -11,7 +11,7 @@ calculus implements the derivative route independently as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _product
 
 from .errors import CapError, PreconditionError
@@ -99,13 +99,6 @@ class MultisetPoset:
     group: PermGroup
     cap: int
     members: tuple
-    index: dict = field(init=False, repr=False, compare=False)  # member -> position
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {m: pos for pos, m in enumerate(self.members)})
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(degree(m) for m in self.members)

@@ -45,7 +45,7 @@ from .graph import count_subgraphs, disjoint_union
 from .mtransform import (
     IntMatrix,
     build_mtransform,
-    cached_mtransform,
+    cached_transform,
     complement_invariant_expansion,
     exact_rank,
     find_orderings_matching,
@@ -602,8 +602,8 @@ def check_cache_soundness():
             return False, "a truncated poset entry was served or not rewritten"
         e5 = build_full_poset(5)
         for label in ("built", "loaded"):
-            p = cached_poset(tmp, 5)
-            if records(p) != records(e5) or cached_mtransform(p, tmp) != build_mtransform(e5):
+            p, e = cached_transform(tmp, 5)
+            if records(p) != records(e5) or e != build_mtransform(e5):
                 return False, f"{label} E(5) poset or transform differs from a fresh build"
             if cached_ulam_table(tmp, 8, 8) != ulam_difference_table(8, 8):
                 return False, f"{label} table differs from a fresh build"

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphinv import enumeration, graph, mtransform, poset
-from graphinv.cli import _group_for, _parse_relation, _transform_for, build_parser, main
+from graphinv.cli import _group_for, _parse_relation, build_parser, main
 from graphinv.errors import PreconditionError
 from graphinv.graph import parse_edge_list, parse_graph, parse_graph6
 from graphinv.perm import Permutation
@@ -327,6 +327,8 @@ def test_precondition_violations_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "inseparable", "--d", "0")
     assert code == 2
+    code, _, err = run_cli(capsys, "inseparable", "--d", "5")  # E(10, 5) is over the poset vertex cap
+    assert code == 2 and err == f"error: full poset build capped at n <= {poset.FULL_POSET_VERTEX_CAP}\n"
 
 
 def test_unknown_command_exits_2(capsys):
@@ -470,7 +472,7 @@ def test_forged_entry_under_a_valid_header_is_never_served(tmp_path, capsys, cas
 def test_cached_transform_rows_equal_the_build(tmp_path, n, max_degree):
     expected = mtransform.build_mtransform(build_full_poset(n, max_degree))
     for _pass in ("built", "loaded"):
-        assert _transform_for(n, max_degree, str(tmp_path))[1] == expected
+        assert mtransform.cached_transform(str(tmp_path), n, max_degree)[1] == expected
     key = f"mtransform:n={n}:d={n * (n - 1) // 2 if max_degree is None else max_degree}"
     stored = json.loads(_entry_path(tmp_path, key).read_bytes().partition(b"\n")[2])
     assert mtransform.IntMatrix(tuple(dict(row) for row in stored), expected.cols) == expected
@@ -648,7 +650,7 @@ def test_oversized_work_refused_before_it_starts(capsys):
 
 
 def test_rank_minor_refuses_bad_degrees_before_the_build(capsys, monkeypatch):
-    monkeypatch.setattr("graphinv.cli._transform_for", None)  # the transform must not be built
+    monkeypatch.setattr(mtransform, "cached_transform", None)  # the transform must not be built
     for delta, big_delta in (("-1", "1"), ("3", "2")):
         code, out, err = run_cli(capsys, "rank-minor", "--n", "3", "--delta", delta, "--Delta", big_delta)
         assert code == 2 and out == "" and err.startswith("error:") and "--delta" in err
@@ -674,6 +676,38 @@ def test_count_refuses_over_the_cap_before_counting(capsys, monkeypatch):
     matching = ",".join(f"{2 * i}-{2 * i + 1}" for i in range(8))
     code, out, err = run_cli(capsys, "count", "--pattern", "0-1,2-3,4-5", "--host", matching, "--oracle")
     assert code == 2 and out == "" and "injections" in err
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["--n", "7", "--g", "F~~~w"], "2097152 edge subsets of g"),  # K7
+        (["--n", "8", "--g", "G~~~~{"], "268435456 edge subsets of g"),  # K8
+        # P8 has 2^7 subsets, but K8 has sum_{d <= 7} C(28, d) = 1,683,218 of at most 7 edges
+        (["--n", "8", "--g", "0-1,1-2,2-3,3-4,4-5,5-6,6-7", "--host", _complete_edges(8)],
+         "1683218 edge subsets of the host"),
+        # C8 has 2^8 subsets and a one-edge host 2, but its complement C(27, 8) = 2,220,075 of 8 edges
+        (["--n", "8", "--g", "0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-0", "--host", "0-1"],
+         "2220075 edge subsets of the host's complement"),
+    ],
+)
+def test_complement_solve_refuses_over_the_cap_before_any_build(capsys, monkeypatch, args, what):
+    def no_work(*args):
+        raise AssertionError("the enumeration or the poset build started")
+
+    monkeypatch.setattr(graph, "subgraph_class_counts", no_work)
+    monkeypatch.setattr(mtransform, "subgraph_class_counts", no_work)
+    monkeypatch.setattr(poset, "build_full_poset", no_work)
+    code, out, err = run_cli(capsys, "complement-solve", *args)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} to enumerate, over the cap of {graph.COUNT_ENUMERATION_CAP}\n"
+
+
+def test_complement_solve_under_the_cap_still_answers(capsys):
+    # K6: 2^15 = 32,768 edge subsets; its complement in K6 is empty
+    code, out, _ = run_cli(capsys, "complement-solve", "--n", "6", "--g", "E~~w", "--host", "E~~w")
+    payload = json.loads(out)
+    assert code == 0 and payload["value_at_host"] == payload["direct"] == 0
 
 
 def test_express_bad_fraction_exits_2(capsys):

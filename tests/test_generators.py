@@ -186,7 +186,7 @@ def test_half_degree_system_refuses_n8_before_building(monkeypatch):
     def no_build(*args):
         raise AssertionError("a poset was built before the refusal")
 
-    monkeypatch.setattr(generators, "build_full_poset", no_build)
+    monkeypatch.setattr("graphinv.poset.build_full_poset", no_build)
     with pytest.raises(CapError):
         half_degree_system_check(8)
 
@@ -198,7 +198,7 @@ def test_half_degree_system_catches_a_corrupted_entry(monkeypatch, e4_poset):
     e = build_mtransform(e4_poset)
     rows = [dict(e.row(i)) for i in range(e.rows)]
     rows[diamond][c4] += 1
-    monkeypatch.setattr(generators, "build_mtransform", lambda poset: IntMatrix(rows, e.cols))
+    monkeypatch.setattr(generators, "cached_transform", lambda cache_dir, n: (e4_poset, IntMatrix(rows, e.cols)))
     report = half_degree_system_check(4)
     bad = [step for step in report["steps"] if not step["recovered"]]
     assert not report["ok"] and [step["degree"] for step in bad] == [3, 4]

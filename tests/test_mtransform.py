@@ -16,7 +16,7 @@ from graphinv.mtransform import (
     _high_bits,
     _mtransform_by_subsets,
     build_mtransform,
-    cached_mtransform,
+    cached_transform,
     check_transform_rows,
     complement_pairing,
     complement_invariant_expansion,
@@ -209,23 +209,36 @@ def test_exact_field_quotient_needs_every_field_to_divide():
         _exact_field_quotient(3, 2, high)
 
 
-def test_cached_mtransform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_poset, e4_matrix):
-    assert cached_mtransform(e4_poset, None) == e4_matrix
+def test_cached_transform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_poset, e4_matrix):
+    assert cached_transform(None, 4) == (e4_poset, e4_matrix)
     forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
     monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
     with pytest.raises(AssertionError):
-        cached_mtransform(e4_poset, None)
+        cached_transform(None, 4)
 
 
-def test_cached_mtransform_serves_the_matrix_it_built_and_checks_it(monkeypatch, tmp_path, e4_poset, e4_matrix):
+def test_cached_transform_serves_the_matrix_it_built_and_checks_it(monkeypatch, tmp_path, e4_matrix):
     monkeypatch.setattr(mtransform, "build_mtransform", lambda p: e4_matrix)
-    assert cached_mtransform(e4_poset, str(tmp_path)) is e4_matrix  # a miss: no decode of the rows written
-    loaded = cached_mtransform(e4_poset, str(tmp_path))
+    assert cached_transform(str(tmp_path), 4)[1] is e4_matrix  # a miss: no decode of the rows written
+    loaded = cached_transform(str(tmp_path), 4)[1]
     assert loaded == e4_matrix and loaded is not e4_matrix
     forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
     monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
     with pytest.raises(AssertionError):
-        cached_mtransform(e4_poset, str(tmp_path / "fresh"))
+        cached_transform(str(tmp_path / "fresh"), 4)
+
+
+def test_cached_transform_refuses_e8_before_the_poset_build(monkeypatch):
+    from graphinv.generators import half_degree_system_check
+
+    def no_build(*args):
+        raise AssertionError("a poset was built before the refusal")
+
+    monkeypatch.setattr("graphinv.poset.build_full_poset", no_build)
+    with pytest.raises(CapError, match="transform of 12346 members"):
+        cached_transform(None, 8)
+    with pytest.raises(CapError, match="transform of 12346 members"):
+        half_degree_system_check(8)
 
 
 def test_mnukhin_power_small(e3_poset):
@@ -548,7 +561,6 @@ def test_the_compute_path_never_densifies(monkeypatch, tmp_path):
     from graphinv.algebra import (
         LinComb, degree_sum_identity_check, express_invariant, product_kocay, product_mtransform,
     )
-    from graphinv.cli import _transform_for
     from graphinv.generators import half_degree_system_check, inseparable_pair
 
     p4, p6 = build_full_poset(4), build_full_poset(6)
@@ -573,7 +585,7 @@ def test_the_compute_path_never_densifies(monkeypatch, tmp_path):
     known = [Fraction(i % 3) for i in range(len(p6))]
     assert exact_solve(e6, [sum(x * known[j] for j, x in e6.row(i).items()) for i in range(e6.rows)]) == known
     for _pass in ("built", "loaded"):
-        assert _transform_for(6, None, str(tmp_path))[1] == e6
+        assert cached_transform(str(tmp_path), 6)[1] == e6
     for m in (e6, inv, e4, *minors, mnukhin_power(e6, degs, 0), e6 @ inv):
         assert _stores_no_zero(m)
 

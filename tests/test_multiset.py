@@ -26,7 +26,7 @@ S2 = symmetric_group(2)
 
 def _position(p, m) -> int:
     """Index in p of the orbit representative of the monomial m."""
-    return p.index[min(orbit(m, p.group), key=_order_key)]
+    return {member: pos for pos, member in enumerate(p.members)}[min(orbit(m, p.group), key=_order_key)]
 
 
 def test_worked_invariant_values():
