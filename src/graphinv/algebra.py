@@ -44,6 +44,8 @@ COPY_LISTS_MEMO_SIZE = 1 << 6
 
 
 def _as_coeff(x):
+    if type(x) is int:  # a bool still goes through Fraction
+        return x
     frac = Fraction(x)
     return int(frac) if frac.denominator == 1 else frac
 
@@ -181,6 +183,13 @@ def product_fleischmann(
 ) -> dict:
     """Covering pairs refined into coloring orbits, grouped by underlying class.
 
+    One walk per orbit: a covering pair (C, D) that no orbit holds yet is
+    relabeled by every support automorphism of the union; its colour classes
+    (C only, D only, shared) follow from each image (C', D') as C' & ~D',
+    D' & ~C' and C' & D'.  Every image must be a covering pair not yet
+    assigned.  The orbit's key is the least colour triple over its images and
+    its pair_count the number of distinct images.  Orbits are listed by key.
+
     With cross_check_n set (<= 7), every orbit size is verified against the
     stabilizer quotient |Stab(union)| / |Stab(C) ∩ Stab(D)| by explicit
     enumeration over all of S_n.
@@ -194,21 +203,24 @@ def product_fleischmann(
         if not pairs:
             continue
         auts = support_automorphisms(cls)
-        orbits: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-        for c_bits, d_bits in pairs:
-            coloring = (c_bits & ~d_bits, d_bits & ~c_bits, c_bits & d_bits)
-            images = [
-                (permute_bits(coloring[0], p), permute_bits(coloring[1], p), permute_bits(coloring[2], p))
-                for p in auts
-            ]
-            orbits.setdefault(min(images), []).append(coloring)
+        pool = set(pairs)
         classes = []
-        for key in sorted(orbits):
-            members = orbits[key]
-            cc = ColoringClass(cls, key[0], key[1], key[2], len(members))
+        for c_bits, d_bits in pairs:
+            if (c_bits, d_bits) not in pool:
+                continue
+            images = {(permute_bits(c_bits, p), permute_bits(d_bits, p)) for p in auts}
+            if not images <= pool:
+                raise AssertionError(
+                    f"an automorphism image of a covering pair in {cls.graph6!r} "
+                    "is not an unassigned covering pair"
+                )
+            pool -= images
+            key = min((c & ~d, d & ~c, c & d) for c, d in images)
+            cc = ColoringClass(cls, key[0], key[1], key[2], len(images))
             if cross_check_n is not None:
                 _cross_check_coloring(cc, cross_check_n)
             classes.append(cc)
+        classes.sort(key=lambda cc: (cc.a_only, cc.b_only, cc.shared))
         assert sum(c.pair_count for c in classes) == len(pairs)
         result[cls] = tuple(classes)
     return result

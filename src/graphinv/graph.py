@@ -345,11 +345,20 @@ def stab_order(cls: IsoClass, n: int) -> int:
 
 
 def permute_bits(bits: int, images) -> int:
-    """Relabel an edge bitset by a vertex image sequence."""
+    """Relabel an edge bitset by a vertex image sequence; an edge whose two
+    ends share an image raises PreconditionError."""
     out = 0
-    for s in _bits_to_slots(bits):
-        i, j = pair_from_slot(s)
-        out |= 1 << pair_slot(images[i], images[j])
+    while bits:
+        low = bits & -bits
+        i, j = _SLOT_PAIRS[low.bit_length() - 1]
+        a, b = images[i], images[j]
+        if a < b:
+            out |= 1 << (b * (b - 1) // 2 + a)
+        elif b < a:
+            out |= 1 << (a * (a - 1) // 2 + b)
+        else:
+            raise PreconditionError(f"vertices {i} and {j} share the image {a}")
+        bits ^= low
     return out
 
 
@@ -512,10 +521,19 @@ def connected_component_classes(g: LabeledGraph | IsoClass) -> Counter:
 
 
 def is_connected_class(cls: IsoClass) -> bool:
-    """True when the class has at least one edge and a single edge-connected component."""
+    """True when the class has at least one edge and a single edge-connected
+    component: a flood fill from vertex 0 reaches the whole support [0..cv)."""
     if cls.degree == 0:
         return False
-    return sum(connected_component_classes(cls).values()) == 1
+    adj = _adjacency(cls.cv, cls.bits)
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << cls.cv) - 1
 
 
 # ── graph6 and edge-list text formats ────────────────────────────────────

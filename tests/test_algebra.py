@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphinv.algebra import (
+    ColoringClass,
     LinComb,
     _distinct_copies,
+    covering_pairs,
     fleischmann_totals,
     general_product,
     is_general_identity,
@@ -18,10 +20,18 @@ from graphinv.algebra import (
     express_invariant,
     degree_sum_identity_check,
     union_class_distribution,
+    union_classes,
     verify_product_identity,
 )
 from graphinv.errors import PosetError
-from graphinv.graph import EMPTY_CLASS, canonicalize, canonicalize_bits, count_subgraphs
+from graphinv.graph import (
+    EMPTY_CLASS,
+    canonicalize,
+    canonicalize_bits,
+    count_subgraphs,
+    permute_bits,
+    support_automorphisms,
+)
 from graphinv.mtransform import build_mtransform
 from graphinv.poset import GPoset, build_full_poset
 from graphinv.smallgraphs import named_class
@@ -79,6 +89,45 @@ def test_fleischmann_monochrome_recovers_class(e4_poset):
     for cls, classes in refined.items():
         for cc in classes:
             assert canonicalize_bits(cc.a_only | cc.b_only | cc.shared) == cls
+
+
+def _fleischmann_per_pair(a, b, poset):
+    """Reference: every covering pair grouped by the least image of its own
+    colour triple under the union's automorphisms, orbits listed by key."""
+    result = {}
+    for cls in union_classes(a, b, min(a.cv + b.cv, poset.ambient_n)):
+        pairs = covering_pairs(a, b, cls)
+        if not pairs:
+            continue
+        orbits = {}
+        for c_bits, d_bits in pairs:
+            coloring = (c_bits & ~d_bits, d_bits & ~c_bits, c_bits & d_bits)
+            key = min(tuple(permute_bits(x, p) for x in coloring) for p in support_automorphisms(cls))
+            orbits.setdefault(key, []).append(coloring)
+        result[cls] = tuple(ColoringClass(cls, *key, len(orbits[key])) for key in sorted(orbits))
+    return result
+
+
+def test_fleischmann_orbit_walk_matches_per_pair_grouping(e5_poset):
+    low = [m for m in e5_poset.members if m.degree <= 2]
+    for a in low:
+        for b in low:
+            got, want = product_fleischmann(a, b, e5_poset), _fleischmann_per_pair(a, b, e5_poset)
+            assert got == want and list(got) == list(want)
+    p3, k3 = named_class("P3"), named_class("K3")
+    for a, b in ((p3, p3), (p3, k3), (named_class("2K2"), p3)):
+        assert product_fleischmann(a, b, e5_poset, cross_check_n=5) == _fleischmann_per_pair(a, b, e5_poset)
+
+
+def test_fleischmann_orbit_walk_matches_per_pair_grouping_on_e6_sample():
+    e6 = build_full_poset(6)
+    rng = random.Random(606)
+    low = [m for m in e6.members if 1 <= m.degree <= 3]
+    for _ in range(30):
+        a, b = rng.choice(low), rng.choice(low)
+        got, want = product_fleischmann(a, b, e6), _fleischmann_per_pair(a, b, e6)
+        assert got == want and list(got) == list(want)
+        assert fleischmann_totals(got) == product_kocay(a, b, e6)
 
 
 def test_mtransform_route_examples(e3_poset, e4_poset, e4_matrix):

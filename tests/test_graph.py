@@ -33,7 +33,8 @@ from graphinv.graph import (
     subgraph_class_counts,
     support_automorphisms,
 )
-from graphinv.perm import stabilizer_order
+from graphinv.enumeration import connected_classes_by_degree
+from graphinv.perm import pair_from_slot, pair_slot, stabilizer_order
 from graphinv.poset import build_full_poset
 from graphinv.smallgraphs import named_class
 from graphinv.util import random_labeled_graph
@@ -426,3 +427,64 @@ def test_general_product_at_support_10_on_random_hosts():
         host = random_labeled_graph(rng, n, p)
         lhs = count_subgraphs_injective(a, host) * count_subgraphs_injective(b, host)
         assert comb.evaluate(host) == lhs
+
+
+# ── relabeling and connectivity against their slot-level references ─────
+
+
+def _permute_bits_reference(bits, images):
+    out = 0
+    for s in range(bits.bit_length()):
+        if bits >> s & 1:
+            i, j = pair_from_slot(s)
+            out |= 1 << pair_slot(images[i], images[j])
+    return out
+
+
+def test_permute_bits_matches_pair_slot_reference():
+    rng = random.Random(1616)
+    nslots = 16 * 15 // 2
+    for density in (0.05, 0.3, 0.7, 1.0):
+        for _ in range(60):
+            bits = sum(1 << s for s in range(nslots) if rng.random() < density)
+            images = list(range(16))
+            rng.shuffle(images)
+            assert permute_bits(bits, images) == _permute_bits_reference(bits, images)
+    # an injection of a smaller support into [0..16), as a tuple
+    bits = named_class("P5").bits
+    images = tuple(rng.sample(range(16), 5))
+    assert permute_bits(bits, images) == _permute_bits_reference(bits, images)
+    assert permute_bits(0, images) == 0
+
+
+def test_permute_bits_refuses_a_shared_image():
+    bits = 1 << pair_slot(3, 7) | 1 << pair_slot(0, 1)
+    images = list(range(16))
+    images[7] = 3
+    with pytest.raises(PreconditionError):
+        permute_bits(bits, images)
+
+
+def _connected_by_components(cls):
+    comps = connected_component_classes(cls)
+    return sum(comps.values()) == 1 and all(c.degree for c in comps)
+
+
+def test_is_connected_class_matches_components_on_e7(e7_poset):
+    for cls in e7_poset.members:
+        assert is_connected_class(cls) == _connected_by_components(cls)
+    # connected graphs on exactly 2..7 vertices (OEIS A001349): 1 + 2 + 6 + 21 + 112 + 853
+    assert sum(is_connected_class(cls) for cls in e7_poset.members) == 995
+    assert not is_connected_class(EMPTY_CLASS)
+
+
+def test_is_connected_class_on_connected_classes_to_support_9():
+    levels = connected_classes_by_degree(8)
+    assert max(cls.cv for level in levels.values() for cls in level) == 9
+    for level in levels.values():
+        for cls in level:
+            assert is_connected_class(cls) and _connected_by_components(cls)
+            # the same class with an isolated edge added has two components
+            if cls.cv <= 8:
+                two = canonicalize_bits(cls.bits | 1 << pair_slot(cls.cv, cls.cv + 1))
+                assert not is_connected_class(two) and not _connected_by_components(two)
