@@ -21,8 +21,9 @@ alone; a test guards that every other public function has a caller:
     every member, checks the cover recursion in `build_mtransform`;
   * `mtransform.unitriangular_inverse`, elimination by forward substitution,
     checks the closed form `mnukhin_power(-1)`, which `inverse_mtransform`
-    serves for every transform, graph or multiset, once an exact packed
-    check of E C = I proves it;
+    serves to `invert` once an exact packed check of E C = I proves it, and
+    `solve_transform`, the one solve of a square transform system, graph or
+    multiset, which proves E c = v exactly on its answer;
   * `algebra.product_kocay`, `product_fleischmann` and `product_mtransform`
     compute every product three ways and must agree;
   * `enumeration.pair_cycle_index_bruteforce`, an average over all of S_n,

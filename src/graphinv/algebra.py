@@ -317,19 +317,13 @@ def verify_product_identity(a: IsoClass, b: IsoClass, comb: LinComb, hosts) -> b
 # ── expression in the basic basis and degree identities ──────────────────
 
 def express_invariant(values, poset: GPoset, matrix) -> LinComb:
-    """Solve E c = values as c = E^-1 values (unique by unitriangularity),
-    E^-1 the closed-form inverse `inverse_mtransform` proves."""
-    from .mtransform import inverse_mtransform  # general-product never loads the transform layer
+    """The combination of basic invariants with the given values on the
+    members: the one solution c of E c = values (unique by
+    unitriangularity), by `solve_transform`, which certifies it exactly; a
+    wrong value count raises PreconditionError there."""
+    from .mtransform import solve_transform  # general-product never loads the transform layer
 
-    n = len(poset)
-    if len(values) != n:
-        raise PreconditionError(f"expected {n} values, got {len(values)}")
-    vals = [Fraction(v) for v in values]
-    inv = inverse_mtransform(matrix, poset.degrees())
-    return LinComb.from_terms({
-        m: sum((x * vals[j] for j, x in inv.row(i).items()), Fraction(0))
-        for i, m in enumerate(poset.members)
-    })
+    return LinComb.from_terms(dict(zip(poset.members, solve_transform(matrix, poset.degrees(), values))))
 
 
 def degree_sum_identity_check(g_i: IsoClass, big_d: int, poset: GPoset, matrix) -> dict:

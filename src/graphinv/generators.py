@@ -23,7 +23,7 @@ from .graph import (
     is_connected_class,
     MAX_SUPPORT,
 )
-from .mtransform import IntMatrix, build_mtransform, cached_transform, exact_rank, exact_solve, inverse_mtransform, minor_by_degree, transform_columns
+from .mtransform import IntMatrix, build_mtransform, cached_transform, exact_rank, exact_solve, minor_by_degree, solve_transform, transform_columns
 from .poset import GPoset, build_full_poset
 
 SEARCH_POOL_CAP = 20
@@ -165,7 +165,9 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
     E(2d, d) against a connected class of degree d+1, by default the least in
     (degree, bits).  Every graph with at most d edges has at most 2d vertices,
     so E(2d, d) holds every disjoint union of connected classes with total
-    degree <= d."""
+    degree <= d.  The coefficients solve E^T c = v, v_i the copies of member
+    i in the generator, by `solve_transform` on the transpose, which
+    certifies them exactly; they are ints."""
     if d < 1:
         raise PreconditionError("need d >= 1")
     poset = build_full_poset(2 * d, d)
@@ -177,12 +179,8 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
         if generator.degree != d + 1 or not is_connected_class(generator):
             raise PreconditionError("generator override must be connected of degree d+1")
     e = build_mtransform(poset)
-    inv = inverse_mtransform(e, poset.degrees())
-    coeffs = [0] * len(poset)
-    for i, g in enumerate(poset.members):
-        value = count_subgraphs(g, generator)
-        for j, x in inv.row(i).items():
-            coeffs[j] += value * x
+    values = [count_subgraphs(g, generator) for g in poset.members]
+    coeffs = solve_transform(IntMatrix([e.column(j) for j in range(e.cols)], e.rows), poset.degrees(), values)
     t_parts: Counter = Counter()
     u_parts: Counter = Counter({generator: 1})
     for cls, c in zip(poset.members, coeffs):

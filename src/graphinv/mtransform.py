@@ -3,8 +3,9 @@ complement identities, half-matrix reconstruction, minors, exact rank and solve.
 
 All arithmetic is exact.  Rationals appear only inside complement-expansion
 coefficients, which must clear to integers on evaluation, and in the values a
-solve returns; rank and solve share one fraction-free elimination, so no
-floating point ever enters.
+solve returns.  A square transform system is solved in integers by the closed
+form and certified by one exact multiply; rank and the non-square solve share
+one fraction-free elimination, so no floating point ever enters.
 """
 
 from __future__ import annotations
@@ -331,10 +332,12 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
     by `enumeration.graph_count_series`, is refused before anything is built.
     The poset comes from `cached_poset`, the transform from the entry
     `mtransform:n=<n>:d=<bound>`: one [[j, e], ...] row of int pairs per
-    member.  On a miss the matrix just built is served, not the rows written;
-    a loaded entry must pass that shape check.  Built or loaded, the matrix
-    passes `check_transform_rows` before it is served.  Either check raises
+    member.  A build is served as built, not as the rows written; a loaded
+    entry must pass that shape check.  Built or loaded, the matrix passes
+    `check_transform_rows` before it is served.  Either check raises
     AssertionError."""
+    from .util import cache_fetch
+
     if n >= 8:  # |E(7)| = 1,044 is under the cap, so n <= 7 loads no enumeration
         from .enumeration import graph_count_series
 
@@ -342,30 +345,22 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
         if size > TRANSFORM_MEMBER_CAP:
             raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
     poset = cached_poset(cache_dir, n, max_degree)
-    if not cache_dir:
-        matrix = build_mtransform(poset)
-    else:
-        from .util import cache_fetch
 
-        built: list[IntMatrix] = []
+    def encode(e: IntMatrix):
+        return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
 
-        def build():
-            e = build_mtransform(poset)
-            built.append(e)
-            return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
-
-        rows = cache_fetch(cache_dir, f"mtransform:n={n}:d={poset.max_degree}", build)
-        if built:
-            matrix = built[0]
-        elif (
+    def decode(rows) -> IntMatrix:
+        if not (
             type(rows) is list
             and all(type(row) is list for row in rows)
             and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
                     for row in rows for pair in row)
         ):
-            matrix = IntMatrix((dict(row) for row in rows), len(poset))
-        else:
             raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
+        return IntMatrix((dict(row) for row in rows), len(poset))
+
+    key = f"mtransform:n={n}:d={poset.max_degree}"
+    matrix = cache_fetch(cache_dir, key, lambda: build_mtransform(poset), encode, decode)
     check_transform_rows(matrix, poset.degrees())
     return poset, matrix
 
@@ -415,10 +410,51 @@ def unitriangular_inverse(matrix: IntMatrix) -> IntMatrix:
     return IntMatrix(inv_rows, n)
 
 
+def solve_transform(matrix: IntMatrix, degrees, values) -> list:
+    """The one solution c of matrix @ c = values, for a square transform system.
+
+    The matrix must be unitriangular: a unit diagonal and every off-diagonal
+    entry on one side of it, below for a transform E, above for its
+    transpose; otherwise, or for a wrong value count, PreconditionError.  The
+    values are scaled to integers by the lcm of their denominators, and the
+    closed form of `mnukhin_power(-1)`, which holds with the same signs for
+    the transpose, gives the answer in one signed pass over the rows:
+        c_i = sum_j (-1)^(d_i - d_j) m_ij v_j.
+    A second pass proves matrix @ c == values exactly, so the answer does not
+    rest on the closed form: a unitriangular matrix has exactly one solution.
+    A failed proof raises AssertionError.  The solution is ints when every
+    value is an int, else Fractions; `unitriangular_inverse` is its oracle.
+    """
+    n = matrix.rows
+    if matrix.cols != n or len(degrees) != n:
+        raise PreconditionError("matrix/degree dimensions do not match")
+    if len(values) != n:
+        raise PreconditionError(f"expected {n} values, got {len(values)}")
+    if any(matrix.row(i).get(i) != 1 for i in range(n)):
+        raise PreconditionError("matrix diagonal is not all ones")
+    if len({j > i for i in range(n) for j in matrix.row(i) if j != i}) > 1:
+        raise PreconditionError("matrix has entries on both sides of its diagonal")
+    integral = all(type(v) is int for v in values)  # a bool goes through Fraction
+    fracs = values if integral else [Fraction(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    scaled = [f.numerator * (scale // f.denominator) for f in fracs]
+    signed = [-v if d % 2 else v for v, d in zip(scaled, degrees)]
+    sol = []
+    for i, d_i in enumerate(degrees):
+        c = sum(e * signed[j] for j, e in matrix.row(i).items())
+        sol.append(-c if d_i % 2 else c)
+    for i in range(n):
+        if sum(e * sol[j] for j, e in matrix.row(i).items()) != scaled[i]:
+            raise AssertionError(f"closed-form solve: row {i} of E c is not the value")
+    return sol if integral else [Fraction(c, scale) for c in sol]
+
+
 def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> IntMatrix:
     """Inverse of a transform: the closed form `mnukhin_power(-1)`, proved by
-    `_check_packed_inverse`; `complete=False` raises PosetError.  The
-    elimination `unitriangular_inverse` is the tests' oracle for it."""
+    `_check_packed_inverse`; `complete=False` raises PosetError.  Only the
+    `invert` command needs the whole inverse; a solve goes through
+    `solve_transform`.  The elimination `unitriangular_inverse` is the tests'
+    oracle for it."""
     if not complete:
         raise PosetError("closed-form inverse requires a subgraph-closed poset")
     closed = mnukhin_power(matrix, degrees, -1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product as _product
 
 from .errors import CapError, PreconditionError
-from .mtransform import IntMatrix, inverse_mtransform
+from .mtransform import IntMatrix, solve_transform
 from .perm import PermGroup
 
 MEMBER_CAP = 100_000
@@ -133,16 +133,16 @@ def build_general_mtransform(p: MultisetPoset) -> IntMatrix:
 
 def express_orbit_sum(a, p: MultisetPoset) -> list:
     """Coefficients c with sum_k c_k I(m_k) identical to the orbit sum of a
-    on the whole grid {0..cap}^N; found as c = E^-1 values, E^-1 the
-    closed-form inverse, which holds on every orbit transform."""
+    on the whole grid {0..cap}^N: the one solution of E c = values over the
+    general transform E, by `solve_transform`, whose closed form holds on
+    every orbit transform and whose answer is certified exactly."""
     a = tuple(a)
     if max(a, default=0) > p.cap:
         raise CapError(f"exponent {max(a)} exceeds poset cap {p.cap}")
     if len(a) != p.group.n:
         raise PreconditionError("monomial length != number of positions")
-    inv = inverse_mtransform(build_general_mtransform(p), p.degrees())
     values = [orbit_sum_value(a, m, p.group) for m in p.members]
-    return [sum(x * values[j] for j, x in inv.row(i).items()) for i in range(inv.rows)]
+    return solve_transform(build_general_mtransform(p), p.degrees(), values)
 
 
 def verify_orbit_sum_expression(a, p: MultisetPoset, coeffs) -> bool:

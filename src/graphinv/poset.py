@@ -135,12 +135,16 @@ def _degree_bound(n: int, max_degree: int | None) -> int:
 # ── the poset file: the JSON sidecar the CLI caches ─────────────────────
 
 def cached_poset(cache_dir: str | None, n: int, max_degree: int | None = None) -> GPoset:
-    """E(n, max_degree) through the file cache, under `poset:n=<n>:d=<bound>`."""
+    """E(n, max_degree) through the file cache, under `poset:n=<n>:d=<bound>`:
+    a build is served as built and stored as its `poset_sidecar`, and only a
+    loaded sidecar is proved by `poset_from_sidecar`."""
     from .util import cache_fetch
 
     key = f"poset:n={n}:d={_degree_bound(n, max_degree)}"
-    obj = cache_fetch(cache_dir, key, lambda: poset_sidecar(build_full_poset(n, max_degree)))
-    return poset_from_sidecar(obj, n, max_degree)
+    return cache_fetch(
+        cache_dir, key, lambda: build_full_poset(n, max_degree), poset_sidecar,
+        lambda obj: poset_from_sidecar(obj, n, max_degree),
+    )
 
 
 def poset_sidecar(p: GPoset) -> list[list[int]]:

@@ -54,8 +54,14 @@ def _entry_header(body: bytes) -> bytes:
     return CACHE_FORMAT + b" " + hashlib.sha256(body).hexdigest().encode()
 
 
-def cache_fetch(cache_dir: str | None, key: str, build):
-    """JSON file cache; the key carries every semantic parameter of the artifact.
+def cache_fetch(cache_dir: str | None, key: str, build, encode, decode):
+    """The artifact under `key` through a JSON file cache; the key carries
+    every semantic parameter of the artifact.
+
+    A miss, and every call without a cache dir, serves `build()` as built and
+    writes `encode(value)`, its JSON form, when there is a cache dir.  A hit
+    serves `decode(entry)`, which must refuse a malformed entry, so only a
+    loaded entry goes through a load check.
 
     An entry is one file: a header line holding the format version and the
     sha256 of the value's JSON text, then that text.  An entry whose header
@@ -69,11 +75,11 @@ def cache_fetch(cache_dir: str | None, key: str, build):
     try:
         header, _, body = path.read_bytes().partition(b"\n")
         if header == _entry_header(body):
-            return json.loads(body)
+            return decode(json.loads(body))
     except FileNotFoundError:
         pass
-    obj = build()
-    body = json.dumps(obj, sort_keys=True).encode()
+    value = build()
+    body = json.dumps(encode(value), sort_keys=True).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -81,25 +87,28 @@ def cache_fetch(cache_dir: str | None, key: str, build):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return obj
+    return value
 
 
 def cached_ulam_table(cache_dir: str | None, max_n: int, max_d: int) -> dict[tuple[int, int], int]:
     """The difference table {(d, n): value} through the file cache.
 
     The `ulam-cells:<max_n>:<max_d>` entry holds only the values, one integer
-    per cell in `ulam_cell_keys` order, or it is refused (AssertionError).  A
-    warm read loads no enumeration layer.
+    per cell in `ulam_cell_keys` order; a loaded entry that is not is refused
+    (AssertionError).  A warm read loads no enumeration layer.
     """
     keys = ulam_cell_keys(max_n, max_d)
 
     def build():
         from .enumeration import ulam_difference_table
 
-        table = ulam_difference_table(max_n, max_d)
-        return [table[key] for key in keys]
+        return ulam_difference_table(max_n, max_d)
 
-    values = cache_fetch(cache_dir, f"ulam-cells:{max_n}:{max_d}", build)
-    if not (type(values) is list and len(values) == len(keys) and all(type(v) is int for v in values)):
-        raise AssertionError("ulam-cells entry is not one integer per cell of the table")
-    return dict(zip(keys, values))
+    def decode(values):
+        if not (type(values) is list and len(values) == len(keys) and all(type(v) is int for v in values)):
+            raise AssertionError("ulam-cells entry is not one integer per cell of the table")
+        return dict(zip(keys, values))
+
+    return cache_fetch(
+        cache_dir, f"ulam-cells:{max_n}:{max_d}", build, lambda table: [table[key] for key in keys], decode
+    )

@@ -235,3 +235,27 @@ def test_listed_oracles_exist():
     for dotted in _listed_oracles():
         module, name = dotted.split(".")
         assert hasattr(importlib.import_module(f"graphinv.{module}"), name), dotted
+
+
+def _references(name: str) -> set[tuple[str, str]]:
+    """(module, top-level statement) for each use of `name` in the package:
+    a name, an attribute or an imported alias; its own definition excepted."""
+    package = Path(graphinv.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if getattr(stmt, "name", None) == name:
+                continue
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and node.name == name
+                ):
+                    found.add((path.stem, getattr(stmt, "name", type(stmt).__name__)))
+    return found
+
+
+def test_only_invert_builds_the_whole_inverse():
+    # every solve goes through `solve_transform`; the whole inverse is for the `invert` command
+    assert _references("inverse_mtransform") == {("cli", "_cmd_invert")}

@@ -304,7 +304,7 @@ def test_complete_inverse_is_checked_without_elimination(monkeypatch, e4_poset, 
 
 
 def test_solves_use_the_closed_form_not_elimination(monkeypatch, e5_poset):
-    from graphinv import multiset
+    from graphinv import generators, multiset
     from graphinv.algebra import LinComb, express_invariant
     from graphinv.perm import symmetric_group
 
@@ -319,15 +319,101 @@ def test_solves_use_the_closed_form_not_elimination(monkeypatch, e5_poset):
     orbit_values = [multiset.orbit_sum_value(a, m, p.group) for m in p.members]
     inv = unitriangular_inverse(multiset.build_general_mtransform(p))
     want_orbit = [sum(x * orbit_values[j] for j, x in inv.row(i).items()) for i in range(inv.rows)]
+    want_pairs = [_scatter_coefficients(d) for d in (1, 2, 3, 4)]
 
     def no_elimination(matrix):
         raise AssertionError("elimination ran in a production solve")
 
+    def no_inverse(*args, **kw):
+        raise AssertionError("a production solve built an inverse")
+
     monkeypatch.setattr(mtransform, "unitriangular_inverse", no_elimination)
     monkeypatch.setattr(multiset, "unitriangular_inverse", no_elimination, raising=False)
+    monkeypatch.setattr(mtransform, "mnukhin_power", no_inverse)
+    for module in (mtransform, generators, multiset):
+        monkeypatch.setattr(module, "inverse_mtransform", no_inverse, raising=False)
     assert express_invariant(values, e5_poset, e5) == want
     assert multiset.express_orbit_sum(a, p) == want_orbit
     assert multiset.verify_orbit_sum_expression(a, p, want_orbit)
+    assert [generators.inseparable_pair(d).coefficients for d in (1, 2, 3, 4)] == want_pairs
+
+
+def _scatter_coefficients(d):
+    """The coefficients of `inseparable_pair(d)` as the inverse-and-scatter loop
+    found them: c_j = sum_i v_i inv_ij over E(2d, d), v_i the copies of member
+    i in the least connected class of degree d + 1, inv by elimination."""
+    from graphinv.enumeration import connected_classes_by_degree
+
+    p = build_full_poset(2 * d, d)
+    generator = connected_classes_by_degree(d + 1)[d + 1][0]
+    inv = unitriangular_inverse(build_mtransform(p))
+    coeffs = [0] * len(p)
+    for i, g in enumerate(p.members):
+        value = count_subgraphs(g, generator)
+        for j, x in inv.row(i).items():
+            coeffs[j] += value * x
+    return tuple(coeffs)
+
+
+def _oracle_solve(matrix, values):
+    """unitriangular_inverse(E) v, in Fractions."""
+    inv = unitriangular_inverse(matrix)
+    return [sum((x * Fraction(values[j]) for j, x in inv.row(i).items()), Fraction(0)) for i in range(inv.rows)]
+
+
+def test_solve_transform_matches_the_elimination_oracle(e3_poset, e4_poset, e5_poset):
+    from graphinv import multiset
+    from graphinv.perm import symmetric_group, trivial_group
+
+    rng = random.Random(22)
+    systems = [(build_mtransform(p), p.degrees()) for p in (e3_poset, e4_poset, e5_poset, build_full_poset(6))]
+    for group, cap in ((trivial_group(3), 1), (trivial_group(2), 3), (symmetric_group(3), 2), (symmetric_group(4), 2)):
+        mp = multiset.build_multiset_poset(group, cap)
+        systems.append((multiset.build_general_mtransform(mp), mp.degrees()))
+    for e, degrees in systems:
+        values = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(e.rows)]
+        sol = mtransform.solve_transform(e, degrees, values)
+        assert sol == _oracle_solve(e, values)
+        assert all(type(c) is Fraction for c in sol)
+        ints = [rng.randint(-40, 40) for _ in range(e.rows)]
+        sol = mtransform.solve_transform(e, degrees, ints)
+        assert sol == _oracle_solve(e, ints)
+        assert all(type(c) is int for c in sol)  # `inseparable` prints them through json.dumps
+
+
+def test_solve_transform_on_the_transpose_gives_the_inseparable_coefficients():
+    from graphinv.enumeration import connected_classes_by_degree
+    from graphinv.generators import inseparable_pair
+
+    for d in (1, 2, 3, 4):
+        p = build_full_poset(2 * d, d)
+        e = build_mtransform(p)
+        generator = connected_classes_by_degree(d + 1)[d + 1][0]
+        values = [count_subgraphs(g, generator) for g in p.members]
+        transposed = IntMatrix([e.column(j) for j in range(e.cols)], e.rows)
+        sol = mtransform.solve_transform(transposed, p.degrees(), values)
+        assert all(type(c) is int for c in sol)
+        assert tuple(sol) == _scatter_coefficients(d) == inseparable_pair(d).coefficients
+
+
+def test_solve_transform_refuses_what_it_cannot_certify():
+    # lower unitriangular, but not a transform: the closed form gives (1, -1, 1), E c = (1, 0, 1)
+    m = IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    with pytest.raises(AssertionError, match="row 2 of E c is not the value"):
+        mtransform.solve_transform(m, (0, 1, 2), [1, 0, 0])
+    with pytest.raises(PreconditionError, match="expected 3 values, got 2"):
+        mtransform.solve_transform(m, (0, 1, 2), [1, 0])
+    for rows in ([[1, 2], [3, 1]], [[1, 0], [1, 2]], [[0, 0], [1, 1]]):
+        with pytest.raises(PreconditionError):
+            mtransform.solve_transform(IntMatrix.from_rows(rows), (0, 1), [1, 1])
+    with pytest.raises(PreconditionError):
+        mtransform.solve_transform(IntMatrix.from_rows([[1, 0, 0], [1, 1, 0]]), (0, 1), [1, 1])
+    # {empty, P3}, not closed under edge deletion: the closed-form entry +1 is not the true -1
+    p = _not_down_closed(("empty", "P3"), 3, 2, complete=True)
+    e = _mtransform_by_subsets(p)
+    with pytest.raises(AssertionError):
+        mtransform.solve_transform(e, p.degrees(), [1, 5])
+    assert mtransform.solve_transform(e, p.degrees(), [0, 5]) == [0, 5] == _oracle_solve(e, [0, 5])
 
 
 def test_inverse_check_derives_its_field_width(e7):

@@ -141,6 +141,21 @@ def test_poset_json_roundtrip(e4_poset):
     assert (again.ambient_n, again.max_degree, again.complete) == (4, 6, True)
 
 
+def test_cached_poset_proves_only_a_loaded_sidecar(monkeypatch, tmp_path, e4_poset):
+    from graphinv import poset
+
+    proved = []
+
+    def counted(*args):
+        proved.append(args)
+        return poset_from_sidecar(*args)
+
+    monkeypatch.setattr(poset, "poset_from_sidecar", counted)
+    assert poset.cached_poset(None, 4) == e4_poset and proved == []
+    assert poset.cached_poset(str(tmp_path), 4) == e4_poset and proved == []  # a miss: served as built
+    assert poset.cached_poset(str(tmp_path), 4) == e4_poset and len(proved) == 1  # a hit: the sidecar is proved
+
+
 def test_canonical_convention_is_pinned_to_the_cache_format():
     # cached poset entries are served without canonicalizing again, so a change
     # to the canonical form, which changes this digest, must also bump the format
