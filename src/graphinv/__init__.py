@@ -25,7 +25,8 @@ alone; a test guards that every other public function has a caller:
     `solve_transform`, the one solve of a square transform system, graph or
     multiset, which proves E c = v exactly on its answer;
   * `algebra.product_kocay`, `product_fleischmann` and `product_mtransform`
-    compute every product three ways and must agree;
+    compute every product three ways and must agree: covering pairs, their
+    coloring orbits, and a `solve_transform` on the block E(n, |a| + |b|);
   * `enumeration.pair_cycle_index_bruteforce`, an average over all of S_n,
     checks `pair_group_cycle_index`;
   * `multiset.hasse_derivative_value`, a tiny polynomial calculus, checks

@@ -5,7 +5,7 @@ Three product routes are provided and must agree:
   * pair counting inside each candidate union class (the primary engine),
   * its refinement into orbits of 3-colored overlays, whose per-class counts
     match the stabilizer-quotient coefficients,
-  * the triple sum over a poset transform matrix.
+  * one certified solve on the leading block E(n, |a| + |b|) of a transform.
 
 A product computed inside a fixed poset E(n) is an identity of functions on
 n-vertex graphs; computed with ambient cv(A)+cv(B) it is an identity on all
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,26 +255,24 @@ def fleischmann_totals(refind: dict) -> LinComb:
 
 
 def product_mtransform(a: IsoClass, b: IsoClass, poset: GPoset, matrix) -> LinComb:
-    """Structure constants from the transform matrix:
-    c_k = sum_h (-1)^(|g_k|-|g_h|) e_kh e_hi e_hj."""
-    if _realizable_degree(a.degree + b.degree, poset) > poset.max_degree:
+    """Structure constants as one certified solve on the leading block of the
+    transform: every union of a and b has at most top = |a| + |b| edges
+    (capped at C(n, 2)), so the members of degree <= top, a prefix of the
+    degree-sorted poset, carry the whole product.  Its values there are
+    e_ka * e_kb, and `solve_transform` proves E c = v on that block."""
+    from .mtransform import IntMatrix, solve_transform
+
+    top = _realizable_degree(a.degree + b.degree, poset)
+    if top > poset.max_degree:
         raise PosetError(
             f"product degree {a.degree + b.degree} exceeds poset degree cap {poset.max_degree}"
         )
-    col_i = matrix.column(poset.position(a))
-    col_j = matrix.column(poset.position(b))
-    pairs = {h: e_hi * col_j[h] for h, e_hi in col_i.items() if h in col_j}
-    degs = poset.degrees()
-    terms = {}
-    for k, member in enumerate(poset.members):
-        acc = 0
-        for h, e_kh in matrix.row(k).items():
-            if h in pairs:
-                prod = e_kh * pairs[h]
-                acc += prod if (degs[k] - degs[h]) % 2 == 0 else -prod
-        if acc:
-            terms[member] = acc
-    return LinComb.from_terms(terms)
+    i, j = poset.position(a), poset.position(b)
+    degrees = poset.degrees()
+    m = bisect_right(degrees, top)
+    rows = matrix.nonzeros[:m]
+    values = [row.get(i, 0) * row.get(j, 0) for row in rows]
+    return LinComb.from_terms(dict(zip(poset.members, solve_transform(IntMatrix(rows, m), degrees[:m], values))))
 
 
 def is_general_identity(a: IsoClass, b: IsoClass, poset: GPoset) -> bool:

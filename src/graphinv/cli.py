@@ -190,12 +190,12 @@ def _cmd_count(args) -> int:
 def _cmd_product(args) -> int:
     from . import algebra, graph, mtransform, poset
 
-    if args.method in ("mtransform", "all"):
-        p, e = mtransform.cached_transform(args.cache_dir, args.n)
-    else:
-        p = poset.cached_poset(args.cache_dir, args.n)
     a = graph.canonicalize(graph.parse_graph(args.a))
     b = graph.canonicalize(graph.parse_graph(args.b))
+    if args.method in ("mtransform", "all"):
+        p, e = mtransform.cached_transform(args.cache_dir, args.n, a.degree + b.degree)
+    else:
+        p = poset.cached_poset(args.cache_dir, args.n, a.degree + b.degree)
     out: dict = {"n": args.n, "a": a.graph6, "b": b.graph6, "method": args.method}
     results = {}
     if args.method in ("kocay", "all"):
@@ -498,7 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("express", help="express values over a poset in the invariant basis")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--values", required=True, help="comma-separated, one per member")
+    sp.add_argument(
+        "--values", required=True,
+        help="comma-separated, one per member; write --values=-1,2,... when the first is negative",
+    )
     _add_common(sp)
     sp.set_defaults(func=_cmd_express)
 

@@ -487,35 +487,34 @@ def disjoint_union(parts) -> IsoClass:
     return canonicalize_bits(bits)
 
 
+def _flood(adj: list[int], seed: int) -> int:
+    """The vertex mask reached from the vertex mask seed along the neighbour masks adj."""
+    seen = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
 def connected_component_classes(g: LabeledGraph | IsoClass) -> Counter:
-    """Multiset of canonical classes of the edge-connected components."""
-    bits = g.bits
-    adj: dict[int, set[int]] = {}
-    edges_at: dict[int, list[int]] = {}
-    for s in _bits_to_slots(bits):
-        i, j = pair_from_slot(s)
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-        edges_at.setdefault(i, []).append(s)
-        edges_at.setdefault(j, []).append(s)
+    """Multiset of canonical classes of the edge-connected components, each
+    flooded from its lowest vertex; in colex order the edges (i, v), i < v,
+    are the slots v(v-1)/2 + i, so a component's edges are one shifted
+    neighbour mask per vertex."""
+    rest = _support_mask(g.bits)
+    adj = _adjacency(rest.bit_length(), g.bits)
     comps: Counter = Counter()
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        verts = {start}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in verts:
-                    verts.add(w)
-                    stack.append(w)
-        seen |= verts
+    while rest:
+        verts = _flood(adj, rest & -rest)
+        rest &= ~verts
         comp_bits = 0
-        for v in verts:
-            for s in edges_at[v]:
-                comp_bits |= 1 << s
+        while verts:
+            v = verts.bit_length() - 1
+            comp_bits |= (adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
+            verts ^= 1 << v
         comps[canonicalize_bits(comp_bits)] += 1
     return comps
 
@@ -523,17 +522,7 @@ def connected_component_classes(g: LabeledGraph | IsoClass) -> Counter:
 def is_connected_class(cls: IsoClass) -> bool:
     """True when the class has at least one edge and a single edge-connected
     component: a flood fill from vertex 0 reaches the whole support [0..cv)."""
-    if cls.degree == 0:
-        return False
-    adj = _adjacency(cls.cv, cls.bits)
-    seen = frontier = 1
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen == (1 << cls.cv) - 1
+    return cls.degree > 0 and _flood(_adjacency(cls.cv, cls.bits), 1) == (1 << cls.cv) - 1
 
 
 # ── graph6 and edge-list text formats ────────────────────────────────────

@@ -32,7 +32,7 @@ from graphinv.graph import (
     permute_bits,
     support_automorphisms,
 )
-from graphinv.mtransform import build_mtransform
+from graphinv.mtransform import IntMatrix, build_mtransform
 from graphinv.poset import GPoset, build_full_poset
 from graphinv.smallgraphs import named_class
 from graphinv.util import random_labeled_graph
@@ -138,6 +138,67 @@ def test_mtransform_route_examples(e3_poset, e4_poset, e4_matrix):
     comb4 = product_mtransform(p3, p3, e4_poset, e4_matrix)
     assert comb4.coefficient(named_class("C4")) == 4
     assert comb4.coefficient(named_class("paw")) == 4
+
+
+def _triple_sum(a, b, poset, matrix):
+    """The closed-form route the block solve replaced, kept as its reference:
+    c_k = sum_h (-1)^(|g_k|-|g_h|) e_kh e_ha e_hb over every row of the transform."""
+    col_a = matrix.column(poset.position(a))
+    col_b = matrix.column(poset.position(b))
+    pairs = {h: e * col_b[h] for h, e in col_a.items() if h in col_b}
+    degs = poset.degrees()
+    terms = {}
+    for k, member in enumerate(poset.members):
+        terms[member] = sum(
+            (-1) ** (degs[k] - degs[h]) * e_kh * pairs[h] for h, e_kh in matrix.row(k).items() if h in pairs
+        )
+    return LinComb.from_terms(terms)
+
+
+def test_block_solve_equals_the_triple_sum_on_all_e4_pairs(e4_poset, e4_matrix):
+    for a, b in combinations_with_replacement(e4_poset.members, 2):
+        assert product_mtransform(a, b, e4_poset, e4_matrix) == _triple_sum(a, b, e4_poset, e4_matrix)
+
+
+@pytest.mark.parametrize("n, seed", [(5, 55), (6, 66)])
+def test_block_solve_equals_the_triple_sum_on_seeded_pairs(n, seed):
+    p = build_full_poset(n)
+    e = build_mtransform(p)
+    rng = random.Random(seed)
+    for _ in range(25):
+        a, b = rng.choice(p.members), rng.choice(p.members)
+        assert product_mtransform(a, b, p, e) == _triple_sum(a, b, p, e)
+
+
+@pytest.mark.parametrize("n, d", [(5, 3), (5, 6), (6, 4), (6, 5)])
+def test_block_solve_on_truncated_posets(n, d):
+    """On E(n, d) every pair with |a| + |b| <= d gives the triple sum of that
+    poset and the product inside the full E(n)."""
+    p = build_full_poset(n, d)
+    e = build_mtransform(p)
+    full = build_full_poset(n)
+    for a, b in combinations_with_replacement(p.members, 2):
+        if a.degree + b.degree > d:
+            with pytest.raises(PosetError):
+                product_mtransform(a, b, p, e)
+            continue
+        comb = product_mtransform(a, b, p, e)
+        assert comb == _triple_sum(a, b, p, e)
+        assert comb == product_kocay(a, b, full)
+
+
+def test_block_solve_proves_its_answer_for_the_matrix_given(e5_poset):
+    """The solve proves E c = v for the matrix it is handed, not that the matrix
+    is a transform (`check_transform_rows` and the other routes guard that).
+    A +1 on the K3 entry of the paw row breaks the closed form on the
+    degree-4 block that P3 * P3 reads, so that proof fails."""
+    e = build_mtransform(e5_poset)
+    p3 = named_class("P3")
+    paw, k3 = e5_poset.position(named_class("paw")), e5_poset.position(named_class("K3"))
+    rows = list(e.nonzeros)
+    rows[paw] = {**rows[paw], k3: rows[paw].get(k3, 0) + 1}
+    with pytest.raises(AssertionError):
+        product_mtransform(p3, p3, e5_poset, IntMatrix(rows, e.cols))
 
 
 def test_e_recovery(e3_poset, e4_poset, e4_matrix):

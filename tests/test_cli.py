@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphinv import enumeration, graph, mtransform, poset
+from graphinv import algebra, enumeration, graph, mtransform, poset
 from graphinv.cli import _group_for, _parse_relation, build_parser, main
 from graphinv.errors import PreconditionError
 from graphinv.graph import parse_edge_list, parse_graph, parse_graph6
@@ -530,13 +530,30 @@ _GOLDEN_STDOUT = {
     "rank-minor-n5": (
         "rank-minor --n 5 --delta 3 --Delta 5", "fe25d5c6ad826c428d628c291f5319541be8ce1757ee0df5c41827ea49f5ccca",
     ),
+    "product-n6-kocay": (
+        "product --n 6 --a 0-1 --b 0-1,1-2 --method kocay",
+        "10dd60f73f7977af9b47f6fd726f0f069557a640855c892aff454255cf02580e",
+    ),
+    "product-n6-fleischmann": (
+        "product --n 6 --a 0-1 --b 0-1,1-2 --method fleischmann",
+        "5f46545dd3383b1991ab4cb0e2c661741cf06342419aa6a1fed085a3b510d178",
+    ),
+    "product-n7": (
+        "product --n 7 --a 0-1,1-2 --b 0-1,1-2,2-0",
+        "c28ce317122af6a1012ed9e599db7ab983c36c78259cc2b954975c3f2b35b545",
+    ),
+    "product-n7-table": (
+        "product --n 7 --a 0-1,1-2 --b 0-1,1-2 --format table",
+        "87245b0602c073e934a611c8ab1d3185ff6787793a2825bad51530cbae0b54d0",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN_STDOUT))
 def test_transform_stdout_is_byte_identical_cold_and_warm(tmp_path, capsys, case):
-    """Transform output outside the benchmark corpus, against digests recorded
-    before the transform was stored as sparse rows."""
+    """Transform and product output outside the benchmark corpus, against
+    digests recorded before the transform was stored as sparse rows and, for
+    the products, while `product` still fetched all of E(n)."""
     command, digest = _GOLDEN_STDOUT[case]
     for _pass in ("cold", "warm"):
         code, out, err = run_cli(capsys, *command.split(), "--cache-dir", str(tmp_path))
@@ -579,6 +596,51 @@ def test_oversized_transform_refused_before_the_poset_build(capsys, monkeypatch)
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "mtransform", "--n", "8", "--max-degree", "4")
     assert code == 0 and len(json.loads(out)["labels"]) == 20
+
+
+def test_product_at_n8_reads_only_the_union_degrees(capsys):
+    p3 = "0-1,1-2"
+    code, out, err = run_cli(capsys, "product", "--n", "8", "--a", p3, "--b", p3, "--method", "all")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["agreement"] is True
+    a = graph.canonicalize(parse_graph(p3))
+    want = algebra.product_kocay(a, a, build_full_poset(8, 4))
+    assert payload["terms"] == want.to_json_obj()
+
+
+_K4, _C5 = "0-1,0-2,0-3,1-2,1-3,2-3", "0-1,1-2,2-3,3-4,4-0"  # |a| + |b| = 11: E(8, 11) has 2,481 members
+
+
+def test_product_over_the_member_cap_refused_before_the_poset_build(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the poset build started")
+
+    monkeypatch.setattr(poset, "build_full_poset", no_build)
+    code, out, err = run_cli(capsys, "product", "--n", "8", "--a", _K4, "--b", _C5, "--method", "all")
+    assert code == 2 and out == "" and err.startswith("error:") and "cap" in err
+
+
+def test_product_without_the_transform_route_answers_over_the_member_cap(capsys):
+    # kocay reads no transform, so only the poset cap bounds it: E(8, 11) is built, not refused
+    code, out, err = run_cli(capsys, "product", "--n", "8", "--a", _K4, "--b", _C5, "--method", "kocay")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    a, b = graph.canonicalize(parse_graph(_K4)), graph.canonicalize(parse_graph(_C5))
+    assert payload["terms"] == algebra.product_kocay(a, b, build_full_poset(8, 11)).to_json_obj()
+
+
+def test_express_takes_a_leading_negative_value_in_the_equals_form(capsys):
+    code, out, err = run_cli(capsys, "express", "--n", "3", "--values=-1,2,3,4")
+    assert code == 0 and err == ""
+    assert json.loads(out)["terms"] == [
+        {"coeff": -1, "graph6": "?"}, {"coeff": 3, "graph6": "A_"},
+        {"coeff": -2, "graph6": "Bo"}, {"coeff": 2, "graph6": "Bw"},
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["express", "--n", "3", "--values", "-1,2,3,4"])
+    assert exc.value.code == 2
+    assert "--values: expected one argument" in capsys.readouterr().err
 
 
 _CSV_COMMANDS = {

@@ -209,6 +209,29 @@ def test_connected_components():
     assert disjoint_union(connected_component_classes(host)) == host
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_connected_components_against_networkx(seed):
+    """Seeded graphs on up to 16 vertices, each a union of random pieces of at
+    most 8 shuffled labels, so that every component fits a canonical form."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for _ in range(20):
+        n = rng.randint(0, 16)
+        labels = rng.sample(range(n), n)
+        edges = []
+        while labels:
+            size = rng.randint(1, 8)
+            piece, labels = labels[:size], labels[size:]
+            sub = random_labeled_graph(rng, len(piece), rng.choice((0.2, 0.4, 0.7)))
+            edges += [(piece[i], piece[j]) for i, j in sub.edge_list()]
+        g = LabeledGraph.from_edges(n, edges)
+        h = nx.Graph(edges)
+        want = Counter(canonicalize(LabeledGraph.from_edges(n, h.subgraph(c).edges())) for c in nx.connected_components(h))
+        assert connected_component_classes(g) == want
+        if g.cv <= 10:
+            assert connected_component_classes(canonicalize(g)) == want
+
+
 def test_is_connected_class():
     assert is_connected_class(named_class("K3"))
     assert not is_connected_class(named_class("2K2"))

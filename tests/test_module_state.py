@@ -259,3 +259,9 @@ def _references(name: str) -> set[tuple[str, str]]:
 def test_only_invert_builds_the_whole_inverse():
     # every solve goes through `solve_transform`; the whole inverse is for the `invert` command
     assert _references("inverse_mtransform") == {("cli", "_cmd_invert")}
+
+
+def test_products_read_only_the_union_block():
+    # the transform route is one certified solve on E(n, |a| + |b|)
+    assert ("algebra", "product_mtransform") in _references("solve_transform")
+    assert ("algebra", "product_mtransform") not in _references("column")
