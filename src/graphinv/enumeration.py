@@ -19,7 +19,7 @@ from .errors import CapError, PreconditionError
 from .graph import IsoClass, canonicalize_bits
 from .mtransform import IntMatrix, build_mtransform, exact_rank, minor_by_degree
 from .perm import CycleType, symmetric_group, induced_pair_permutation
-from .poset import build_full_poset, one_edge_additions
+from .poset import build_full_poset, canonical_additions
 
 CYCLE_INDEX_VERTEX_CAP = 16
 GRAPH_COUNT_VERTEX_CAP = 12
@@ -175,6 +175,8 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
     the rows on exactly v vertices of the E(v) transform's degree minor."""
     from .util import in_half_range
 
+    if d < 0:
+        raise PreconditionError("d must be nonnegative")
     if n + 1 > GRAPH_COUNT_VERTEX_CAP:
         raise CapError(f"counting check capped at n <= {GRAPH_COUNT_VERTEX_CAP - 1}")
     if rank_support is not None and rank_support < 0:
@@ -214,19 +216,21 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
 @functools.cache
 def connected_classes_by_degree(max_degree: int) -> Mapping[int, tuple[IsoClass, ...]]:
     """Connected classes grouped by edge count (a read-only mapping of tuples),
-    grown one edge at a time: the additions of `poset.one_edge_additions` to a
-    class on cv vertices placed in K_(cv+1), which join two support vertices or
-    a support vertex to one fresh vertex (adding an edge to a connected graph
-    never disconnects it)."""
+    grown one edge at a time: the `poset.canonical_additions` of a class on cv
+    vertices placed in K_(cv+1), which join two support vertices or a support
+    vertex to one fresh vertex (adding an edge to a connected graph never
+    disconnects it), keeping a child only when its new edge has the largest
+    key among the edges whose deletion leaves it connected or that are
+    pendant.  Every connected class has such an edge, so each is reached."""
     if max_degree > CONNECTED_DEGREE_CAP:
         raise CapError(f"connected enumeration capped at degree {CONNECTED_DEGREE_CAP}")
     levels: dict[int, tuple[IsoClass, ...]] = {}
     if max_degree >= 1:
-        current = {canonicalize_bits(1)}
-        levels[1] = tuple(current)
+        current = {1: canonicalize_bits(1)}  # by canonical bits
+        levels[1] = tuple(current.values())
         for d in range(2, max_degree + 1):
-            current = {grown for cls in current for grown, _w in one_edge_additions(cls, cls.cv + 1)}
-            levels[d] = tuple(sorted(current, key=lambda c: c.sort_key))
+            current = {g.bits: g for cls in current.values() for g in canonical_additions(cls, cls.cv + 1, True)}
+            levels[d] = tuple(current[bits] for bits in sorted(current))
     return MappingProxyType(levels)
 
 

@@ -191,17 +191,19 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     of one labeled copy of k in K_n whose addition makes g.  Counting the
     (labeled copy of g, edge) pairs both ways gives c_gk * orb(g) = a_kg *
     orb(k), where orb(x) = n! / ((n - cv)! aut) counts the labeled copies of x
-    in K_n; a quotient that is not exact raises AssertionError.  Only members
-    below half are extended, the additions `build_full_poset` made, so after a
-    build in the same process they are memo hits.
+    in K_n; a quotient that is not exact raises AssertionError.
 
     A member g above half takes them from its complement: deleting an edge of
     g adds it to the complement, so c_gk = a_(comp g)(comp k) exactly.  The
     complement map is built from the members at or below half, mostly the
-    searches the build made for the upper degrees; only one layer at the
-    middle degree is new, its additions when C(n, 2) is odd and its
-    complements when even.  A complement outside the poset, or a map that is
-    not a bijection, raises PosetError.
+    searches the build made for the upper degrees.  A complement outside the
+    poset, or a map that is not a bijection, raises PosetError.
+
+    So the additions of the members up to the middle degree are searched
+    here, one search per case of `poset.one_edge_additions` (non-edges up to
+    swapping twins), and the upper half reuses them.  `build_full_poset`
+    searched only the cases that `poset.canonical_additions` kept, so most of
+    these searches are new.
 
     The c_gk of g must sum to |g|: a deletion that lands outside the poset
     leaves the sum short and raises PosetError, as does a member that does
@@ -374,7 +376,9 @@ def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
 
 
 def mnukhin_power(matrix: IntMatrix, degrees, k: int) -> IntMatrix:
-    """Closed-form k-th power: entry (i, j) becomes k^(deg_i - deg_j) * e_ij.
+    """Closed-form k-th power: entry (i, j) becomes k^(deg_i - deg_j) * e_ij,
+    the power read from a table of the degree gaps of each row degree (an
+    entry above its row's degree raises IndexError; a transform has none).
 
     Valid for the transform of every graph poset E(n, d) and of every multiset
     orbit poset (`multiset.build_general_mtransform`): E is the tensor Pascal
@@ -384,9 +388,10 @@ def mnukhin_power(matrix: IntMatrix, degrees, k: int) -> IntMatrix:
     """
     if matrix.rows != matrix.cols or matrix.rows != len(degrees):
         raise PreconditionError("matrix/degree dimensions do not match")
+    powers = {d: [k ** (d - d_j) for d_j in range(d + 1)] for d in set(degrees)}  # by row degree, then column degree
     return IntMatrix((
-        {j: x for j, e in matrix.row(i).items() if (x := e * k ** (d_i - degrees[j]))}
-        for i, d_i in enumerate(degrees)
+        {j: x for j, e in matrix.row(i).items() if (x := e * power[degrees[j]])}
+        for i, power in enumerate(map(powers.__getitem__, degrees))
     ), matrix.cols)
 
 

@@ -12,6 +12,7 @@ the complement of one below it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,9 @@ from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     EMPTY_CLASS,
     IsoClass,
+    _adjacency,
     _canon_from_packed,
+    _flood,
     _support_mask,
     canonicalize_bits,
     is_connected_class,
@@ -74,8 +77,9 @@ class GPoset:
 def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     """All classes with cv <= n and degree <= max_degree.
 
-    Degrees up to half = C(n, 2) // 2 are grown by `one_edge_additions`, one
-    canonical search per addition.  Each degree k above half is taken whole
+    Degrees up to half = C(n, 2) // 2 are grown by `canonical_additions`, one
+    canonical search per kept child, not per labeled addition; duplicates
+    merge by canonical bits.  Each degree k above half is taken whole
     from degree C(n, 2) - k <= half: complementation in K_n is a bijection of
     the classes, so the complements of its members are exactly the members of
     degree k, one search each.  A complement may leave vertices isolated, so it
@@ -92,7 +96,7 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     levels = [{0: EMPTY_CLASS}]  # levels[k]: the members of degree k, by canonical bits
     for _k in range(min(max_degree, nslots // 2)):
         levels.append(
-            {grown.bits: grown for cls in levels[-1].values() for grown, _w in one_edge_additions(cls, n)}
+            {grown.bits: grown for cls in levels[-1].values() for grown in canonical_additions(cls, n, False)}
         )
     full = (1 << nslots) - 1
     for k in range(len(levels), max_degree + 1):
@@ -105,25 +109,126 @@ def one_edge_additions(cls: IsoClass, n: int):
     (grown class, weight), the weight being how many of the C(n, 2) - |cls|
     non-edges of one labeled copy the case stands for.
 
-    The new edge lies inside the support [0..cv) (weight 1), joins vertex i of
-    the support to the fresh vertex cv (weight n - cv), or is the fresh pair
-    (cv, cv + 1) (weight C(n - cv, 2)).  Cases of weight 0 are not yielded, so
-    every grown class fits in K_n.  A grown support is already
-    [0..max(cv, j + 1)), so the memoized search runs without repacking.
+    The cases are those of `_addition_cases`, one canonical search each: the
+    non-edges of the support grouped by swapping twins, the support to the
+    fresh vertex cv, and the fresh pair (cv, cv + 1).  A grown class may be
+    yielded by several cases; its weights add up.  A grown support is
+    already [0..max(cv, j + 1)), so the memoized search runs without
+    repacking.
     """
     cv, bits = cls.cv, cls.bits
+    for i, j, weight in _addition_cases(_adjacency(cv, bits), n):
+        yield _canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i)), weight
+
+
+@functools.cache
+def canonical_additions(cls: IsoClass, n: int, connected: bool) -> tuple[IsoClass, ...]:
+    """The children of cls in K_n whose new edge is a canonical deletion: of
+    the cases of `_addition_cases`, only those whose new edge has the largest
+    key among the child's edges are searched (McKay's canonical augmentation,
+    J. Algorithms 26, 1998).  The key (deg u + deg v, |N(u) & N(v)|,
+    deg u * deg v) is read off the child's neighbour masks and is invariant
+    under relabeling.  With `connected`, the maximum runs only over the edges
+    whose deletion leaves the child connected or that are pendant.  A class
+    may appear more than once; callers merge by canonical bits.
+
+    Soundness: every class C of degree |cls| + 1 in K_n has an edge e* of
+    largest key (with `connected`, among the eligible edges; C - e* is then
+    connected).  C - e* is a parent class, and its canonical copy has a
+    non-edge that maps to e*: inside the support, to the fresh vertex, or the
+    fresh pair.  Swapping twins is an automorphism of the parent, so the
+    case standing for that non-edge gives a child isomorphic to C whose new
+    edge has the key of e*, the largest, and the child is kept.  So growing
+    every class of one degree yields every class of the next.
+
+    Memoized per (class, n, connected), so a warm rebuild does not weigh the
+    keys again.
+    """
+    cv, bits = cls.cv, cls.bits
+    adj = _adjacency(cv, bits)
+    child = adj + [0, 0]  # room for the fresh vertex and the fresh pair
+    kept = []
+    for i, j, _weight in _addition_cases(adj, n):
+        child[i] |= 1 << j
+        child[j] |= 1 << i
+        if _has_max_key(child, i, j, connected):
+            kept.append(_canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i)))
+        child[i] ^= 1 << j
+        child[j] ^= 1 << i
+    return tuple(kept)
+
+
+def _addition_cases(adj: list[int], n: int):
+    """(i, j, weight), i < j, for each way to add the edge (i, j) to the graph
+    with neighbour masks adj on its support [0..cv), placed in K_n.
+
+    Twins, vertices with the same neighbourhood apart from each other, form
+    classes that are all adjacent or all not, and swapping two twins is an
+    automorphism; so the non-edges between two twin classes are one case
+    (weight the product of their sizes), as are the non-edges inside one
+    class (weight C(size, 2)), each led by the least vertices.  A support
+    vertex of each class joins the fresh vertex cv (weight size * (n - cv)),
+    and the fresh pair is (cv, cv + 1) (weight C(n - cv, 2)).  Cases of
+    weight 0 are not yielded, so every grown class fits in K_n, and the
+    weights sum to the C(n, 2) - |edges| non-edges.
+    """
+    cv = len(adj)
     fresh = n - cv
-    slot = 0  # colex: the pairs (i, j), i < j, of [0..cv) come first
-    for j in range(1, cv):
-        for _i in range(j):
-            if not bits >> slot & 1:
-                yield _canon_from_packed(cv, bits | 1 << slot), 1
-            slot += 1
-    if fresh >= 1:
-        for i in range(cv):  # slot is now pair_slot(0, cv)
-            yield _canon_from_packed(cv + 1, bits | 1 << (slot + i)), fresh
+    twins: list[int] = []  # twin classes as vertex masks, in order of their least vertex
+    for v, a in enumerate(adj):
+        for t, mask in enumerate(twins):
+            r = (mask & -mask).bit_length() - 1
+            if not (a ^ adj[r]) & ~(1 << v | 1 << r):
+                twins[t] |= 1 << v
+                break
+        else:
+            twins.append(1 << v)
+    for q, mask in enumerate(twins):
+        j = (mask & -mask).bit_length() - 1
+        size = mask.bit_count()
+        for other in twins[:q]:
+            i = (other & -other).bit_length() - 1
+            if not adj[j] >> i & 1:
+                yield i, j, other.bit_count() * size
+        rest = mask ^ 1 << j
+        if rest:
+            k = (rest & -rest).bit_length() - 1
+            if not adj[j] >> k & 1:
+                yield j, k, size * (size - 1) // 2
+        if fresh >= 1:
+            yield j, cv, size * fresh
     if fresh >= 2:
-        yield _canon_from_packed(cv + 2, bits | 1 << (slot + 2 * cv)), fresh * (fresh - 1) // 2
+        yield cv, cv + 1, fresh * (fresh - 1) // 2
+
+
+def _has_max_key(adj: list[int], u: int, v: int, connected: bool) -> bool:
+    """Whether no edge of the graph with neighbour masks adj has a larger key
+    than the edge (u, v); with `connected`, no edge whose deletion leaves the
+    graph connected or that is pendant (see `canonical_additions`)."""
+    deg = [a.bit_count() for a in adj]
+    du, dv = deg[u], deg[v]
+    mine = (du + dv, (adj[u] & adj[v]).bit_count(), du * dv)
+    for a, nbrs in enumerate(adj):
+        da = deg[a]
+        above = nbrs >> (a + 1)
+        b = a
+        while above:
+            skip = (above & -above).bit_length()
+            above >>= skip
+            b += skip
+            db = deg[b]
+            if da + db < mine[0] or (da + db, (nbrs & adj[b]).bit_count(), da * db) <= mine:
+                continue
+            if not connected or da == 1 or db == 1:
+                return False
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            bridge = not _flood(adj, 1 << a) >> b & 1
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            if not bridge:
+                return False
+    return True
 
 
 def _degree_bound(n: int, max_degree: int | None) -> int:

@@ -233,6 +233,11 @@ def test_ulam_check_refuses_a_negative_n(capsys):
     assert (code, out) == (2, "") and err == "error: n must be nonnegative\n"
 
 
+def test_ulam_check_refuses_a_negative_d(capsys):
+    code, out, err = run_cli(capsys, "ulam-check", "--n", "3", "--d", "-1")
+    assert (code, out) == (2, "") and err == "error: d must be nonnegative\n"
+
+
 def test_ulam_check_refuses_a_negative_rank_support(capsys):
     code, out, err = run_cli(capsys, "ulam-check", "--n", "3", "--d", "2", "--rank-support", "-1")
     assert (code, out) == (2, "") and err == "error: rank_support must be nonnegative\n"

@@ -69,6 +69,7 @@ def test_cache_registry_finds_the_known_memos():
     assert {
         "canonicalize_bits", "_canon_from_packed", "_class_counts", "support_automorphisms",
         "_distinct_copies", "_edge_series", "connected_classes_by_degree", "_poset_covers",
+        "canonical_additions",
     } <= set(_CACHES)
 
 
@@ -82,6 +83,7 @@ def _work():
         enumeration.connected_classes_by_degree(3),
         algebra.general_product(k2, p3),
         generators.is_separator([k2, p3], p4),
+        list(poset.one_edge_additions(named_class("C4"), 5)),  # unmemoized: refills `_canon_from_packed`
     )
 
 

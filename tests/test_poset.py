@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
 
-from graphinv import graph
-from graphinv.enumeration import graph_count
+from graphinv import graph, poset
+from graphinv.enumeration import connected_classes_by_degree, graph_count
 from graphinv.errors import PosetError
 from graphinv.graph import EMPTY_CLASS, canonicalize_bits
 from graphinv.poset import build_full_poset, one_edge_additions, poset_from_sidecar, poset_sidecar
@@ -46,13 +47,67 @@ def test_every_subgraph_present(e4_poset):
                 assert canonicalize_bits(m.bits & ~(1 << s)) in e4_poset
 
 
+def _labeled_additions(cls, n):
+    """{grown class: weight}, one search for every non-edge of the canonical copy of cls in K_n."""
+    return Counter(
+        canonicalize_bits(cls.bits | 1 << slot) for slot in range(n * (n - 1) // 2) if not cls.bits >> slot & 1
+    )
+
+
 def test_addition_weights_count_the_non_edges_in_k_n():
+    # one search per case of twin-swapped non-edges gives the same weights as one per non-edge
     for n in range(8):
         p = build_full_poset(n)
         for k in p.members:
-            additions = list(one_edge_additions(k, n))
-            assert sum(w for _grown, w in additions) == n * (n - 1) // 2 - k.degree, (n, k)
-            assert all(grown in p and grown.degree == k.degree + 1 for grown, _w in additions)
+            grouped = Counter()
+            for grown, w in one_edge_additions(k, n):
+                grouped[grown] += w
+            assert grouped == _labeled_additions(k, n), (n, k)
+            assert all(grown in p and grown.degree == k.degree + 1 for grown in grouped)
+
+
+def _grown_by_every_non_edge(levels, ambient, top):
+    """levels (one {bits: class} dict per degree) grown to degree top by every labeled
+    non-edge in K_ambient(cls); the members in (degree, bits) order."""
+    while len(levels) <= top:
+        levels.append({g.bits: g for c in levels[-1].values() for g in _labeled_additions(c, ambient(c))})
+    return [level[bits] for level in levels for bits in sorted(level)]
+
+
+def test_the_canonical_deletion_test_reads_no_vertex_labels():
+    # the kept children must not depend on the labeling: relabel each child with its
+    # new edge and ask again
+    rng = random.Random(24)
+    n = 6
+    for cls in build_full_poset(n).members:
+        for slot in range(n * (n - 1) // 2):
+            if cls.bits >> slot & 1:
+                continue
+            bits = cls.bits | 1 << slot
+            images = rng.sample(range(n), n)
+            adj, moved = graph._adjacency(n, bits), graph._adjacency(n, graph.permute_bits(bits, images))
+            u, v = graph._SLOT_PAIRS[slot]
+            for connected in (False, True):
+                assert poset._has_max_key(adj, u, v, connected) == poset._has_max_key(
+                    moved, images[u], images[v], connected
+                ), (cls, slot, images)
+
+
+def _records(members):
+    return [(m.bits, m.degree, m.cv, m.aut_support) for m in members]
+
+
+def test_canonical_additions_grow_all_of_e8_to_degree_8():
+    grown = _grown_by_every_non_edge([{0: EMPTY_CLASS}], lambda c: 8, 8)
+    assert _records(build_full_poset(8, 8).members) == _records(grown)
+
+
+def test_connected_canonical_additions_grow_every_connected_class_to_8_edges():
+    k2 = canonicalize_bits(1)
+    grown = _grown_by_every_non_edge([{}, {k2.bits: k2}], lambda c: c.cv + 1, 8)
+    levels = connected_classes_by_degree(8)
+    assert _records(m for d in range(1, 9) for m in levels[d]) == _records(grown)
+    assert [len(levels[d]) for d in range(1, 9)] == [1, 1, 3, 5, 12, 30, 79, 227]  # OEIS A002905
 
 
 def _grown_through_every_degree(n):
@@ -86,12 +141,14 @@ def test_built_posets_pass_the_sidecar_orbit_count(e8_poset):
 
 
 def test_cold_build_searches_only_the_lower_half():
-    # growing all 21 degrees of E(7) makes 8,852 searches; the lower half and one
-    # search per complemented member make 4,645
+    # growing all 21 degrees of E(7) by every labeled addition makes 8,852 searches,
+    # the lower half so plus one search per complemented member 4,645, and the lower
+    # half by canonical additions plus the complements 1,300
     graph._canon_from_packed.cache_clear()
     graph.canonicalize_bits.cache_clear()
+    poset.canonical_additions.cache_clear()
     build_full_poset(7)
-    assert graph._canon_from_packed.cache_info().misses <= 4_700
+    assert graph._canon_from_packed.cache_info().misses <= 1_320
 
 
 def test_build_determinism():
