@@ -21,6 +21,7 @@ from .graph import (
     count_subgraphs,
     disjoint_union,
     is_connected_class,
+    subgraph_class_counts,
     MAX_SUPPORT,
 )
 from .mtransform import IntMatrix, build_mtransform, cached_transform, exact_rank, exact_solve, minor_by_degree, solve_transform, transform_columns
@@ -166,8 +167,9 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
     (degree, bits).  Every graph with at most d edges has at most 2d vertices,
     so E(2d, d) holds every disjoint union of connected classes with total
     degree <= d.  The coefficients solve E^T c = v, v_i the copies of member
-    i in the generator, by `solve_transform` on the transpose, which
-    certifies them exactly; they are ints."""
+    i in the generator, read from its subgraph histogram of each degree, by
+    `solve_transform` on the transpose, which certifies them exactly; they
+    are ints."""
     if d < 1:
         raise PreconditionError("need d >= 1")
     poset = build_full_poset(2 * d, d)
@@ -179,7 +181,8 @@ def inseparable_pair(d: int, generator: IsoClass | None = None) -> InseparablePa
         if generator.degree != d + 1 or not is_connected_class(generator):
             raise PreconditionError("generator override must be connected of degree d+1")
     e = build_mtransform(poset)
-    values = [count_subgraphs(g, generator) for g in poset.members]
+    histograms = [subgraph_class_counts(generator, k) for k in range(d + 1)]
+    values = [histograms[g.degree].get(g, 0) for g in poset.members]
     coeffs = solve_transform(IntMatrix([e.column(j) for j in range(e.cols)], e.rows), poset.degrees(), values)
     t_parts: Counter = Counter()
     u_parts: Counter = Counter({generator: 1})

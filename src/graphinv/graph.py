@@ -172,6 +172,29 @@ def _adjacency(cv: int, bits: int) -> list[int]:
     return adj
 
 
+def _vertex_invariant(adj: list[int]) -> tuple[tuple[int, int, int], ...]:
+    """A fingerprint that no relabeling changes: the sorted (degree, twice the
+    triangles at v, sum of the neighbours' degrees) of each non-isolated vertex
+    v of the graph with neighbour masks adj.  Isomorphic graphs share it; a
+    fingerprint that one class alone has in a known set of classes names it."""
+    deg = [a.bit_count() for a in adj]
+    out = []
+    for a in adj:
+        if not a:
+            continue
+        tri = nsum = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            tri += (adj[u] & a).bit_count()
+            nsum += deg[u]
+            rest ^= low
+        out.append((a.bit_count(), tri, nsum))
+    out.sort()
+    return tuple(out)
+
+
 def _canon_pure(cv: int, bits: int) -> tuple[int, int]:
     """Plain-loop minimum-bitset sweep over all relabelings; the oracle for _min_labelings."""
     pairs = [pair_from_slot(s) for s in _bits_to_slots(bits)]

@@ -25,7 +25,7 @@ from .graph import (
     stab_order,
     subgraph_class_counts,
 )
-from .poset import GPoset, build_full_poset, cached_poset, one_edge_additions
+from .poset import GPoset, build_full_poset, cached_poset, fingerprint_index, one_edge_additions
 
 if TYPE_CHECKING:
     from .algebra import LinComb
@@ -139,9 +139,11 @@ def _packed_columns(poset: GPoset, positions) -> tuple[list[int], int]:
     J < K < g with J a copy of member j and K = g minus one edge:
         (|g| - |g_j|) * e_gj = sum_k c_gk * e_kj,
     where c_gk counts the one-edge deletions of g that land in member k, taken
-    from `_poset_covers` with no canonical search of their own.  The poset is
-    an E(n, d), closed under edge deletion, so each k is an earlier member
-    whose row is already built; the columns j it reads are only its own.
+    from `_poset_covers`, which names the grown class of each addition by its
+    vertex-invariant fingerprint and searches only where two members share
+    one; the rows run no search.  The poset is an E(n, d), closed under edge
+    deletion, so each k is an earlier member whose row is already built; the
+    columns j it reads are only its own.
 
     The sum over k is a few big-integer multiply-adds, and each degree block
     of fields (contiguous, as members sort by degree) is divided by
@@ -187,7 +189,7 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     """c_gk by position: for each member g, {k: the one-edge deletions of g that land in k}.
 
     Members of degree at most half = C(n, 2) // 2 take them from the other
-    side of each cover: `one_edge_additions(k, n)` gives a_kg, the non-edges
+    side of each cover: `one_edge_additions` of k gives a_kg, the non-edges
     of one labeled copy of k in K_n whose addition makes g.  Counting the
     (labeled copy of g, edge) pairs both ways gives c_gk * orb(g) = a_kg *
     orb(k), where orb(x) = n! / ((n - cv)! aut) counts the labeled copies of x
@@ -199,11 +201,15 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     searches the build made for the upper degrees.  A complement outside the
     poset, or a map that is not a bijection, raises PosetError.
 
-    So the additions of the members up to the middle degree are searched
-    here, one search per case of `poset.one_edge_additions` (non-edges up to
-    swapping twins), and the upper half reuses them.  `build_full_poset`
-    searched only the cases that `poset.canonical_additions` kept, so most of
-    these searches are new.
+    So the additions of the members up to the middle degree are made here,
+    one per case of `poset.one_edge_additions` (non-edges up to swapping
+    twins), and the upper half reuses them.  A case's child is named by its
+    `graph._vertex_invariant` in `poset.fingerprint_index` of the members,
+    which is empty unless the orbit count proves the poset all of E(n, top):
+    then every child is a member, and only a child whose fingerprint another
+    member shares is searched (none up to E(7); 14 of the 1,013 cases of
+    E(8, 7)).  A hand-built poset that fails the proof has every case
+    searched, so the errors below stay as they are.
 
     The c_gk of g must sum to |g|: a deletion that lands outside the poset
     leaves the sum short and raises PosetError, as does a member that does
@@ -216,11 +222,12 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     nslots = n * (n - 1) // 2
     half = nslots // 2
     top = max((g.degree for g in members), default=0)
+    known = fingerprint_index(members, n)
     ups: list[dict[int, int]] = [{} for _ in members]  # ups[g][k] = a_kg
     for pos, k in enumerate(members):
         if k.degree >= min(top, half):
             break
-        for grown, weight in one_edge_additions(k, n):
+        for grown, weight in one_edge_additions(k, n, known):
             at = poset.index.get(grown.bits)  # None: the addition leaves the poset
             if at is not None:
                 ups[at][pos] = ups[at].get(pos, 0) + weight
@@ -230,7 +237,7 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     for pos, (g, up, orbit) in enumerate(zip(members, ups, orbits)):
         down: dict[int, int] = {}
         if g.degree > half:
-            for grown, weight in one_edge_additions(members[_lookup(comp, pos)], n):
+            for grown, weight in one_edge_additions(members[_lookup(comp, pos)], n, known):
                 k = _lookup(comp, poset.index.get(grown.bits))
                 down[k] = down.get(k, 0) + weight
         for k, a in up.items():

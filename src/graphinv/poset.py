@@ -24,6 +24,7 @@ from .graph import (
     _canon_from_packed,
     _flood,
     _support_mask,
+    _vertex_invariant,
     canonicalize_bits,
     is_connected_class,
 )
@@ -104,21 +105,71 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     return GPoset(tuple(level[bits] for level in levels for bits in sorted(level)), n, max_degree, True)
 
 
-def one_edge_additions(cls: IsoClass, n: int):
+def one_edge_additions(cls: IsoClass, n: int, fingerprints: dict):
     """Each way to add one edge to cls placed in K_n, up to relabeling: yields
     (grown class, weight), the weight being how many of the C(n, 2) - |cls|
     non-edges of one labeled copy the case stands for.
 
-    The cases are those of `_addition_cases`, one canonical search each: the
-    non-edges of the support grouped by swapping twins, the support to the
-    fresh vertex cv, and the fresh pair (cv, cv + 1).  A grown class may be
-    yielded by several cases; its weights add up.  A grown support is
+    The cases are those of `_addition_cases`: the non-edges of the support
+    grouped by swapping twins, the support to the fresh vertex cv, and the
+    fresh pair (cv, cv + 1).  `fingerprints` is a `fingerprint_index`, or {}
+    to search every case: a case's child is the member it gives for the
+    child's `_vertex_invariant`, with no search, and a fingerprint that is
+    missing or shared (None) costs one canonical search.  A grown class may
+    be yielded by several cases; its weights add up.  A grown support is
     already [0..max(cv, j + 1)), so the memoized search runs without
     repacking.
     """
     cv, bits = cls.cv, cls.bits
-    for i, j, weight in _addition_cases(_adjacency(cv, bits), n):
-        yield _canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i)), weight
+    adj = _adjacency(cv, bits)
+    child = adj + [0, 0]  # room for the fresh vertex and the fresh pair
+    for i, j, weight in _addition_cases(adj, n):
+        child[i] |= 1 << j
+        child[j] |= 1 << i
+        grown = fingerprints.get(_vertex_invariant(child))
+        child[i] ^= 1 << j
+        child[j] ^= 1 << i
+        if grown is None:
+            grown = _canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i))
+        yield grown, weight
+
+
+def fingerprint_index(members, n: int) -> dict:
+    """{`_vertex_invariant`: member} over members, None where two members share
+    a fingerprint, for `one_edge_additions`.  A unique fingerprint names a
+    child only if the child is known to be a member, so the index is empty
+    unless `is_all_of_e` proves the members to be all of E(n, top), top their
+    largest degree: then every child of degree <= top is a member, and a child
+    of a higher degree has a degree sum no member has."""
+    top = max((m.degree for m in members), default=0)
+    if not is_all_of_e(members, n, top):
+        return {}
+    index: dict = {}
+    for m in members:
+        key = _vertex_invariant(_adjacency(m.cv, m.bits))
+        index[key] = None if key in index else m
+    return index
+
+
+def is_all_of_e(members, n: int, bound: int) -> bool:
+    """Whether members, classes taken to be canonical and to carry their true
+    aut, are all of E(n, bound), proved by counting labeled copies in K_n:
+    they must strictly increase in (degree, bits) with degrees <= bound,
+    and for every k <= bound the members of degree k must have orbits
+    n! / ((n - cv)! aut), each an exact quotient, that sum to C(C(n, 2), k),
+    the number of k-edge subsets.  Distinct classes have disjoint orbits, so
+    a missing class leaves its degree short."""
+    orbits = [0] * (bound + 1)
+    last = (-1, 0)
+    for m in members:
+        if m.degree > bound or m.cv > n or last >= m.sort_key:
+            return False
+        orbit, rest = divmod(math.perm(n, m.cv), m.aut_support)
+        if rest:
+            return False
+        orbits[m.degree] += orbit
+        last = m.sort_key
+    return orbits == [math.comb(n * (n - 1) // 2, k) for k in range(bound + 1)]
 
 
 @functools.cache
@@ -265,11 +316,10 @@ def poset_from_sidecar(obj, n: int, max_degree: int | None = None) -> GPoset:
     must be a list of [bits, aut] int pairs.  Each member's bits must lie in
     K_n with support exactly [0..cv), its degree (popcount) within the bound
     and aut >= 1, and the members must strictly increase in (degree, bits).
-    The member set is then proved to be all of E(n, d) by counting labeled
-    copies in K_n: for every k <= d the members of degree k have orbits
-    n! / ((n - cv)! aut), each an exact quotient, that sum to C(C(n, 2), k),
-    the number of k-edge subsets.  A sidecar failing any of this raises
-    AssertionError and is never served.
+    aut must divide the labelings n! / (n - cv)!.  The member set is then
+    proved to be all of E(n, d) by `is_all_of_e`, the count of labeled
+    copies in K_n.  A sidecar failing any of this raises AssertionError and
+    is never served.
     """
     bound = _degree_bound(n, max_degree)
     if not (
@@ -279,7 +329,6 @@ def poset_from_sidecar(obj, n: int, max_degree: int | None = None) -> GPoset:
         and all(type(rec) is list and len(rec) == 2 and type(rec[0]) is type(rec[1]) is int for rec in obj)
     ):
         raise AssertionError(f"poset sidecar for E({n}, {bound}) is not a list of integer [bits, aut] pairs")
-    orbits = [0] * (bound + 1)
     members: list[IsoClass] = []
     for bits, aut in obj:
         if not 0 <= bits < 1 << (n * (n - 1) // 2):
@@ -293,11 +342,9 @@ def poset_from_sidecar(obj, n: int, max_degree: int | None = None) -> GPoset:
             and (not members or members[-1].sort_key < cls.sort_key)
         ):
             raise AssertionError(f"poset sidecar: bad member record {[bits, aut]}")
-        orbit, rest = divmod(math.perm(n, cls.cv), aut)
-        if rest:
+        if math.perm(n, cls.cv) % aut:
             raise AssertionError(f"poset sidecar: aut of {[bits, aut]} does not divide its labelings")
-        orbits[cls.degree] += orbit
         members.append(cls)
-    if orbits != [math.comb(n * (n - 1) // 2, k) for k in range(bound + 1)]:
+    if not is_all_of_e(members, n, bound):
         raise AssertionError(f"poset sidecar: the members are not all of E({n}, {bound})")
     return GPoset(tuple(members), n, bound, True)

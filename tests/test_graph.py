@@ -352,6 +352,31 @@ def test_search_matches_pure_sweep_at_support_9():
         assert (cls.bits, cls.aut_support) == _pure_class(g.bits)
 
 
+def _fingerprint(bits, n):
+    return graph._vertex_invariant(graph._adjacency(n, bits))
+
+
+def test_vertex_invariant_reads_no_vertex_labels(e7_poset):
+    # relabel into K_9, so isolated vertices land among the support too
+    rng = random.Random(25)
+    for cls in e7_poset.members:
+        fingerprint = _fingerprint(cls.bits, cls.cv)
+        for _ in range(3):
+            assert _fingerprint(_relabeled(rng, cls, 9), 9) == fingerprint, cls
+
+
+def test_vertex_invariant_counts_degrees_triangles_and_neighbour_degrees():
+    triangle = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)])  # vertex 3 is isolated
+    assert _fingerprint(triangle.bits, 4) == ((2, 2, 4),) * 3
+    path = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert _fingerprint(path.bits, 4) == ((1, 0, 2), (1, 0, 2), (2, 0, 3), (2, 0, 3))
+
+
+def test_vertex_invariant_separates_every_member_of_e6_and_e7(e6_poset, e7_poset):
+    for p in (e6_poset, e7_poset):
+        assert len({_fingerprint(m.bits, m.cv) for m in p.members}) == len(p)
+
+
 def test_orbit_stabilizer_over_e7(e7_poset):
     # the labeled graphs on 7 vertices with d edges, counted by class orbits
     labeled = Counter()

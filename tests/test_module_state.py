@@ -83,7 +83,7 @@ def _work():
         enumeration.connected_classes_by_degree(3),
         algebra.general_product(k2, p3),
         generators.is_separator([k2, p3], p4),
-        list(poset.one_edge_additions(named_class("C4"), 5)),  # unmemoized: refills `_canon_from_packed`
+        list(poset.one_edge_additions(named_class("C4"), 5, {})),  # unmemoized: refills `_canon_from_packed`
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinv import graph, mtransform
+from graphinv import graph, mtransform, poset
 from graphinv.errors import CapError, PosetError, PreconditionError
 from graphinv.graph import canonicalize_bits, complement, count_subgraphs, count_subgraphs_injective
 from graphinv.mtransform import (
@@ -142,23 +142,81 @@ def _clear_search_memos():
 
 
 def test_build_and_transform_search_counts_on_e7_d10():
-    # one search per labeled addition made 4,123 for the build, and the transform
-    # searched nothing more; canonical additions make 778 for the build, and the
-    # cover counts search each twin-grouped addition case once, 2,765 in all
+    # one search per labeled addition made 4,123 for the build; canonical additions
+    # make 778, and the cover counts name every child by its fingerprint, where
+    # searching each twin-grouped addition case made 2,765 in all
     _clear_search_memos()
     p = build_full_poset(7, 10)
-    assert graph._canon_from_packed.cache_info().misses <= 800
+    built = graph._canon_from_packed.cache_info().misses
+    assert built <= 800
     build_mtransform(p)
-    assert graph._canon_from_packed.cache_info().misses <= 2_800
+    assert graph._canon_from_packed.cache_info().misses == built
 
 
 def test_full_transform_searches_the_crossing_layer_once():
-    # the upper half's covers come from its complements' additions, so the cover
-    # counts search each addition case up to the middle degree once: 4,269 with
-    # the build, 5,969 at one search per labeled addition
+    # the upper half's covers come from its complements' additions, whose children
+    # the fingerprints name, so the transform searches nothing the build did not:
+    # 1,300 searches, 4,269 with one search per addition case and 5,969 with one
+    # per labeled addition
     _clear_search_memos()
     build_mtransform(build_full_poset(7))
-    assert graph._canon_from_packed.cache_info().misses <= 4_300
+    assert graph._canon_from_packed.cache_info().misses <= 1_320
+
+
+@pytest.fixture(scope="module")
+def e8_d7():
+    return build_full_poset(8, 7)
+
+
+def _shared_fingerprints(p):
+    """The groups of members of p that share a `_vertex_invariant`."""
+    groups: dict = {}
+    for m in p.members:
+        groups.setdefault(graph._vertex_invariant(graph._adjacency(m.cv, m.bits)), []).append(m)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def _count_cases_and_searches(monkeypatch):
+    """Lists that grow by one for each addition case `_cover_counts` reads and
+    for each canonical search `one_edge_additions` makes."""
+    cases, searches = [], []
+    additions, search = mtransform.one_edge_additions, poset._canon_from_packed
+    monkeypatch.setattr(
+        mtransform, "one_edge_additions", lambda k, n, known: [cases.append(c) or c for c in additions(k, n, known)]
+    )
+    monkeypatch.setattr(poset, "_canon_from_packed", lambda cv, bits: searches.append(bits) or search(cv, bits))
+    return cases, searches
+
+
+def test_cover_counts_search_only_the_cases_whose_fingerprint_is_shared(monkeypatch, e8_d7):
+    # E(8, 7) is the least E(n, d) where two members share a fingerprint
+    (pair,) = _shared_fingerprints(e8_d7)
+    assert len(pair) == 2
+    cases, searches = _count_cases_and_searches(monkeypatch)
+    assert _cover_counts(e8_d7) == _deleted_covers(e8_d7)
+    assert 0 < len(searches) == sum(grown in pair for grown, _weight in cases) < len(cases)
+
+
+def test_cover_counts_search_every_case_when_no_fingerprint_is_unique(monkeypatch):
+    p = build_full_poset(6)  # the upper half reads its complements' additions
+    cases, searches = _count_cases_and_searches(monkeypatch)
+    covers = _cover_counts(p)
+    assert cases and not searches  # every member of E(6) has a fingerprint of its own
+    cases.clear()
+    monkeypatch.setattr(poset, "_vertex_invariant", lambda adj: ())
+    assert _cover_counts(p) == covers == _deleted_covers(p)
+    assert len(searches) == len(cases) > 0
+
+
+def test_orbit_proof_refuses_a_poset_missing_one_of_a_fingerprint_pair(e8_d7):
+    # without G@UaC?, G_KqC? alone has their fingerprint; trusting it would count
+    # the children of degree-6 members that are G@UaC? as G_KqC?
+    (gone, kept), = _shared_fingerprints(e8_d7)
+    dropped = GPoset(tuple(m for m in e8_d7.members if m != gone), 8, 7, True)
+    assert poset.is_all_of_e(e8_d7.members, 8, 7)
+    assert not poset.is_all_of_e(dropped.members, 8, 7)
+    assert poset.fingerprint_index(dropped.members, 8) == {}
+    assert _cover_counts(dropped)[dropped.position(kept)] == _cover_counts(e8_d7)[e8_d7.position(kept)]
 
 
 def _missing(p, name):

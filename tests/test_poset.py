@@ -60,7 +60,7 @@ def test_addition_weights_count_the_non_edges_in_k_n():
         p = build_full_poset(n)
         for k in p.members:
             grouped = Counter()
-            for grown, w in one_edge_additions(k, n):
+            for grown, w in one_edge_additions(k, n, {}):
                 grouped[grown] += w
             assert grouped == _labeled_additions(k, n), (n, k)
             assert all(grown in p and grown.degree == k.degree + 1 for grown in grouped)
@@ -114,7 +114,7 @@ def _grown_through_every_degree(n):
     """E(n) grown one edge at a time through all C(n, 2) degrees, without complements."""
     levels = [{0: EMPTY_CLASS}]
     for _k in range(n * (n - 1) // 2):
-        levels.append({g.bits: g for c in levels[-1].values() for g, _w in one_edge_additions(c, n)})
+        levels.append({g.bits: g for c in levels[-1].values() for g, _w in one_edge_additions(c, n, {})})
     members = [m for level in levels for m in sorted(level.values(), key=lambda c: c.sort_key)]
     return [(m.bits, m.degree, m.cv, m.aut_support) for m in members]
 
