@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     IsoClass,
+    _adjacency,
+    _vertex_invariant,
     canonicalize_bits,
     stab_order,
     subgraph_class_counts,
@@ -197,9 +199,10 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
 
     A member g above half takes them from its complement: deleting an edge of
     g adds it to the complement, so c_gk = a_(comp g)(comp k) exactly.  The
-    complement map is built from the members at or below half, mostly the
-    searches the build made for the upper degrees.  A complement outside the
-    poset, or a map that is not a bijection, raises PosetError.
+    complement map is built from the members at or below half by
+    `_complement_positions`, each complement named by fingerprint as below.
+    A complement outside the poset, or a map that is not a bijection, raises
+    PosetError.
 
     So the additions of the members up to the middle degree are made here,
     one per case of `poset.one_edge_additions` (non-edges up to swapping
@@ -231,7 +234,7 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
             at = poset.index.get(grown.bits)  # None: the addition leaves the poset
             if at is not None:
                 ups[at][pos] = ups[at].get(pos, 0) + weight
-    comp = _complement_positions(poset, nslots - top, half) if top > half else {}
+    comp = _complement_positions(poset, nslots - top, half, known) if top > half else {}
     orbits = [math.perm(n, g.cv) // g.aut_support for g in members]
     covers = []
     for pos, (g, up, orbit) in enumerate(zip(members, ups, orbits)):
@@ -251,8 +254,12 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     return covers
 
 
-def _complement_positions(poset: GPoset, low: int, high: int) -> dict[int, int]:
-    """The complement in K_n of each member of degree low..high, and back, by position."""
+def _complement_positions(poset: GPoset, low: int, high: int, known: dict) -> dict[int, int]:
+    """The complement in K_n of each member of degree low..high, and back, by position.
+
+    A complement is named by its fingerprint in `known`, a `fingerprint_index`
+    of the members, as in `one_edge_additions`: one that is missing or shared
+    there is searched by `canonicalize_bits`."""
     n = poset.ambient_n
     full = (1 << (n * (n - 1) // 2)) - 1
     comp: dict[int, int] = {}
@@ -260,8 +267,8 @@ def _complement_positions(poset: GPoset, low: int, high: int) -> dict[int, int]:
         if x.degree > high:
             break
         if x.degree >= low:
-            y = canonicalize_bits(full ^ x.bits)
-            at = poset.index.get(y.bits)
+            y = known.get(_vertex_invariant(_adjacency(n, full ^ x.bits)))
+            at = poset.index.get((y or canonicalize_bits(full ^ x.bits)).bits)
             if at is None:
                 raise PosetError(f"the complement of {x.graph6!r} is not a member of the poset")
             if comp.setdefault(pos, at) != at or comp.setdefault(at, pos) != pos:
@@ -336,17 +343,14 @@ def check_transform_rows(matrix: IntMatrix, degrees) -> None:
 
 
 def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = None) -> tuple[GPoset, IntMatrix]:
-    """E(n, max_degree) and its transform, each through the file cache when
-    cache_dir is given.  An E(n, d) over TRANSFORM_MEMBER_CAP members, counted
-    by `enumeration.graph_count_series`, is refused before anything is built.
-    The poset comes from `cached_poset`, the transform from the entry
-    `mtransform:n=<n>:d=<bound>`: one [[j, e], ...] row of int pairs per
-    member.  A build is served as built, not as the rows written; a loaded
-    entry must pass that shape check.  Built or loaded, the matrix passes
-    `check_transform_rows` before it is served.  Either check raises
-    AssertionError."""
-    from .util import cache_fetch
-
+    """E(n, max_degree) and its transform.  An E(n, d) over TRANSFORM_MEMBER_CAP
+    members, counted by `enumeration.graph_count_series`, is refused before
+    anything is built.  The poset comes from `cached_poset`, through the file
+    cache when cache_dir is given; the transform is always built from it, as
+    no cache entry holds one.  On a loaded poset the build runs no canonical
+    search up to E(7): `_cover_counts` names every child and complement by its
+    fingerprint.  Every matrix served passes `check_transform_rows`, which
+    raises AssertionError."""
     if n >= 8:  # |E(7)| = 1,044 is under the cap, so n <= 7 loads no enumeration
         from .enumeration import graph_count_series
 
@@ -354,28 +358,13 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
         if size > TRANSFORM_MEMBER_CAP:
             raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
     poset = cached_poset(cache_dir, n, max_degree)
-
-    def encode(e: IntMatrix):
-        return [[[j, x] for j, x in sorted(e.row(i).items())] for i in range(e.rows)]
-
-    def decode(rows) -> IntMatrix:
-        if not (
-            type(rows) is list
-            and all(type(row) is list for row in rows)
-            and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
-                    for row in rows for pair in row)
-        ):
-            raise AssertionError("mtransform entry is not a list of rows of integer [j, e] pairs")
-        return IntMatrix((dict(row) for row in rows), len(poset))
-
-    key = f"mtransform:n={n}:d={poset.max_degree}"
-    matrix = cache_fetch(cache_dir, key, lambda: build_mtransform(poset), encode, decode)
+    matrix = build_mtransform(poset)
     check_transform_rows(matrix, poset.degrees())
     return poset, matrix
 
 
 def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
-    """Oracle for build_mtransform: every row counted directly, by classifying
+    """Oracle for build_mtransform, every row counted directly, by classifying
     each of the 2^|g_i| edge subsets of g_i."""
     members = poset.members
     counts = [[subgraph_class_counts(host, d) for d in range(host.degree + 1)] for host in members]
@@ -521,9 +510,10 @@ def complement_invariant_expansion(g: IsoClass, poset: GPoset, ambient_n: int) -
 
 def complement_pairing(poset: GPoset) -> list[int]:
     """Position of the complement class in K_n of each member, taken from the
-    members at or below the middle degree; raises PosetError if any is missing."""
+    members at or below the middle degree and named by fingerprint as in
+    `_cover_counts`; raises PosetError if any is missing."""
     n = poset.ambient_n
-    comp = _complement_positions(poset, 0, n * (n - 1) // 2 // 2)
+    comp = _complement_positions(poset, 0, n * (n - 1) // 2 // 2, fingerprint_index(poset.members, n))
     return [_lookup(comp, pos) for pos in range(len(poset))]
 
 

@@ -152,13 +152,16 @@ def fingerprint_index(members, n: int) -> dict:
 
 
 def is_all_of_e(members, n: int, bound: int) -> bool:
-    """Whether members, classes taken to be canonical and to carry their true
-    aut, are all of E(n, bound), proved by counting labeled copies in K_n:
-    they must strictly increase in (degree, bits) with degrees <= bound,
+    """Whether members are all of E(n, bound), by counting labeled copies in
+    K_n: they must strictly increase in (degree, bits) with degrees <= bound,
     and for every k <= bound the members of degree k must have orbits
     n! / ((n - cv)! aut), each an exact quotient, that sum to C(C(n, 2), k),
     the number of k-edge subsets.  Distinct classes have disjoint orbits, so
-    a missing class leaves its degree short."""
+    a missing class leaves its degree short.
+
+    The count is a proof only for members whose bits are canonical and whose
+    aut is true, which it takes on trust: a class replaced by a relabeled
+    copy of another class with the same degree, support and aut passes."""
     orbits = [0] * (bound + 1)
     last = (-1, 0)
     for m in members:
@@ -312,14 +315,17 @@ def poset_sidecar(p: GPoset) -> list[list[int]]:
 def poset_from_sidecar(obj, n: int, max_degree: int | None = None) -> GPoset:
     """E(n, max_degree) as stored: each member is built from its record, not canonicalized.
 
-    Members are trusted to be canonical under `util.CACHE_FORMAT`.  The value
-    must be a list of [bits, aut] int pairs.  Each member's bits must lie in
-    K_n with support exactly [0..cv), its degree (popcount) within the bound
-    and aut >= 1, and the members must strictly increase in (degree, bits).
-    aut must divide the labelings n! / (n - cv)!.  The member set is then
-    proved to be all of E(n, d) by `is_all_of_e`, the count of labeled
-    copies in K_n.  A sidecar failing any of this raises AssertionError and
-    is never served.
+    The value must be a list of [bits, aut] int pairs.  Each member's bits
+    must lie in K_n with support exactly [0..cv), its degree (popcount)
+    within the bound and aut >= 1, and the members must strictly increase in
+    (degree, bits).  aut must divide the labelings n! / (n - cv)!, and the
+    orbits must pass `is_all_of_e`, the count of labeled copies in K_n.  A
+    sidecar failing any of this raises AssertionError and is never served.
+
+    What is not proved is trusted under `util.CACHE_FORMAT`: that each
+    member's bits are its class's canonical form and its aut is true.  Only
+    then does the count make the members all of E(n, d); a class replaced by
+    a relabeled copy of another with the same degree, support and aut loads.
     """
     bound = _degree_bound(n, max_degree)
     if not (

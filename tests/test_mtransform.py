@@ -153,6 +153,15 @@ def test_build_and_transform_search_counts_on_e7_d10():
     assert graph._canon_from_packed.cache_info().misses == built
 
 
+def test_transform_of_a_loaded_e7_searches_nothing(e7):
+    # the cover counts and the complement map name every child and complement
+    # by its fingerprint; a canonical search per complement made 522
+    loaded = poset_from_sidecar(poset_sidecar(e7[0]), 7)
+    _clear_search_memos()
+    assert build_mtransform(loaded) == e7[1]
+    assert graph._canon_from_packed.cache_info().misses == 0
+
+
 def test_full_transform_searches_the_crossing_layer_once():
     # the upper half's covers come from its complements' additions, whose children
     # the fingerprints name, so the transform searches nothing the build did not:
@@ -233,6 +242,7 @@ def test_cover_counts_refuse_a_missing_complement(e4_poset):
 
 
 def test_cover_counts_refuse_a_complement_map_that_is_not_a_bijection(monkeypatch, e3_poset):
+    monkeypatch.setattr(mtransform, "fingerprint_index", lambda members, n: {})  # every complement is searched
     monkeypatch.setattr(mtransform, "canonicalize_bits", lambda bits: named_class("K3"))
     with pytest.raises(PosetError, match="bijection"):
         _cover_counts(e3_poset)
@@ -286,9 +296,8 @@ def test_cached_transform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_
 
 def test_cached_transform_serves_the_matrix_it_built_and_checks_it(monkeypatch, tmp_path, e4_matrix):
     monkeypatch.setattr(mtransform, "build_mtransform", lambda p: e4_matrix)
-    assert cached_transform(str(tmp_path), 4)[1] is e4_matrix  # a miss: no decode of the rows written
-    loaded = cached_transform(str(tmp_path), 4)[1]
-    assert loaded == e4_matrix and loaded is not e4_matrix
+    for _pass in ("built poset", "loaded poset"):  # the transform is built either way
+        assert cached_transform(str(tmp_path), 4)[1] is e4_matrix
     forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
     monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
     with pytest.raises(AssertionError):
@@ -530,14 +539,13 @@ def test_complement_expansion_missing_class():
         complement_invariant_expansion(named_class("K3"), p, 4)
 
 
-def test_complement_pairing(e4_poset):
+def test_complement_pairing(e4_poset, e7):
     comp = complement_pairing(e4_poset)
     for a, b in (("K3", "K1,3"), ("P4", "P4"), ("C4", "2K2"), ("empty", "K4")):
         assert comp[e4_poset.position(named_class(a))] == e4_poset.position(named_class(b))
     assert [comp[c] for c in comp] == list(range(len(e4_poset)))
-    for n in range(7):
-        p = build_full_poset(n)
-        full = (1 << n * (n - 1) // 2) - 1
+    for p in [*map(build_full_poset, range(7)), e7[0]]:  # the search is the oracle for the fingerprints
+        full = (1 << p.ambient_n * (p.ambient_n - 1) // 2) - 1
         assert [p.members[c] for c in complement_pairing(p)] == [canonicalize_bits(full ^ m.bits) for m in p.members]
     with pytest.raises(PosetError):
         complement_pairing(build_full_poset(4, 5))
