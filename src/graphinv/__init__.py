@@ -17,6 +17,9 @@ alone; a test guards that every other public function has a caller:
     bits and automorphism counts of the pruned search in `canonicalize_bits`;
   * `graph.count_subgraphs_injective`, edge-preserving injections divided by
     the automorphism order, checks `count_subgraphs`;
+  * `graph._vertex_invariant`, the sorted vertex triples read from scratch,
+    checks the child fingerprints that the poset build derives from each
+    parent's triples;
   * `mtransform._mtransform_by_subsets`, which classifies every edge subset of
     every member, checks the cover recursion in `build_mtransform`;
   * `mtransform.unitriangular_inverse`, elimination by forward substitution,

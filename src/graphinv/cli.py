@@ -371,7 +371,8 @@ def _cmd_rank_minor(args) -> int:
             raise PreconditionError("need --n or --trivial-vars")
         if not 0 <= args.delta <= args.big_delta:
             raise PreconditionError(f"need 0 <= --delta <= --Delta, got {args.delta} and {args.big_delta}")
-        p, e = mtransform.cached_transform(args.cache_dir, args.n)
+        # the members of degree <= Delta are a prefix of E(n), so E(n, Delta) has the same minor
+        p, e = mtransform.cached_transform(args.cache_dir, args.n, args.big_delta)
         m = mtransform.minor_by_degree(e, p.degrees(), args.delta, args.big_delta)
     rank = mtransform.exact_rank(m)
     _emit({"rows": m.rows, "cols": m.cols, "rank": rank, "full": rank == min(m.rows, m.cols)}, args.format)

@@ -229,7 +229,7 @@ def connected_classes_by_degree(max_degree: int) -> Mapping[int, tuple[IsoClass,
         current = {1: canonicalize_bits(1)}  # by canonical bits
         levels[1] = tuple(current.values())
         for d in range(2, max_degree + 1):
-            current = {g.bits: g for cls in current.values() for g in canonical_additions(cls, cls.cv + 1, True)}
+            current = {g.bits: g for cls in current.values() for g in canonical_additions(cls, cls.cv + 1)}
             levels[d] = tuple(current[bits] for bits in sorted(current))
     return MappingProxyType(levels)
 

@@ -175,8 +175,9 @@ def _adjacency(cv: int, bits: int) -> list[int]:
 def _vertex_invariant(adj: list[int]) -> tuple[tuple[int, int, int], ...]:
     """A fingerprint that no relabeling changes: the sorted (degree, twice the
     triangles at v, sum of the neighbours' degrees) of each non-isolated vertex
-    v of the graph with neighbour masks adj.  Isomorphic graphs share it; a
-    fingerprint that one class alone has in a known set of classes names it."""
+    v of the graph with neighbour masks adj.  Isomorphic graphs share it.  The
+    test oracle for the triples `poset._packed_triples` reads and for the
+    fingerprints `poset._keyed_cases` derives case by case."""
     deg = [a.bit_count() for a in adj]
     out = []
     for a in adj:

@@ -19,15 +19,8 @@ from itertools import combinations as _combinations, permutations as _permutatio
 from typing import TYPE_CHECKING
 
 from .errors import CapError, PosetError, PreconditionError
-from .graph import (
-    IsoClass,
-    _adjacency,
-    _vertex_invariant,
-    canonicalize_bits,
-    stab_order,
-    subgraph_class_counts,
-)
-from .poset import GPoset, build_full_poset, cached_poset, fingerprint_index, one_edge_additions
+from .graph import IsoClass, _adjacency, canonicalize_bits, stab_order, subgraph_class_counts
+from .poset import GPoset, _fingerprint, build_full_poset, cached_poset, one_edge_additions
 
 if TYPE_CHECKING:
     from .algebra import LinComb
@@ -204,15 +197,16 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     A complement outside the poset, or a map that is not a bijection, raises
     PosetError.
 
-    So the additions of the members up to the middle degree are made here,
-    one per case of `poset.one_edge_additions` (non-edges up to swapping
-    twins), and the upper half reuses them.  A case's child is named by its
-    `graph._vertex_invariant` in `poset.fingerprint_index` of the members,
-    which is empty unless the orbit count proves the poset all of E(n, top):
-    then every child is a member, and only a child whose fingerprint another
-    member shares is searched (none up to E(7); 14 of the 1,013 cases of
-    E(8, 7)).  A hand-built poset that fails the proof has every case
-    searched, so the errors below stay as they are.
+    So the additions of the members up to the middle degree are read once,
+    from `poset.one_edge_additions`, and the upper half reuses them.  On a
+    built poset the build has named every one of them below the middle
+    degree, so they cost no fingerprint and no search.  The middle degree,
+    and every degree of a loaded poset, is named there through the poset's
+    `fingerprints`, which are empty unless the orbit count proves the poset
+    all of E(n, top): then every child is a member, and only a child whose
+    fingerprint another member shares is searched (none up to E(7)).  A
+    hand-built poset that fails the proof has every case searched, so the
+    errors below stay as they are.
 
     The c_gk of g must sum to |g|: a deletion that lands outside the poset
     leaves the sum short and raises PosetError, as does a member that does
@@ -225,22 +219,25 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     nslots = n * (n - 1) // 2
     half = nslots // 2
     top = max((g.degree for g in members), default=0)
-    known = fingerprint_index(members, n)
+
+    def known() -> dict:  # read only for a class the build did not name
+        return poset.fingerprints
+
     ups: list[dict[int, int]] = [{} for _ in members]  # ups[g][k] = a_kg
     for pos, k in enumerate(members):
         if k.degree >= min(top, half):
             break
-        for grown, weight in one_edge_additions(k, n, known):
+        for grown, weight in one_edge_additions(k, n, known).items():
             at = poset.index.get(grown.bits)  # None: the addition leaves the poset
             if at is not None:
                 ups[at][pos] = ups[at].get(pos, 0) + weight
-    comp = _complement_positions(poset, nslots - top, half, known) if top > half else {}
+    comp = _complement_positions(poset, nslots - top, half) if top > half else {}
     orbits = [math.perm(n, g.cv) // g.aut_support for g in members]
     covers = []
     for pos, (g, up, orbit) in enumerate(zip(members, ups, orbits)):
         down: dict[int, int] = {}
         if g.degree > half:
-            for grown, weight in one_edge_additions(members[_lookup(comp, pos)], n, known):
+            for grown, weight in one_edge_additions(members[_lookup(comp, pos)], n, known).items():
                 k = _lookup(comp, poset.index.get(grown.bits))
                 down[k] = down.get(k, 0) + weight
         for k, a in up.items():
@@ -254,20 +251,22 @@ def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
     return covers
 
 
-def _complement_positions(poset: GPoset, low: int, high: int, known: dict) -> dict[int, int]:
+def _complement_positions(poset: GPoset, low: int, high: int) -> dict[int, int]:
     """The complement in K_n of each member of degree low..high, and back, by position.
 
-    A complement is named by its fingerprint in `known`, a `fingerprint_index`
-    of the members, as in `one_edge_additions`: one that is missing or shared
-    there is searched by `canonicalize_bits`."""
+    A complement is named by its fingerprint in the poset's `fingerprints`,
+    as in `one_edge_additions`: one that is missing or shared there is
+    searched by `canonicalize_bits`."""
     n = poset.ambient_n
-    full = (1 << (n * (n - 1) // 2)) - 1
+    nslots = n * (n - 1) // 2
+    full = (1 << nslots) - 1
+    known = poset.fingerprints
     comp: dict[int, int] = {}
     for pos, x in enumerate(poset.members):
         if x.degree > high:
             break
         if x.degree >= low:
-            y = known.get(_vertex_invariant(_adjacency(n, full ^ x.bits)))
+            y = known.get((nslots - x.degree, _fingerprint(_adjacency(n, full ^ x.bits))))
             at = poset.index.get((y or canonicalize_bits(full ^ x.bits)).bits)
             if at is None:
                 raise PosetError(f"the complement of {x.graph6!r} is not a member of the poset")
@@ -513,7 +512,7 @@ def complement_pairing(poset: GPoset) -> list[int]:
     members at or below the middle degree and named by fingerprint as in
     `_cover_counts`; raises PosetError if any is missing."""
     n = poset.ambient_n
-    comp = _complement_positions(poset, 0, n * (n - 1) // 2 // 2, fingerprint_index(poset.members, n))
+    comp = _complement_positions(poset, 0, n * (n - 1) // 2 // 2)
     return [_lookup(comp, pos) for pos in range(len(poset))]
 
 

@@ -24,12 +24,13 @@ from .graph import (
     _canon_from_packed,
     _flood,
     _support_mask,
-    _vertex_invariant,
     canonicalize_bits,
     is_connected_class,
 )
 
 FULL_POSET_VERTEX_CAP = 8  # |E(8)| = 12,346 members
+FINGERPRINT_PRIME = (1 << 61) - 1  # the modulus of `_vertex_weight`
+FINGERPRINT_MEMO_SIZE = 8  # posets whose index `fingerprint_index` keeps
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,25 @@ class GPoset:
     def connected_members(self) -> tuple[IsoClass, ...]:
         return tuple(m for m in self.members if is_connected_class(m))
 
+    @functools.cached_property
+    def fingerprints(self) -> dict:
+        """`fingerprint_index(self)`, kept on the poset after the first read."""
+        return fingerprint_index(self)
+
 
 def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     """All classes with cv <= n and degree <= max_degree.
 
-    Degrees up to half = C(n, 2) // 2 are grown by `canonical_additions`, one
-    canonical search per kept child, not per labeled addition; duplicates
-    merge by canonical bits.  Each degree k above half is taken whole
-    from degree C(n, 2) - k <= half: complementation in K_n is a bijection of
-    the classes, so the complements of its members are exactly the members of
-    degree k, one search each.  A complement may leave vertices isolated, so it
-    goes through `canonicalize_bits`, which repacks the support.
+    Degrees up to half = C(n, 2) // 2 are grown by `_grow_level`, one
+    canonical search per fingerprint of the next degree, each checked by the
+    cover double count (1,043 searches for E(7), 521 of them in the growth);
+    it names every one-edge addition of each class it grows, so a degree
+    whose classes are all named already is read back with no search.  Each
+    degree k above half is taken whole from degree C(n, 2) - k <= half:
+    complementation in K_n is a bijection of the classes, so the complements
+    of its members are exactly the members of degree k, one search each.  A
+    complement may leave vertices isolated, so it goes through
+    `canonicalize_bits`, which repacks the support.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -95,60 +104,201 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     max_degree = _degree_bound(n, max_degree)
     nslots = n * (n - 1) // 2
     levels = [{0: EMPTY_CLASS}]  # levels[k]: the members of degree k, by canonical bits
-    for _k in range(min(max_degree, nslots // 2)):
-        levels.append(
-            {grown.bits: grown for cls in levels[-1].values() for grown in canonical_additions(cls, n, False)}
-        )
+    for k in range(min(max_degree, nslots // 2)):
+        named = [_named_additions(cls, n) for cls in levels[-1].values()]
+        if all(named):
+            levels.append({grown.bits: grown for additions in named for grown in additions})
+        else:
+            levels.append(_grow_level(levels[-1].values(), n, k))
     full = (1 << nslots) - 1
     for k in range(len(levels), max_degree + 1):
         levels.append({c.bits: c for c in (canonicalize_bits(full ^ bits) for bits in levels[nslots - k])})
     return GPoset(tuple(level[bits] for level in levels for bits in sorted(level)), n, max_degree, True)
 
 
-def one_edge_additions(cls: IsoClass, n: int, fingerprints: dict):
-    """Each way to add one edge to cls placed in K_n, up to relabeling: yields
-    (grown class, weight), the weight being how many of the C(n, 2) - |cls|
-    non-edges of one labeled copy the case stands for.
+def _grow_level(parents, n: int, degree: int) -> dict[int, IsoClass]:
+    """The classes of degree + 1 in K_n by canonical bits, grown from parents,
+    all the classes of `degree`, each once; names every one-edge addition of
+    every parent in `_named_additions`.
 
-    The cases are those of `_addition_cases`: the non-edges of the support
-    grouped by swapping twins, the support to the fresh vertex cv, and the
-    fresh pair (cv, cv + 1).  `fingerprints` is a `fingerprint_index`, or {}
-    to search every case: a case's child is the member it gives for the
-    child's `_vertex_invariant`, with no search, and a fingerprint that is
-    missing or shared (None) costs one canonical search.  A grown class may
-    be yielded by several cases; its weights add up.  A grown support is
-    already [0..max(cv, j + 1)), so the memoized search runs without
-    repacking.
+    Each case of `_addition_cases` is keyed by its child's fingerprint
+    (`_keyed_cases`), and only the first child under each key is searched.
+    The key names that class C alone when the cover double count closes on
+    it: the cases under the key, each weighted by its parent's orbit orb(x) =
+    n! / ((n - cv)! aut), sum to (degree + 1) * orb(C).  That sum counts the
+    pairs (labeled copy in K_n, one of its edges) of every class under the
+    key, each pair once, since every class of the next degree arises from
+    the complete level of parents by every case that makes it.  A second
+    class under the key would add its own pairs, so the count is exact.
+    Where it does not close, every child under the key is searched.
     """
-    cv, bits = cls.cv, cls.bits
-    adj = _adjacency(cv, bits)
-    child = adj + [0, 0]  # room for the fresh vertex and the fresh pair
-    for i, j, weight in _addition_cases(adj, n):
-        child[i] |= 1 << j
-        child[j] |= 1 << i
-        grown = fingerprints.get(_vertex_invariant(child))
-        child[i] ^= 1 << j
-        child[j] ^= 1 << i
-        if grown is None:
-            grown = _canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i))
-        yield grown, weight
+    grown = []  # (parent, its `_keyed_cases`)
+    groups: dict[int, list] = {}  # key -> [the weighted parent orbits, first child's cv and bits]
+    for cls in parents:
+        orbit = math.perm(n, cls.cv) // cls.aut_support
+        cases = _keyed_cases(cls, n)
+        for key, cv, bits, weight in cases:
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [weight * orbit, cv, bits]
+            else:
+                group[0] += weight * orbit
+        grown.append((cls, cases))
+    named: dict[int, IsoClass | None] = {}  # key -> the class it names, None where the count does not close
+    for key, (total, cv, bits) in groups.items():
+        first = _canon_from_packed(cv, bits)
+        named[key] = first if total == (degree + 1) * (math.perm(n, cv) // first.aut_support) else None
+    level: dict[int, IsoClass] = {}
+    for cls, cases in grown:
+        additions = _named_additions(cls, n)
+        additions.clear()
+        for key, cv, bits, weight in cases:
+            child = named[key] or _canon_from_packed(cv, bits)
+            additions[child] = additions.get(child, 0) + weight
+            level[child.bits] = child
+    return level
 
 
-def fingerprint_index(members, n: int) -> dict:
-    """{`_vertex_invariant`: member} over members, None where two members share
-    a fingerprint, for `one_edge_additions`.  A unique fingerprint names a
+@functools.cache
+def _named_additions(cls: IsoClass, n: int) -> dict[IsoClass, int]:
+    """The shared {grown class: weight} of the one-edge additions of cls in
+    K_n, empty until named: `_grow_level` names every class it grows and
+    `one_edge_additions` any other class it is asked for.  A class of degree
+    below C(n, 2) has an addition, so a named entry is never empty."""
+    return {}
+
+
+def one_edge_additions(cls: IsoClass, n: int, fingerprints) -> dict[IsoClass, int]:
+    """Each way to add one edge to cls placed in K_n, up to relabeling:
+    {grown class: weight}, the weight being how many of the C(n, 2) - |cls|
+    non-edges of one labeled copy make that class.  Shared through
+    `_named_additions`, not to be mutated.
+
+    A class the build grew is named already and is returned as it is.  For
+    any other class (a middle degree, which the build takes as complements,
+    or a loaded poset), each case of `_addition_cases` (the non-edges of the
+    support grouped by swapping twins, the support to the fresh vertex cv,
+    and the fresh pair (cv, cv + 1)) gives the member that `fingerprints()`,
+    which returns a `fingerprint_index` and is called only here, holds for
+    the child's degree and `_keyed_cases` key, with no search: up to E(7)
+    every key is unique.  A key that is missing or shared costs one canonical
+    search; `dict` as fingerprints searches every case.
+    """
+    named = _named_additions(cls, n)
+    if named:
+        return named
+    known = fingerprints()
+    degree = cls.degree + 1
+    for key, cv, bits, weight in _keyed_cases(cls, n):
+        grown = known.get((degree, key)) or _canon_from_packed(cv, bits)
+        named[grown] = named.get(grown, 0) + weight
+    return named
+
+
+@functools.lru_cache(maxsize=FINGERPRINT_MEMO_SIZE)
+def fingerprint_index(p: GPoset) -> dict:
+    """{(degree, `_fingerprint`): member} over p's members in K_n, None where
+    two members share both, for `one_edge_additions`; memoized by poset, so
+    equal posets share one, and not to be mutated.  A unique entry names a
     child only if the child is known to be a member, so the index is empty
     unless `is_all_of_e` proves the members to be all of E(n, top), top their
     largest degree: then every child of degree <= top is a member, and a child
-    of a higher degree has a degree sum no member has."""
+    of a higher degree finds no entry."""
+    members, n = p.members, p.ambient_n
     top = max((m.degree for m in members), default=0)
     if not is_all_of_e(members, n, top):
         return {}
     index: dict = {}
     for m in members:
-        key = _vertex_invariant(_adjacency(m.cv, m.bits))
+        key = m.degree, _fingerprint(_adjacency(m.cv, m.bits))
         index[key] = None if key in index else m
     return index
+
+
+def _fingerprint(adj: list[int]) -> int:
+    """The sum of `_vertex_weight` over the packed triples of the non-isolated
+    vertices, so no relabeling changes it.  Two graphs with different
+    triples may share it only if the difference of their triple counts,
+    read as a polynomial, vanishes at 3 modulo FINGERPRINT_PRIME; a shared
+    fingerprint costs searches, never a wrong class."""
+    packed = _packed_triples(adj)
+    return sum(map(_vertex_weight, packed)) - packed.count(0)  # an isolated vertex weighs 3^0 = 1
+
+
+def _packed_triples(adj: list[int]) -> list[int]:
+    """d << 16 | t << 8 | s for each vertex of the graph with neighbour masks
+    adj: its degree d, twice the triangles at it t and its neighbours'
+    degree sum s, the triples of `graph._vertex_invariant` (the test oracle),
+    in vertex order; 0 for an isolated vertex."""
+    deg = [a.bit_count() for a in adj]
+    packed = []
+    for a, d in zip(adj, deg):
+        t = s = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            t += (adj[u] & a).bit_count()
+            s += deg[u]
+            rest ^= low
+        packed.append(d << 16 | t << 8 | s)
+    return packed
+
+
+@functools.cache
+def _vertex_weight(packed: int) -> int:
+    """3^packed mod FINGERPRINT_PRIME for a packed triple d << 16 | t << 8 | s
+    (one to one for n <= 16, where t and s stay below 256)."""
+    return pow(3, packed, FINGERPRINT_PRIME)
+
+
+def _keyed_cases(cls: IsoClass, n: int) -> list[tuple[int, int, int, int]]:
+    """(key, cv, bits, weight) for each case (i, j, weight) of
+    `_addition_cases`: key the `_fingerprint` of the child, derived from the
+    parent's triples, and cv and bits its packed support size and edges.  A
+    grown support is already [0..max(cv, j + 1)), so the memoized search
+    runs on them without repacking.
+
+    Adding the edge ij raises the degree of i and j, adds two triangles to
+    i, j and each common neighbour, and raises the neighbour-degree sum of i
+    and j by the other's new degree and of every other vertex by the number
+    of i and j among its neighbours.  So a neighbour of one endpoint moves
+    to (d, t, s + 1) and a common neighbour to (d, t + 2, s + 2); their
+    weight changes are summed per vertex once, and each case reads the
+    endpoints' neighbourhoods and its common neighbours alone.
+    """
+    cv, bits = cls.cv, cls.bits
+    adj = _adjacency(cv, bits)
+    deg = [a.bit_count() for a in adj]
+    packed = _packed_triples(adj)
+    own = [_vertex_weight(p) for p in packed]  # every support vertex has an edge
+    one = [_vertex_weight(p + 1) - w for p, w in zip(packed, own)]  # next to one endpoint
+    both = [_vertex_weight(p + 514) - w - 2 * o for p, w, o in zip(packed, own, one)]  # to both, beyond 2 * one
+    near = []  # near[v]: the change of v's neighbours when v gains a new neighbour
+    for a in adj:
+        s = 0
+        while a:
+            low = a & -a
+            s += one[low.bit_length() - 1]
+            a ^= low
+        near.append(s)
+    total = sum(own)
+    fresh = [0, 0]  # the fresh vertices cv and cv + 1: isolated, weight 0
+    adj2, deg, packed, own, near = adj + fresh, deg + fresh, packed + fresh, own + fresh, near + fresh
+    out = []
+    for i, j, w in _addition_cases(adj, n):
+        common = adj2[i] & adj2[j]
+        shift = (1 << 16) + (common.bit_count() << 9) + 1  # one more edge, two triangles per common neighbour
+        key = (
+            total + near[i] + near[j] - own[i] - own[j]
+            + _vertex_weight(packed[i] + shift + deg[j]) + _vertex_weight(packed[j] + shift + deg[i])
+        )
+        while common:
+            low = common & -common
+            key += both[low.bit_length() - 1]
+            common ^= low
+        out.append((key, max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i), w))
+    return out
 
 
 def is_all_of_e(members, n: int, bound: int) -> bool:
@@ -176,27 +326,27 @@ def is_all_of_e(members, n: int, bound: int) -> bool:
 
 
 @functools.cache
-def canonical_additions(cls: IsoClass, n: int, connected: bool) -> tuple[IsoClass, ...]:
-    """The children of cls in K_n whose new edge is a canonical deletion: of
-    the cases of `_addition_cases`, only those whose new edge has the largest
-    key among the child's edges are searched (McKay's canonical augmentation,
+def canonical_additions(cls: IsoClass, n: int) -> tuple[IsoClass, ...]:
+    """The connected children of the connected class cls in K_n whose new
+    edge is a canonical deletion, for `enumeration.connected_classes_by_degree`:
+    of the cases of `_addition_cases`, only those whose new edge has the
+    largest key among the child's edges that are pendant or whose deletion
+    leaves the child connected are searched (McKay's canonical augmentation,
     J. Algorithms 26, 1998).  The key (deg u + deg v, |N(u) & N(v)|,
     deg u * deg v) is read off the child's neighbour masks and is invariant
-    under relabeling.  With `connected`, the maximum runs only over the edges
-    whose deletion leaves the child connected or that are pendant.  A class
-    may appear more than once; callers merge by canonical bits.
+    under relabeling.  A class may appear more than once; callers merge by
+    canonical bits.
 
-    Soundness: every class C of degree |cls| + 1 in K_n has an edge e* of
-    largest key (with `connected`, among the eligible edges; C - e* is then
-    connected).  C - e* is a parent class, and its canonical copy has a
-    non-edge that maps to e*: inside the support, to the fresh vertex, or the
-    fresh pair.  Swapping twins is an automorphism of the parent, so the
-    case standing for that non-edge gives a child isomorphic to C whose new
-    edge has the key of e*, the largest, and the child is kept.  So growing
-    every class of one degree yields every class of the next.
+    Soundness: every connected class C of degree |cls| + 1 in K_n has an
+    eligible edge e* of largest key, and C - e* is connected.  C - e* is a
+    parent class, and its canonical copy has a non-edge that maps to e*:
+    inside the support, to the fresh vertex, or the fresh pair.  Swapping
+    twins is an automorphism of the parent, so the case standing for that
+    non-edge gives a child isomorphic to C whose new edge has the key of e*,
+    the largest, and the child is kept.  So growing every connected class of
+    one degree yields every connected class of the next.
 
-    Memoized per (class, n, connected), so a warm rebuild does not weigh the
-    keys again.
+    Memoized per (class, n), so a warm rebuild does not weigh the keys again.
     """
     cv, bits = cls.cv, cls.bits
     adj = _adjacency(cv, bits)
@@ -205,7 +355,7 @@ def canonical_additions(cls: IsoClass, n: int, connected: bool) -> tuple[IsoClas
     for i, j, _weight in _addition_cases(adj, n):
         child[i] |= 1 << j
         child[j] |= 1 << i
-        if _has_max_key(child, i, j, connected):
+        if _has_max_key(child, i, j):
             kept.append(_canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i)))
         child[i] ^= 1 << j
         child[j] ^= 1 << i
@@ -255,10 +405,10 @@ def _addition_cases(adj: list[int], n: int):
         yield cv, cv + 1, fresh * (fresh - 1) // 2
 
 
-def _has_max_key(adj: list[int], u: int, v: int, connected: bool) -> bool:
-    """Whether no edge of the graph with neighbour masks adj has a larger key
-    than the edge (u, v); with `connected`, no edge whose deletion leaves the
-    graph connected or that is pendant (see `canonical_additions`)."""
+def _has_max_key(adj: list[int], u: int, v: int) -> bool:
+    """Whether no edge of the graph with neighbour masks adj that is pendant
+    or whose deletion leaves the graph connected has a larger key than the
+    edge (u, v) (see `canonical_additions`)."""
     deg = [a.bit_count() for a in adj]
     du, dv = deg[u], deg[v]
     mine = (du + dv, (adj[u] & adj[v]).bit_count(), du * dv)
@@ -273,7 +423,7 @@ def _has_max_key(adj: list[int], u: int, v: int, connected: bool) -> bool:
             db = deg[b]
             if da + db < mine[0] or (da + db, (nbrs & adj[b]).bit_count(), da * db) <= mine:
                 continue
-            if not connected or da == 1 or db == 1:
+            if da == 1 or db == 1:
                 return False
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a

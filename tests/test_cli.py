@@ -502,7 +502,8 @@ def test_transform_commands_cache_only_posets(tmp_path, capsys, case):
     cached = ["--cache-dir", str(tmp_path)]
     cold = [run_cli(capsys, *argv, *cached) for argv in commands]
     assert all(code == 0 for code, _, _ in cold)
-    posets = {_entry_path(tmp_path, f"poset:n=4:d={d}") for d in (3, 6)}  # product reads E(4, 3)
+    # rank-minor reads E(4, 2) and product E(4, 3)
+    posets = {_entry_path(tmp_path, f"poset:n=4:d={d}") for d in (2, 3, 6)}
     assert set(tmp_path.iterdir()) == posets
     body = json.dumps(_FORGED_TRANSFORMS[case], sort_keys=True).encode()
     forged = CACHE_FORMAT + b" " + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
@@ -749,6 +750,23 @@ def test_oversized_work_refused_before_it_starts(capsys):
     assert code == 2 and out == "" and "cap" in err
     code, out, err = run_cli(capsys, "mtransform", "--n", "4", "--max-degree", "-2")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_rank_minor_reads_only_the_transform_to_big_delta(capsys):
+    # the members of degree <= Delta lead E(n), so every minor of E(n, Delta) is E(n)'s
+    for n in range(8):
+        p, full = mtransform.cached_transform(None, n)
+        for big_delta in range(n * (n - 1) // 2 + 1):
+            q, e = mtransform.cached_transform(None, n, big_delta)
+            assert e.nonzeros == full.nonzeros[:len(q)], (n, big_delta)
+            for delta in range(big_delta + 1):
+                m = mtransform.minor_by_degree(e, q.degrees(), delta, big_delta)
+                assert m == mtransform.minor_by_degree(full, p.degrees(), delta, big_delta), (n, delta, big_delta)
+    code, out, _ = run_cli(capsys, "rank-minor", "--n", "6", "--delta", "2", "--Delta", "3")
+    assert code == 0 and json.loads(out) == {"rows": 5, "cols": 2, "rank": 2, "full": True}
+    # E(8) is over the transform cap, E(8, 2) is not
+    code, out, _ = run_cli(capsys, "rank-minor", "--n", "8", "--delta", "1", "--Delta", "2")
+    assert code == 0 and json.loads(out) == {"rows": 2, "cols": 1, "rank": 1, "full": True}
 
 
 def test_rank_minor_refuses_bad_degrees_before_the_build(capsys, monkeypatch):

@@ -32,13 +32,7 @@ from graphinv.mtransform import (
     transform_columns,
     unitriangular_inverse,
 )
-from graphinv.poset import (
-    GPoset,
-    build_full_poset,
-    canonical_additions,
-    poset_from_sidecar,
-    poset_sidecar,
-)
+from graphinv.poset import GPoset, build_full_poset, poset_from_sidecar, poset_sidecar
 from graphinv.smallgraphs import named_class
 
 
@@ -137,18 +131,20 @@ def test_cover_counts_from_additions_equal_counted_deletions(n, max_degree):
 
 
 def _clear_search_memos():
-    for memo in (graph._canon_from_packed, graph.canonicalize_bits, canonical_additions, mtransform._poset_covers):
+    memos = (graph._canon_from_packed, graph.canonicalize_bits, poset._named_additions, poset.fingerprint_index)
+    for memo in memos + (mtransform._poset_covers,):
         memo.cache_clear()
 
 
 def test_build_and_transform_search_counts_on_e7_d10():
-    # one search per labeled addition made 4,123 for the build; canonical additions
-    # make 778, and the cover counts name every child by its fingerprint, where
-    # searching each twin-grouped addition case made 2,765 in all
+    # one search per labeled addition made 4,123 for the build and canonical
+    # additions 778; one search per fingerprint makes 521, one per class, and the
+    # build names every addition, where the cover counts searching each
+    # twin-grouped addition case made 2,765 in all
     _clear_search_memos()
     p = build_full_poset(7, 10)
     built = graph._canon_from_packed.cache_info().misses
-    assert built <= 800
+    assert built <= 521
     build_mtransform(p)
     assert graph._canon_from_packed.cache_info().misses == built
 
@@ -163,13 +159,14 @@ def test_transform_of_a_loaded_e7_searches_nothing(e7):
 
 
 def test_full_transform_searches_the_crossing_layer_once():
-    # the upper half's covers come from its complements' additions, whose children
-    # the fingerprints name, so the transform searches nothing the build did not:
-    # 1,300 searches, 4,269 with one search per addition case and 5,969 with one
-    # per labeled addition
+    # the upper half's covers come from its complements' additions, which the
+    # build named below the middle degree and the fingerprints name at it, so the
+    # transform searches nothing the build did not: 1,043 searches, 1,300 with
+    # canonical additions, 4,269 with one search per addition case and 5,969
+    # with one per labeled addition
     _clear_search_memos()
     build_mtransform(build_full_poset(7))
-    assert graph._canon_from_packed.cache_info().misses <= 1_320
+    assert graph._canon_from_packed.cache_info().misses <= 1_043
 
 
 @pytest.fixture(scope="module")
@@ -185,36 +182,92 @@ def _shared_fingerprints(p):
     return [group for group in groups.values() if len(group) > 1]
 
 
-def _count_cases_and_searches(monkeypatch):
-    """Lists that grow by one for each addition case `_cover_counts` reads and
-    for each canonical search `one_edge_additions` makes."""
-    cases, searches = [], []
-    additions, search = mtransform.one_edge_additions, poset._canon_from_packed
-    monkeypatch.setattr(
-        mtransform, "one_edge_additions", lambda k, n, known: [cases.append(c) or c for c in additions(k, n, known)]
-    )
+@pytest.fixture
+def patched_fingerprints():
+    """Clears `poset.fingerprint_index` before and after a test whose patches
+    change what an index holds, so no other test reads such an index."""
+    memo = poset.fingerprint_index  # the memo itself, should a test patch the name
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
+def _count_children_and_searches(monkeypatch):
+    """Lists that grow by the bits of each case's child that `poset._keyed_cases`
+    yields and of each canonical search the poset module makes."""
+    children, searches = [], []
+    keyed, search = poset._keyed_cases, poset._canon_from_packed
+
+    def cases(cls, n):
+        out = keyed(cls, n)
+        children.extend(bits for _key, _cv, bits, _weight in out)
+        return out
+
+    monkeypatch.setattr(poset, "_keyed_cases", cases)
     monkeypatch.setattr(poset, "_canon_from_packed", lambda cv, bits: searches.append(bits) or search(cv, bits))
-    return cases, searches
+    return children, searches
 
 
 def test_cover_counts_search_only_the_cases_whose_fingerprint_is_shared(monkeypatch, e8_d7):
-    # E(8, 7) is the least E(n, d) where two members share a fingerprint
+    # E(8, 7) is the least E(n, d) where two members share a fingerprint; with the
+    # build's names cleared, the cover counts name every case through the index
     (pair,) = _shared_fingerprints(e8_d7)
     assert len(pair) == 2
-    cases, searches = _count_cases_and_searches(monkeypatch)
+    poset._named_additions.cache_clear()
+    children, searches = _count_children_and_searches(monkeypatch)
     assert _cover_counts(e8_d7) == _deleted_covers(e8_d7)
-    assert 0 < len(searches) == sum(grown in pair for grown, _weight in cases) < len(cases)
+    assert 0 < len(searches) == sum(canonicalize_bits(bits) in pair for bits in children) < len(children)
 
 
-def test_cover_counts_search_every_case_when_no_fingerprint_is_unique(monkeypatch):
+def test_cover_counts_search_every_case_when_no_fingerprint_is_unique(monkeypatch, patched_fingerprints):
+    # with the build's names cleared, the cover counts name every case through the index
     p = build_full_poset(6)  # the upper half reads its complements' additions
-    cases, searches = _count_cases_and_searches(monkeypatch)
+    poset._named_additions.cache_clear()
+    children, searches = _count_children_and_searches(monkeypatch)
     covers = _cover_counts(p)
-    assert cases and not searches  # every member of E(6) has a fingerprint of its own
-    cases.clear()
-    monkeypatch.setattr(poset, "_vertex_invariant", lambda adj: ())
-    assert _cover_counts(p) == covers == _deleted_covers(p)
-    assert len(searches) == len(cases) > 0
+    assert children and not searches  # every member of E(6) has a fingerprint of its own
+    children.clear()
+    poset._named_additions.cache_clear()
+    poset.fingerprint_index.cache_clear()  # the index of E(6) read above
+    for module in (poset, mtransform):
+        monkeypatch.setattr(module, "_fingerprint", lambda adj: 0)
+    same = GPoset(p.members, 6, p.max_degree, True)  # its fingerprints are read under the patch
+    assert _cover_counts(same) == covers == _deleted_covers(p)
+    assert len(searches) == len(children) > 0
+
+
+def test_cover_counts_of_a_built_poset_read_the_build_names(monkeypatch):
+    # the build names every addition below the middle degree, 7 in E(6); the cover
+    # counts name the middle degree's once, by fingerprint, and then read them too
+    poset._named_additions.cache_clear()
+    p = build_full_poset(6)
+    middle = [bits for m in p if m.degree == 7 for _key, _cv, bits, _weight in poset._keyed_cases(m, 6)]
+    children, searches = _count_children_and_searches(monkeypatch)
+    covers = _cover_counts(p)
+    assert sorted(children) == sorted(middle) and searches == []
+    children.clear()
+    assert build_full_poset(6) == p and _cover_counts(p) == covers == _deleted_covers(p)
+    assert children == [] == searches
+
+
+@pytest.mark.parametrize("n, max_degree", [(6, None), (7, 10)])
+def test_a_constant_key_searches_every_case_and_changes_nothing(monkeypatch, patched_fingerprints, n, max_degree):
+    p = build_full_poset(n, max_degree)
+    covers = _cover_counts(p)
+    _clear_search_memos()
+    keyed = poset._keyed_cases
+    monkeypatch.setattr(poset, "_keyed_cases", lambda cls, n: [(0, *case) for _key, *case in keyed(cls, n)])
+    for module in (poset, mtransform):  # no member or complement is named by fingerprint
+        monkeypatch.setattr(module, "_fingerprint", lambda adj: 0)
+    children, searches = _count_children_and_searches(monkeypatch)
+    again = build_full_poset(n, max_degree)
+    assert again.members == p.members and [m.aut_support for m in again] == [m.aut_support for m in p]
+    # each grown level searches its first case twice, as the one search of the
+    # key and again when the count fails, but the first level, whose one case
+    # makes K2 and closes the count
+    levels = min(p.max_degree, n * (n - 1) // 4)
+    assert set(children) == set(searches) and len(searches) == len(children) + levels - 1
+    assert _cover_counts(again) == covers == _deleted_covers(p)
 
 
 def test_orbit_proof_refuses_a_poset_missing_one_of_a_fingerprint_pair(e8_d7):
@@ -224,7 +277,8 @@ def test_orbit_proof_refuses_a_poset_missing_one_of_a_fingerprint_pair(e8_d7):
     dropped = GPoset(tuple(m for m in e8_d7.members if m != gone), 8, 7, True)
     assert poset.is_all_of_e(e8_d7.members, 8, 7)
     assert not poset.is_all_of_e(dropped.members, 8, 7)
-    assert poset.fingerprint_index(dropped.members, 8) == {}
+    assert dropped.fingerprints == {}
+    poset._named_additions.cache_clear()
     assert _cover_counts(dropped)[dropped.position(kept)] == _cover_counts(e8_d7)[e8_d7.position(kept)]
 
 
@@ -241,11 +295,11 @@ def test_cover_counts_refuse_a_missing_complement(e4_poset):
         _cover_counts(_missing(e4_poset, "C4"))
 
 
-def test_cover_counts_refuse_a_complement_map_that_is_not_a_bijection(monkeypatch, e3_poset):
-    monkeypatch.setattr(mtransform, "fingerprint_index", lambda members, n: {})  # every complement is searched
+def test_cover_counts_refuse_a_complement_map_that_is_not_a_bijection(monkeypatch, patched_fingerprints):
+    monkeypatch.setattr(poset, "fingerprint_index", lambda p: {})  # every complement is searched
     monkeypatch.setattr(mtransform, "canonicalize_bits", lambda bits: named_class("K3"))
     with pytest.raises(PosetError, match="bijection"):
-        _cover_counts(e3_poset)
+        _cover_counts(build_full_poset(3))  # a new poset, whose fingerprints are read under the patch
 
 
 @settings(max_examples=40, deadline=None)

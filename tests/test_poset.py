@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinv import graph, poset
 from graphinv.enumeration import connected_classes_by_degree, graph_count
@@ -55,13 +57,12 @@ def _labeled_additions(cls, n):
 
 
 def test_addition_weights_count_the_non_edges_in_k_n():
-    # one search per case of twin-swapped non-edges gives the same weights as one per non-edge
+    # the cases of twin-swapped non-edges, named by the build below the middle degree
+    # and searched above it, give the same weights as one search per non-edge
     for n in range(8):
         p = build_full_poset(n)
         for k in p.members:
-            grouped = Counter()
-            for grown, w in one_edge_additions(k, n, {}):
-                grouped[grown] += w
+            grouped = one_edge_additions(k, n, dict)
             assert grouped == _labeled_additions(k, n), (n, k)
             assert all(grown in p and grown.degree == k.degree + 1 for grown in grouped)
 
@@ -87,19 +88,67 @@ def test_the_canonical_deletion_test_reads_no_vertex_labels():
             images = rng.sample(range(n), n)
             adj, moved = graph._adjacency(n, bits), graph._adjacency(n, graph.permute_bits(bits, images))
             u, v = graph._SLOT_PAIRS[slot]
-            for connected in (False, True):
-                assert poset._has_max_key(adj, u, v, connected) == poset._has_max_key(
-                    moved, images[u], images[v], connected
-                ), (cls, slot, images)
+            assert poset._has_max_key(adj, u, v) == poset._has_max_key(moved, images[u], images[v]), (
+                cls, slot, images
+            )
 
 
 def _records(members):
     return [(m.bits, m.degree, m.cv, m.aut_support) for m in members]
 
 
-def test_canonical_additions_grow_all_of_e8_to_degree_8():
+def test_build_grows_all_of_e8_to_degree_8():
     grown = _grown_by_every_non_edge([{0: EMPTY_CLASS}], lambda c: 8, 8)
     assert _records(build_full_poset(8, 8).members) == _records(grown)
+
+
+def _keyed_children(cls, n):
+    """(key, the child's bits) for each case of `poset._keyed_cases`."""
+    return [(key, bits) for key, _cv, bits, _weight in poset._keyed_cases(cls, n)]
+
+
+def _oracle_key(adj):
+    """The fingerprint from the triples of `graph._vertex_invariant`."""
+    return sum(poset._vertex_weight(d << 16 | t << 8 | s) for d, t, s in graph._vertex_invariant(adj))
+
+
+@pytest.mark.parametrize("n, max_degree", [(n, None) for n in range(8)] + [(8, 8)])
+def test_incremental_keys_equal_the_fingerprint_from_scratch(n, max_degree):
+    # `_vertex_invariant`, which reads every vertex of the child, is the oracle
+    for cls in build_full_poset(n, max_degree).members:
+        for key, bits in _keyed_children(cls, n):
+            adj = graph._adjacency(n, bits)
+            assert key == _oracle_key(adj) == poset._fingerprint(adj), (cls, bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_incremental_keys_ignore_the_labeling(seed):
+    # each child relabeled into K_10 by a seeded injection keeps its key
+    rng = random.Random(seed)
+    for cls in rng.sample(build_full_poset(7, 10).members, 20):
+        for key, bits in _keyed_children(cls, 7):
+            moved = graph.permute_bits(bits, rng.sample(range(10), 7))
+            assert _oracle_key(graph._adjacency(10, moved)) == key, (cls, bits)
+
+
+def test_only_the_shared_keys_fail_the_cover_count(monkeypatch):
+    # E(8, 8): a key is searched again, case by case, exactly where two classes of
+    # one degree share a fingerprint; every other key is named by one search
+    searched = Counter()
+    search = poset._canon_from_packed
+
+    def counted(cv, bits):
+        searched[bits.bit_count(), poset._fingerprint(graph._adjacency(cv, bits))] += 1
+        return search(cv, bits)
+
+    poset._named_additions.cache_clear()
+    monkeypatch.setattr(poset, "_canon_from_packed", counted)
+    p = build_full_poset(8, 8)
+    by_key = Counter((m.degree, poset._fingerprint(graph._adjacency(m.cv, m.bits))) for m in p.members)
+    shared = {key for key, count in by_key.items() if count > 1}
+    assert shared and {key for key, count in searched.items() if count > 1} == shared
+    assert set(searched) == set(by_key) - {(0, 0)}
 
 
 def test_connected_canonical_additions_grow_every_connected_class_to_8_edges():
@@ -114,7 +163,7 @@ def _grown_through_every_degree(n):
     """E(n) grown one edge at a time through all C(n, 2) degrees, without complements."""
     levels = [{0: EMPTY_CLASS}]
     for _k in range(n * (n - 1) // 2):
-        levels.append({g.bits: g for c in levels[-1].values() for g, _w in one_edge_additions(c, n, {})})
+        levels.append({g.bits: g for c in levels[-1].values() for g in one_edge_additions(c, n, dict)})
     members = [m for level in levels for m in sorted(level.values(), key=lambda c: c.sort_key)]
     return [(m.bits, m.degree, m.cv, m.aut_support) for m in members]
 
@@ -142,13 +191,14 @@ def test_built_posets_pass_the_sidecar_orbit_count(e8_poset):
 
 def test_cold_build_searches_only_the_lower_half():
     # growing all 21 degrees of E(7) by every labeled addition makes 8,852 searches,
-    # the lower half so plus one search per complemented member 4,645, and the lower
-    # half by canonical additions plus the complements 1,300
+    # the lower half so plus one search per complemented member 4,645, the lower
+    # half by canonical additions plus the complements 1,300, and one search per
+    # fingerprint, each the one class of its key, 521 + 522 = 1,043
     graph._canon_from_packed.cache_clear()
     graph.canonicalize_bits.cache_clear()
-    poset.canonical_additions.cache_clear()
+    poset._named_additions.cache_clear()
     build_full_poset(7)
-    assert graph._canon_from_packed.cache_info().misses <= 1_320
+    assert graph._canon_from_packed.cache_info().misses <= 1_043
 
 
 def test_build_determinism():
