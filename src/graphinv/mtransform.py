@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations as _combinations, permutations as _permutations, product as _product
@@ -283,7 +284,7 @@ def _lookup(comp: dict[int, int], pos: int | None) -> int:
     return at
 
 
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> memoryview format
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> memoryview format and array typecode
 
 
 def _high_bits(width: int, bits: int, count: int) -> int:
@@ -450,39 +451,114 @@ def solve_transform(matrix: IntMatrix, degrees, values) -> list:
 
 
 def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> IntMatrix:
-    """Inverse of a transform: the closed form `mnukhin_power(-1)`, proved by
-    `_check_packed_inverse`; `complete=False` raises PosetError.  Only the
+    """Inverse of a transform: the closed form `mnukhin_power(-1)`, served once
+    an exact proof on E's own rows shows that it is the inverse.  Only the
     `invert` command needs the whole inverse; a solve goes through
     `solve_transform`.  The elimination `unitriangular_inverse` is the tests'
-    oracle for it."""
+    oracle for it.
+
+    The theorem is the one behind the Pascal matrix, the exponential of its
+    subdiagonal.  Let N be E's one-degree block, n_ik = e_ik where
+    d_k = d_i - 1 and 0 elsewhere, and S = diag((-1)^d).  If E has an
+    identity block on each degree and satisfies the recursion
+        (d_i - d_j) e_ij = sum_k n_ik e_kj  for every i, j,
+    then E = exp(N): since [D, N] = N, exp(N) satisfies the same recursion
+    and has the same identity blocks, and the recursion fixes every other
+    entry by induction on d_i - d_j.  S N S = -N, so E^-1 = exp(-N) = S E S,
+    whose entry (i, j) is (-1)^(d_i - d_j) e_ij.  Three exact checks prove
+    it, each failure an AssertionError:
+      (a) e_ii = 1, and every other nonzero e_ij is positive with d_j < d_i,
+          all checked before the closed form runs;
+      (b) the recursion on E's rows packed unsigned in fields of `width`
+          bits, one row at a time: the left side is one mask per degree
+          below d_i (d_i - d_j counts them), the right side one
+          multiply-add per nonzero of N;
+      (c) the served `mnukhin_power(E, degrees, -1)` equals S E S entry by
+          entry.
+    The width rule: every field on either side of (b) is nonnegative and at
+    most max(d_max - d_min, max_i sum_k n_ik) * max e < 2^width, so equal
+    packed rows have equal fields: no carry lets a wrong row pass.
+
+    `complete=False` raises PosetError.  A poset that is not closed under
+    edge deletion, its flag forged, is refused by (b) wherever its E is not
+    exp(N): with the empty graph a member, a member of degree d with a
+    one-edge deletion outside the poset reads d in its empty-graph field on
+    the left and less on the right.  Where E = exp(N) holds all the same,
+    S E S is its inverse.  Degrees that are not nondecreasing raise
+    PreconditionError: each degree must be one run of fields.
+    """
     if not complete:
         raise PosetError("closed-form inverse requires a subgraph-closed poset")
+    n = matrix.rows
+    if matrix.cols != n or len(degrees) != n:
+        raise PreconditionError("matrix/degree dimensions do not match")
+    if any(a > b for a, b in zip(degrees, degrees[1:])):
+        raise PreconditionError("degrees are not nondecreasing")
+    if not n:
+        return IntMatrix.identity(0)
+    starts, ends = {}, {}  # degree -> its first position, and one past its last
+    for pos, d in enumerate(degrees):
+        starts.setdefault(d, pos)
+        ends[d] = pos + 1
+    rows = matrix.nonzeros
+    down = []  # row i of N, {k: n_ik}
+    for i, (row, d) in enumerate(zip(rows, degrees)):
+        if row.get(i) != 1 or min(row) < 0:
+            raise AssertionError(f"transform row {i}: diagonal entry {row.get(i, 0)}, or a negative column")
+        start = starts[d]
+        below = starts.get(d - 1, start)
+        down.append({k: x for k, x in row.items() if below <= k < start})
+    top = max(map(max, map(dict.values, rows)))
+    bits = (max(degrees[-1] - degrees[0], *map(sum, map(dict.values, down))) * top).bit_length()
+    width = next((w for w in _FIELD_CODES if w >= bits), bits)  # the narrowest machine field, if one holds it
+    packed = _pack_rows(rows, width)  # (a): every entry in 0 <= e < 2^width, none past the diagonal
+    low = degrees[0]
+    prefixes, at = [], 0  # prefixes[u - low]: the fields of degree <= u
+    for u in range(low, degrees[-1]):
+        at = ends.get(u, at)
+        prefixes.append((1 << (width * at)) - 1)
+    for i, (p, d, row_n) in enumerate(zip(packed, degrees, down)):
+        start = starts[d]
+        if p >> (width * start) != 1 << (width * (i - start)):  # (a): of its own degree, only the diagonal
+            raise AssertionError(f"transform row {i} has an entry of its own degree off the diagonal")
+        if sum(map(p.__and__, prefixes[: d - low])) != sum(c * packed[k] for k, c in row_n.items()):
+            raise AssertionError(f"E is not exp(N): row {i} fails (d_i - d_j) e_ij = sum_k n_ik e_kj")
     closed = mnukhin_power(matrix, degrees, -1)
-    _check_packed_inverse(matrix, closed)
+    if closed.rows != n or closed.cols != n:
+        raise AssertionError("closed-form inverse has the wrong shape")
+    signs = [(-1) ** d for d in degrees]
+    flipped = [-s for s in signs]
+    for i, (c, row, d) in enumerate(zip(closed.nonzeros, rows, degrees)):
+        sign = flipped if d % 2 else signs  # sign[j] = (-1)^(d_i - d_j)
+        if c != {j: x * sign[j] for j, x in row.items()}:
+            raise AssertionError(f"closed-form inverse: row {i} is not row {i} of S E S")
     return closed
 
 
-def _check_packed_inverse(matrix: IntMatrix, inverse: IntMatrix) -> None:
-    """Prove matrix @ inverse == I exactly; AssertionError otherwise.
-
-    Row j of the inverse is packed into one signed int C_j with a field of
-    `width` bits per column, and row i of the product is sum_j e_ij * C_j,
-    which must equal 1 << (width * i).  Every product entry is at most
-    (max row sum of |e|) * (max |c|) < 2^(width - 1) in absolute value, and
-    an int has one expansion in signed digits of that size, so the equality
-    holds field by field: the product row is the unit row i.
-    """
-    n = matrix.rows
-    if (matrix.cols, inverse.rows, inverse.cols) != (n, n, n):
-        raise AssertionError("inverse has the wrong shape")
-    row_sum = max((sum(map(abs, matrix.row(i).values())) for i in range(n)), default=0)
-    top = max((abs(x) for j in range(n) for x in inverse.row(j).values()), default=0)
-    width = (row_sum * top).bit_length() + 1
-    assert row_sum * top < 1 << (width - 1)
-    packed = [sum(x << (width * k) for k, x in inverse.row(j).items()) for j in range(n)]
-    for i in range(n):
-        if sum(e * packed[j] for j, e in matrix.row(i).items()) != 1 << (width * i):
-            raise AssertionError(f"closed-form inverse: row {i} of E C is not a unit row")
+def _pack_rows(rows, width: int) -> list[int]:
+    """Row i of a lower-triangular matrix as the one int sum_j e_ij 2^(width j),
+    through an array of machine fields where one holds the width, by shifts
+    otherwise.  An entry outside 0 <= e_ij < 2^width, or in a column past i,
+    raises AssertionError; columns are taken to be nonnegative."""
+    code = _FIELD_CODES.get(width)
+    if code is None:
+        for i, row in enumerate(rows):
+            if max(row, default=0) > i or min(row.values(), default=0) < 0 or max(row.values(), default=0) >> width:
+                raise AssertionError(f"row {i}: an entry past the diagonal or outside its field")
+        return [sum(x << (width * j) for j, x in row.items()) for row in rows]
+    zeros = array(code, bytes(width // 8 * len(rows)))
+    out = []
+    for i, row in enumerate(rows):
+        fields = zeros[: i + 1]
+        try:
+            for j, x in row.items():
+                fields[j] = x
+        except (IndexError, OverflowError):
+            raise AssertionError(f"row {i}: an entry past the diagonal or outside its field") from None
+        if sys.byteorder == "big":
+            fields.byteswap()
+        out.append(int.from_bytes(fields, "little"))
+    return out
 
 
 # ── complement identities and half-matrix reconstruction ─────────────────

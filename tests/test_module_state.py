@@ -261,8 +261,13 @@ def _references(name: str) -> set[tuple[str, str]]:
 
 
 def test_only_invert_builds_the_whole_inverse():
-    # every solve goes through `solve_transform`; the whole inverse is for the `invert` command
-    assert _references("inverse_mtransform") == {("cli", "_cmd_invert")}
+    # every solve goes through `solve_transform`; the whole inverse is for the `invert`
+    # command, and for the selftest check that proves it on the printed matrices
+    assert _references("inverse_mtransform") == {
+        ("cli", "_cmd_invert"),
+        ("selftest", "ImportFrom"),
+        ("selftest", "check_mnukhin_laws"),
+    }
 
 
 def test_products_read_only_the_union_block():

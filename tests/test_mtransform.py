@@ -391,14 +391,18 @@ def test_mnukhin_requires_complete():
 
 def test_the_packed_proof_not_the_flag_guards_the_inverse():
     # posets that are not closed under edge deletion, with the flag forged: on
-    # {empty, K3} the closed form (-1)^3 * 1 is the true inverse entry, and is served
+    # {empty, K3} the closed form (-1)^3 * 1 is the true inverse entry, but E is
+    # not exp(N): K3 has no member one edge below it, so its row reads 3 * 1 != 0
     p = _not_down_closed(("empty", "K3"), 3, 3, complete=True)
     e = _mtransform_by_subsets(p)
-    assert inverse_mtransform(e, p.degrees()) == unitriangular_inverse(e)
-    # on {empty, P3} the closed form (-1)^2 * 1 is not the true -1, and is refused
+    assert mnukhin_power(e, p.degrees(), -1) == unitriangular_inverse(e)
+    with pytest.raises(AssertionError, match=r"E is not exp\(N\): row 1 fails"):
+        inverse_mtransform(e, p.degrees())
+    # on {empty, P3} the closed form (-1)^2 * 1 is not the true -1, and is refused the same way
     p = _not_down_closed(("empty", "P3"), 3, 2, complete=True)
     e = _mtransform_by_subsets(p)
-    with pytest.raises(AssertionError, match="row 1 of E C is not a unit row"):
+    assert mnukhin_power(e, p.degrees(), -1) != unitriangular_inverse(e)
+    with pytest.raises(AssertionError, match=r"E is not exp\(N\): row 1 fails"):
         inverse_mtransform(e, p.degrees())
 
 
@@ -427,10 +431,88 @@ def test_complete_inverse_is_checked_without_elimination(monkeypatch, e4_poset, 
     with pytest.raises(AssertionError):
         inverse_mtransform(e4_matrix, degs, complete=True)
 
-    # row 1 of E C is 3 + 253 = 2^8 = the unit row in 8-bit fields: too narrow a field would accept it
+    # the served row (253, 0) has E C row 3 + 253 = 2^8, the unit row in 8-bit fields;
+    # (c) compares it with S E S entry by entry, so no field width can let it through
     monkeypatch.setattr(mtransform, "mnukhin_power", lambda *args, **kw: IntMatrix([{0: 1}, {0: 253}], 2))
     with pytest.raises(AssertionError):
         inverse_mtransform(IntMatrix.from_rows([[1, 0], [3, 1]]), (0, 1), complete=True)
+
+
+def _one_entry_corruptions(e, degrees, count, seed):
+    """`count` seeded copies of E, each with one entry raised by 1, 2 or 5 in a
+    column of lower degree than its row."""
+    rng = random.Random(seed)
+    rows = [i for i in range(e.rows) if degrees[i] > degrees[0]]
+    for _ in range(count):
+        i = rng.choice(rows)
+        j = rng.choice([j for j in range(i) if degrees[j] < degrees[i]])
+        bumped = list(e.nonzeros)
+        bumped[i] = {**bumped[i], j: bumped[i].get(j, 0) + rng.choice((1, 2, 5))}
+        yield IntMatrix(bumped, e.cols)
+
+
+def test_inverse_refuses_every_one_entry_corruption(e5_poset):
+    for p, seed in ((e5_poset, 5), (build_full_poset(7, 10), 7)):
+        e, degrees = build_mtransform(p), p.degrees()
+        refused = 0
+        for bad in _one_entry_corruptions(e, degrees, 200, seed):
+            with pytest.raises(AssertionError):
+                inverse_mtransform(bad, degrees)
+            refused += 1
+        assert refused == 200
+
+
+def test_inverse_refuses_a_recursion_that_holds_only_in_too_narrow_fields():
+    # row 3: 3 * 87 = 261 = 5 + 2^8 carries one into field 1, where 2 * 2 = 4 = 5 - 1
+    e = IntMatrix.from_rows([[1, 0, 0, 0], [2, 1, 0, 0], [5, 5, 1, 0], [87, 2, 1, 1]])
+    degrees = (0, 1, 2, 3)
+    packed = [sum(x << (8 * j) for j, x in enumerate(row)) for row in e.data]
+    for i, row in enumerate(e.data):
+        left = sum((degrees[i] - degrees[j]) * x << (8 * j) for j, x in enumerate(row))
+        assert left == sum(x * packed[k] for k, x in enumerate(row) if degrees[k] == degrees[i] - 1)
+    assert mnukhin_power(e, degrees, -1) != unitriangular_inverse(e)
+    with pytest.raises(AssertionError, match=r"E is not exp\(N\): row 3 fails"):
+        inverse_mtransform(e, degrees)
+
+
+def test_inverse_refuses_a_malformed_transform_before_the_closed_form(monkeypatch):
+    def no_closed_form(*args):
+        raise AssertionError("the closed form ran")
+
+    monkeypatch.setattr(mtransform, "mnukhin_power", no_closed_form)
+    for rows, degrees, message in (
+        ([[1, 5], [0, 1]], (0, 1), "past the diagonal"),  # mnukhin_power would raise IndexError
+        ([[1, 0], [4, 1]], (1, 1), "of its own degree off the diagonal"),
+        ([[1, 0], [-3, 1]], (0, 1), "outside its field"),
+        ([[1, 0], [3, 2]], (0, 1), "diagonal entry 2"),
+        ([[1, 0, 0], [2**70, 1, 0], [-1, 2, 1]], (0, 1, 2), "outside its field"),  # fields past 64 bits
+        ([[1, 0, 0], [2**70, 1, 0], [0, 2**70, 1]], (0, 1, 2), r"E is not exp\(N\): row 2"),
+    ):
+        with pytest.raises(AssertionError, match=message):
+            inverse_mtransform(IntMatrix.from_rows(rows), degrees)
+    with pytest.raises(AssertionError, match="negative column"):
+        inverse_mtransform(IntMatrix([{0: 1}, {-1: 3, 1: 1}], 2), (0, 1))
+    with pytest.raises(PreconditionError, match="not nondecreasing"):
+        inverse_mtransform(IntMatrix.identity(2), (1, 0))
+    with pytest.raises(PreconditionError):
+        inverse_mtransform(IntMatrix.identity(2), (0, 1, 2))
+
+
+def test_inverse_proof_accepts_the_multiset_orbit_transforms():
+    from graphinv import multiset
+    from graphinv.perm import Permutation, close_generators, symmetric_group, trivial_group
+    from graphinv.selftest import PRINTED_TRIVIAL_7X7, PRINTED_TWO_SYMBOL_5X5
+
+    posets = [
+        multiset.build_multiset_poset(trivial_group(3), 1, include_empty=False),
+        multiset.build_multiset_poset(close_generators(3, [Permutation((1, 0, 2))]), 1, include_empty=False),
+        multiset.build_multiset_poset(symmetric_group(3), 2),
+        multiset.build_multiset_poset(trivial_group(3), 2),
+    ]
+    matrices = [multiset.build_general_mtransform(p) for p in posets]
+    assert [matrices[0].to_lists(), matrices[1].to_lists()] == [PRINTED_TRIVIAL_7X7, PRINTED_TWO_SYMBOL_5X5]
+    for p, e in zip(posets, matrices):
+        assert inverse_mtransform(e, p.degrees()) == unitriangular_inverse(e)
 
 
 def test_solves_use_the_closed_form_not_elimination(monkeypatch, e5_poset):
@@ -547,10 +629,10 @@ def test_solve_transform_refuses_what_it_cannot_certify():
 
 
 def test_inverse_check_derives_its_field_width(e7):
-    # product entries up to 2^80: no fixed field width would hold them
+    # N's row sum 2^40 times the top entry 2^40: fields of 81 bits, past every machine type
     m = IntMatrix.from_rows([[1, 0], [2**40, 1]])
     assert inverse_mtransform(m, (0, 1), complete=True) == unitriangular_inverse(m)
-    # up to 2^21 * C(21, 10) on E(7), over 2^39
+    # 21 * 5040 on E(7), over 16 bits; 10 * 120 on E(7, 10), under them
     p, e = e7
     assert inverse_mtransform(e, p.degrees(), complete=True) == mnukhin_power(e, p.degrees(), -1)
     p = build_full_poset(7, 10)
