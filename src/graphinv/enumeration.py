@@ -1,5 +1,7 @@
-"""Cycle-index enumeration of unlabeled graphs by edges, connected counts,
-the Ulam difference table, and the Ulam-condition check with minor ranks.
+"""Cycle-index enumeration of unlabeled graphs by edges, connected counts
+(the connected classes grown edge by edge by `poset._grow_level`, the route
+that grows E(n)), the Ulam difference table, and the Ulam-condition check
+with minor ranks.
 
 Everything runs over exact integers; 12-vertex counts overflow 64-bit
 intermediates, so plain Python integers are mandatory here.
@@ -19,7 +21,7 @@ from .errors import CapError, PreconditionError
 from .graph import IsoClass, canonicalize_bits
 from .mtransform import IntMatrix, build_mtransform, exact_rank, minor_by_degree
 from .perm import CycleType, symmetric_group, induced_pair_permutation
-from .poset import build_full_poset, canonical_additions
+from .poset import _grow_level, build_full_poset
 
 CYCLE_INDEX_VERTEX_CAP = 16
 GRAPH_COUNT_VERTEX_CAP = 12
@@ -216,12 +218,12 @@ def ulam_condition_check(n: int, d: int, rank_support: int | None = None) -> dic
 @functools.cache
 def connected_classes_by_degree(max_degree: int) -> Mapping[int, tuple[IsoClass, ...]]:
     """Connected classes grouped by edge count (a read-only mapping of tuples),
-    grown one edge at a time: the `poset.canonical_additions` of a class on cv
-    vertices placed in K_(cv+1), which join two support vertices or a support
-    vertex to one fresh vertex (adding an edge to a connected graph never
-    disconnects it), keeping a child only when its new edge has the largest
-    key among the edges whose deletion leaves it connected or that are
-    pendant.  Every connected class has such an edge, so each is reached."""
+    grown one edge at a time from K2 by `poset._grow_level`, the route that
+    grows E(n): the connected classes of degree k, placed in K_(k+2), which
+    holds every child, gain an edge between two support vertices or from the
+    support to one fresh vertex (adding an edge to a connected graph never
+    disconnects it), and each key of their children is named by one search
+    where the cover double count over the reversible edges closes on it."""
     if max_degree > CONNECTED_DEGREE_CAP:
         raise CapError(f"connected enumeration capped at degree {CONNECTED_DEGREE_CAP}")
     levels: dict[int, tuple[IsoClass, ...]] = {}
@@ -229,7 +231,7 @@ def connected_classes_by_degree(max_degree: int) -> Mapping[int, tuple[IsoClass,
         current = {1: canonicalize_bits(1)}  # by canonical bits
         levels[1] = tuple(current.values())
         for d in range(2, max_degree + 1):
-            current = {g.bits: g for cls in current.values() for g in canonical_additions(cls, cls.cv + 1)}
+            current = _grow_level(current.values(), d + 1, d - 1, connected=True)
             levels[d] = tuple(current[bits] for bits in sorted(current))
     return MappingProxyType(levels)
 

@@ -7,7 +7,8 @@ produce identical sequences and every transform built on top is reproducible.
 
 Complementation in K_n maps degree k to C(n, 2) - k, so only the lower half
 of the degrees is grown edge by edge; each member above the middle degree is
-the complement of one below it.
+the complement of one below it.  The same growth, `_grow_level`, grows the
+connected classes for `enumeration.connected_classes_by_degree`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import CapError, PosetError, PreconditionError
 from .graph import (
     EMPTY_CLASS,
     IsoClass,
+    _SLOT_PAIRS,
     _adjacency,
     _canon_from_packed,
     _flood,
@@ -116,27 +118,33 @@ def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
     return GPoset(tuple(level[bits] for level in levels for bits in sorted(level)), n, max_degree, True)
 
 
-def _grow_level(parents, n: int, degree: int) -> dict[int, IsoClass]:
+def _grow_level(parents, n: int, degree: int, *, connected: bool = False) -> dict[int, IsoClass]:
     """The classes of degree + 1 in K_n by canonical bits, grown from parents,
     all the classes of `degree`, each once; names every one-edge addition of
-    every parent in `_named_additions`.
+    every parent in `_named_additions`.  With connected, parents are all the
+    connected classes of `degree` and the children all those of degree + 1:
+    the fresh pair (cv, cv + 1), the one case whose child is disconnected, is
+    dropped, so the additions are not all named and none is written.
 
     Each case of `_addition_cases` is keyed by its child's fingerprint
     (`_keyed_cases`), and only the first child under each key is searched.
     The key names that class C alone when the cover double count closes on
     it: the cases under the key, each weighted by its parent's orbit orb(x) =
-    n! / ((n - cv)! aut), sum to (degree + 1) * orb(C).  That sum counts the
-    pairs (labeled copy in K_n, one of its edges) of every class under the
+    n! / ((n - cv)! aut), sum to r(C) * orb(C), r(C) the number of edges of C
+    whose deletion lands in the parent level: degree + 1, every edge, for
+    E(n), and for connected growth the `_reversible_edges`.  That sum counts
+    the pairs (labeled copy in K_n, one such edge) of every class under the
     key, each pair once, since every class of the next degree arises from
     the complete level of parents by every case that makes it.  A second
-    class under the key would add its own pairs, so the count is exact.
-    Where it does not close, every child under the key is searched.
+    class under the key would add its own pairs, at least one per labeled
+    copy (the leaf edge of a spanning tree is reversible), so the count is
+    exact.  Where it does not close, every child under the key is searched.
     """
     grown = []  # (parent, its `_keyed_cases`)
     groups: dict[int, list] = {}  # key -> [the weighted parent orbits, first child's cv and bits]
     for cls in parents:
         orbit = math.perm(n, cls.cv) // cls.aut_support
-        cases = _keyed_cases(cls, n)
+        cases = [case for case in _keyed_cases(cls, n) if not connected or case[1] < cls.cv + 2]
         for key, cv, bits, weight in cases:
             group = groups.get(key)
             if group is None:
@@ -147,10 +155,11 @@ def _grow_level(parents, n: int, degree: int) -> dict[int, IsoClass]:
     named: dict[int, IsoClass | None] = {}  # key -> the class it names, None where the count does not close
     for key, (total, cv, bits) in groups.items():
         first = _canon_from_packed(cv, bits)
-        named[key] = first if total == (degree + 1) * (math.perm(n, cv) // first.aut_support) else None
+        edges = _reversible_edges(cv, bits) if connected else degree + 1
+        named[key] = first if total == edges * (math.perm(n, cv) // first.aut_support) else None
     level: dict[int, IsoClass] = {}
     for cls, cases in grown:
-        additions = _named_additions(cls, n)
+        additions = {} if connected else _named_additions(cls, n)
         additions.clear()
         for key, cv, bits, weight in cases:
             child = named[key] or _canon_from_packed(cv, bits)
@@ -159,12 +168,36 @@ def _grow_level(parents, n: int, degree: int) -> dict[int, IsoClass]:
     return level
 
 
+def _reversible_edges(cv: int, bits: int) -> int:
+    """The edges of the connected graph with edge bits on [0..cv) whose
+    deletion leaves a connected graph once an isolated vertex is dropped:
+    the pendant edges and the edges on a cycle, every edge but the
+    non-pendant bridges.  The count reads no vertex labels."""
+    adj = _adjacency(cv, bits)
+    count = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = _SLOT_PAIRS[low.bit_length() - 1]
+        if adj[u].bit_count() == 1 or adj[v].bit_count() == 1:
+            count += 1
+            continue
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        count += _flood(adj, 1 << u) >> v & 1
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return count
+
+
 @functools.cache
 def _named_additions(cls: IsoClass, n: int) -> dict[IsoClass, int]:
     """The shared {grown class: weight} of the one-edge additions of cls in
-    K_n, empty until named: `_grow_level` names every class it grows and
-    `one_edge_additions` any other class it is asked for.  A class of degree
-    below C(n, 2) has an addition, so a named entry is never empty."""
+    K_n, empty until named: `_grow_level` names every class it grows into
+    E(n) (not the connected growth) and `one_edge_additions` any other class
+    it is asked for.  A class of degree below C(n, 2) has an addition, so a
+    named entry is never empty."""
     return {}
 
 
@@ -325,43 +358,6 @@ def is_all_of_e(members, n: int, bound: int) -> bool:
     return orbits == [math.comb(n * (n - 1) // 2, k) for k in range(bound + 1)]
 
 
-@functools.cache
-def canonical_additions(cls: IsoClass, n: int) -> tuple[IsoClass, ...]:
-    """The connected children of the connected class cls in K_n whose new
-    edge is a canonical deletion, for `enumeration.connected_classes_by_degree`:
-    of the cases of `_addition_cases`, only those whose new edge has the
-    largest key among the child's edges that are pendant or whose deletion
-    leaves the child connected are searched (McKay's canonical augmentation,
-    J. Algorithms 26, 1998).  The key (deg u + deg v, |N(u) & N(v)|,
-    deg u * deg v) is read off the child's neighbour masks and is invariant
-    under relabeling.  A class may appear more than once; callers merge by
-    canonical bits.
-
-    Soundness: every connected class C of degree |cls| + 1 in K_n has an
-    eligible edge e* of largest key, and C - e* is connected.  C - e* is a
-    parent class, and its canonical copy has a non-edge that maps to e*:
-    inside the support, to the fresh vertex, or the fresh pair.  Swapping
-    twins is an automorphism of the parent, so the case standing for that
-    non-edge gives a child isomorphic to C whose new edge has the key of e*,
-    the largest, and the child is kept.  So growing every connected class of
-    one degree yields every connected class of the next.
-
-    Memoized per (class, n), so a warm rebuild does not weigh the keys again.
-    """
-    cv, bits = cls.cv, cls.bits
-    adj = _adjacency(cv, bits)
-    child = adj + [0, 0]  # room for the fresh vertex and the fresh pair
-    kept = []
-    for i, j, _weight in _addition_cases(adj, n):
-        child[i] |= 1 << j
-        child[j] |= 1 << i
-        if _has_max_key(child, i, j):
-            kept.append(_canon_from_packed(max(cv, j + 1), bits | 1 << (j * (j - 1) // 2 + i)))
-        child[i] ^= 1 << j
-        child[j] ^= 1 << i
-    return tuple(kept)
-
-
 def _addition_cases(adj: list[int], n: int):
     """(i, j, weight), i < j, for each way to add the edge (i, j) to the graph
     with neighbour masks adj on its support [0..cv), placed in K_n.
@@ -403,36 +399,6 @@ def _addition_cases(adj: list[int], n: int):
             yield j, cv, size * fresh
     if fresh >= 2:
         yield cv, cv + 1, fresh * (fresh - 1) // 2
-
-
-def _has_max_key(adj: list[int], u: int, v: int) -> bool:
-    """Whether no edge of the graph with neighbour masks adj that is pendant
-    or whose deletion leaves the graph connected has a larger key than the
-    edge (u, v) (see `canonical_additions`)."""
-    deg = [a.bit_count() for a in adj]
-    du, dv = deg[u], deg[v]
-    mine = (du + dv, (adj[u] & adj[v]).bit_count(), du * dv)
-    for a, nbrs in enumerate(adj):
-        da = deg[a]
-        above = nbrs >> (a + 1)
-        b = a
-        while above:
-            skip = (above & -above).bit_length()
-            above >>= skip
-            b += skip
-            db = deg[b]
-            if da + db < mine[0] or (da + db, (nbrs & adj[b]).bit_count(), da * db) <= mine:
-                continue
-            if da == 1 or db == 1:
-                return False
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
-            bridge = not _flood(adj, 1 << a) >> b & 1
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
-            if not bridge:
-                return False
-    return True
 
 
 def _degree_bound(n: int, max_degree: int | None) -> int:

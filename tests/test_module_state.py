@@ -69,7 +69,7 @@ def test_cache_registry_finds_the_known_memos():
     assert {
         "canonicalize_bits", "_canon_from_packed", "_class_counts", "support_automorphisms",
         "_distinct_copies", "_edge_series", "connected_classes_by_degree", "_poset_covers",
-        "canonical_additions", "_named_additions", "_vertex_weight", "fingerprint_index",
+        "_named_additions", "_vertex_weight", "fingerprint_index",
     } <= set(_CACHES)
 
 
@@ -83,7 +83,6 @@ def _work():
         enumeration.connected_classes_by_degree(3),
         algebra.general_product(k2, p3),
         generators.is_separator([k2, p3], p4),
-        poset.canonical_additions(p3, 4),  # `connected_classes_by_degree` is memoized above it
         poset._grow_level([k2], 4, 1),  # unmemoized: refills `_canon_from_packed`
         poset.build_full_poset(4).fingerprints,  # a new poset object reads `fingerprint_index`
     )

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,22 +76,34 @@ def _grown_by_every_non_edge(levels, ambient, top):
     return [level[bits] for level in levels for bits in sorted(level)]
 
 
-def test_the_canonical_deletion_test_reads_no_vertex_labels():
-    # the kept children must not depend on the labeling: relabel each child with its
-    # new edge and ask again
-    rng = random.Random(24)
-    n = 6
-    for cls in build_full_poset(n).members:
-        for slot in range(n * (n - 1) // 2):
-            if cls.bits >> slot & 1:
-                continue
-            bits = cls.bits | 1 << slot
-            images = rng.sample(range(n), n)
-            adj, moved = graph._adjacency(n, bits), graph._adjacency(n, graph.permute_bits(bits, images))
-            u, v = graph._SLOT_PAIRS[slot]
-            assert poset._has_max_key(adj, u, v) == poset._has_max_key(moved, images[u], images[v]), (
-                cls, slot, images
-            )
+def _networkx_reversible_edges(cls):
+    """The edges of cls that are not bridges, plus the pendant bridges, by networkx."""
+    g = nx.Graph(graph._SLOT_PAIRS[s] for s in range(cls.bits.bit_length()) if cls.bits >> s & 1)
+    bridges = list(nx.bridges(g))
+    pendant = sum(1 for u, v in bridges if g.degree(u) == 1 or g.degree(v) == 1)
+    return g.number_of_edges() - len(bridges) + pendant
+
+
+def _connected_to_8_edges():
+    """The connected members of E(7) and the connected classes with at most 8 edges."""
+    levels = connected_classes_by_degree(8)
+    classes = {m.bits: m for m in build_full_poset(7).connected_members()}
+    classes.update((m.bits, m) for d in levels for m in levels[d])
+    return list(classes.values())
+
+
+def test_reversible_edges_equal_the_networkx_count():
+    for cls in _connected_to_8_edges():
+        assert poset._reversible_edges(cls.cv, cls.bits) == _networkx_reversible_edges(cls), cls
+
+
+def test_reversible_edges_ignore_the_labeling():
+    rng = random.Random(29)
+    for cls in _connected_to_8_edges():
+        count = poset._reversible_edges(cls.cv, cls.bits)
+        for _ in range(3):
+            moved = graph.permute_bits(cls.bits, rng.sample(range(cls.cv), cls.cv))
+            assert poset._reversible_edges(cls.cv, moved) == count, (cls, moved)
 
 
 def _records(members):
@@ -151,12 +164,70 @@ def test_only_the_shared_keys_fail_the_cover_count(monkeypatch):
     assert set(searched) == set(by_key) - {(0, 0)}
 
 
-def test_connected_canonical_additions_grow_every_connected_class_to_8_edges():
+def _connected_grown_by_every_non_edge(top):
+    """The connected classes with 1..top edges, each degree grown by every labeled
+    non-edge in K_(cv+1) of every class of the degree below."""
     k2 = canonicalize_bits(1)
-    grown = _grown_by_every_non_edge([{}, {k2.bits: k2}], lambda c: c.cv + 1, 8)
+    return _grown_by_every_non_edge([{}, {k2.bits: k2}], lambda c: c.cv + 1, top)
+
+
+def test_connected_growth_reaches_every_connected_class_to_8_edges():
     levels = connected_classes_by_degree(8)
-    assert _records(m for d in range(1, 9) for m in levels[d]) == _records(grown)
+    assert _records(m for d in range(1, 9) for m in levels[d]) == _records(_connected_grown_by_every_non_edge(8))
     assert [len(levels[d]) for d in range(1, 9)] == [1, 1, 3, 5, 12, 30, 79, 227]  # OEIS A002905
+
+
+def test_connected_growth_searches_every_case_where_no_key_closes(monkeypatch):
+    # with one key for every child, a degree of two or more classes never closes the
+    # cover count, so every case is searched; a lone class is named by one search
+    cases = poset._keyed_cases
+    searched = []
+    search = poset._canon_from_packed
+
+    def counted(cv, bits):
+        searched.append(bits)
+        return search(cv, bits)
+
+    build_full_poset(5)
+    named = poset._named_additions.cache_info()
+    monkeypatch.setattr(poset, "_keyed_cases", lambda cls, n: [(0, *case[1:]) for case in cases(cls, n)])
+    monkeypatch.setattr(poset, "_canon_from_packed", counted)
+    levels = connected_classes_by_degree.__wrapped__(7)
+    assert _records(m for d in range(1, 8) for m in levels[d]) == _records(_connected_grown_by_every_non_edge(7))
+    expected = 0
+    for d in range(1, 7):
+        grown = sum(1 for cls in levels[d] for case in cases(cls, d + 2) if case[1] < cls.cv + 2)
+        expected += 1 + (grown if len(levels[d + 1]) > 1 else 0)
+    assert len(searched) == expected
+    assert poset._named_additions.cache_info() == named  # connected growth names no addition
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_connected_classes_equal_the_connected_members_of_e_n(n):
+    # the two production routes to connected classes: `enumerate --connected` and
+    # `reconstruct` read the connected members of E(n, d); the `F(d) + 1` bound and
+    # `inseparable_pair` read the growth
+    for d in range(n):
+        grouped = {}
+        for m in build_full_poset(n, d).connected_members():
+            grouped.setdefault(m.degree, []).append(m)
+        assert dict(connected_classes_by_degree(d)) == {k: tuple(v) for k, v in grouped.items()}, (n, d)
+
+
+def test_cold_connected_growth_searches_once_per_key():
+    # canonical augmentation made 534 searches cold and 489 after `build_full_poset(7)`;
+    # one search per key, with 2 keys that do not close, makes 383 and 184
+    memos = graph._canon_from_packed, graph.canonicalize_bits, poset._named_additions, connected_classes_by_degree
+    for memo in memos:
+        memo.cache_clear()
+    connected_classes_by_degree(8)
+    assert graph._canon_from_packed.cache_info().misses <= 383
+    for memo in memos:
+        memo.cache_clear()
+    build_full_poset(7)
+    before = graph._canon_from_packed.cache_info().misses
+    connected_classes_by_degree(8)
+    assert graph._canon_from_packed.cache_info().misses - before <= 184
 
 
 def _grown_through_every_degree(n):
