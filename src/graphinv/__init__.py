@@ -23,7 +23,8 @@ alone; a test guards that every other public function has a caller:
   * `mtransform._mtransform_by_subsets`, which classifies every edge subset of
     every member, checks the cover recursion in `build_mtransform`;
   * `mtransform.unitriangular_inverse`, elimination by forward substitution,
-    checks the closed form `mnukhin_power(-1)`, which `inverse_mtransform`
+    checks the closed form `mnukhin_power(-1)` and the inverse S E S that
+    `inverse_mtransform` builds from E's rows by the same sign rule and
     serves to `invert` once an exact packed check proves E = exp(N), N the
     one-degree block of E, so that E^-1 = S E S, and
     `solve_transform`, the one solve of a square transform system, graph or

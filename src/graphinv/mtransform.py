@@ -16,7 +16,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations as _combinations, permutations as _permutations, product as _product
+from itertools import combinations as _combinations, groupby as _groupby, permutations as _permutations, product as _product
 from typing import TYPE_CHECKING
 
 from .errors import CapError, PosetError, PreconditionError
@@ -329,17 +329,25 @@ def check_transform_rows(matrix: IntMatrix, degrees) -> None:
     if matrix.rows != len(degrees):
         raise AssertionError(f"transform has {matrix.rows} rows for {len(degrees)} members")
     for i in range(matrix.rows):
-        top = degrees[i]
-        sums = [0] * (top + 1)
-        for j, e in matrix.row(i).items():
-            if j == i:
-                if e != 1:
-                    raise AssertionError(f"transform diagonal entry {i} is {e}")
-            elif not (0 <= j < i and degrees[j] < top and e > 0):
-                raise AssertionError(f"transform entry ({i}, {j}) = {e} is out of place")
-            sums[degrees[j]] += e
-        if sums != [math.comb(top, d) for d in range(top + 1)]:
-            raise AssertionError(f"transform row {i}: sums by degree {sums} are not binomial")
+        fault = _transform_row_fault(i, matrix.row(i), degrees)
+        if fault:
+            raise AssertionError(fault)
+
+
+def _transform_row_fault(i: int, row: dict[int, int], degrees) -> str | None:
+    """What breaks the rule of `check_transform_rows` in row i, or None."""
+    top = degrees[i]
+    sums = [0] * (top + 1)
+    for j, e in row.items():
+        if j == i:
+            if e != 1:
+                return f"transform diagonal entry {i} is {e}"
+        elif not (0 <= j < i and degrees[j] < top and e > 0):
+            return f"transform entry ({i}, {j}) = {e} is out of place"
+        sums[degrees[j]] += e
+    if sums != [math.comb(top, d) for d in range(top + 1)]:
+        return f"transform row {i}: sums by degree {sums} are not binomial"
+    return None
 
 
 def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = None) -> tuple[GPoset, IntMatrix]:
@@ -451,9 +459,10 @@ def solve_transform(matrix: IntMatrix, degrees, values) -> list:
 
 
 def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> IntMatrix:
-    """Inverse of a transform: the closed form `mnukhin_power(-1)`, served once
-    an exact proof on E's own rows shows that it is the inverse.  Only the
-    `invert` command needs the whole inverse; a solve goes through
+    """Inverse of a transform: S E S, built once from E's rows by the sign rule
+    (-1)^(d_i - d_j) e_ij, the closed form `mnukhin_power(-1)` also gives, and
+    served once an exact proof on E's own rows shows that it is the inverse.
+    Only the `invert` command needs the whole inverse; a solve goes through
     `solve_transform`.  The elimination `unitriangular_inverse` is the tests'
     oracle for it.
 
@@ -465,16 +474,15 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
     then E = exp(N): since [D, N] = N, exp(N) satisfies the same recursion
     and has the same identity blocks, and the recursion fixes every other
     entry by induction on d_i - d_j.  S N S = -N, so E^-1 = exp(-N) = S E S,
-    whose entry (i, j) is (-1)^(d_i - d_j) e_ij.  Three exact checks prove
-    it, each failure an AssertionError:
+    whose entry (i, j) is (-1)^(d_i - d_j) e_ij.  Two exact checks prove
+    it, each failure an AssertionError, and the matrix served is S E S by
+    construction:
       (a) e_ii = 1, and every other nonzero e_ij is positive with d_j < d_i,
-          all checked before the closed form runs;
+          all checked before S E S is built;
       (b) the recursion on E's rows packed unsigned in fields of `width`
           bits, one row at a time: the left side is one mask per degree
           below d_i (d_i - d_j counts them), the right side one
-          multiply-add per nonzero of N;
-      (c) the served `mnukhin_power(E, degrees, -1)` equals S E S entry by
-          entry.
+          multiply-add per nonzero of N.
     The width rule: every field on either side of (b) is nonnegative and at
     most max(d_max - d_min, max_i sum_k n_ik) * max e < 2^width, so equal
     packed rows have equal fields: no carry lets a wrong row pass.
@@ -523,16 +531,11 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
             raise AssertionError(f"transform row {i} has an entry of its own degree off the diagonal")
         if sum(map(p.__and__, prefixes[: d - low])) != sum(c * packed[k] for k, c in row_n.items()):
             raise AssertionError(f"E is not exp(N): row {i} fails (d_i - d_j) e_ij = sum_k n_ik e_kj")
-    closed = mnukhin_power(matrix, degrees, -1)
-    if closed.rows != n or closed.cols != n:
-        raise AssertionError("closed-form inverse has the wrong shape")
     signs = [(-1) ** d for d in degrees]
     flipped = [-s for s in signs]
-    for i, (c, row, d) in enumerate(zip(closed.nonzeros, rows, degrees)):
-        sign = flipped if d % 2 else signs  # sign[j] = (-1)^(d_i - d_j)
-        if c != {j: x * sign[j] for j, x in row.items()}:
-            raise AssertionError(f"closed-form inverse: row {i} is not row {i} of S E S")
-    return closed
+    return IntMatrix((  # row i of S E S: sign[j] = (-1)^(d_i - d_j)
+        {j: x * sign[j] for j, x in row.items()} for row, sign in zip(rows, (flipped if d % 2 else signs for d in degrees))
+    ), n)
 
 
 def _pack_rows(rows, width: int) -> list[int]:
@@ -601,7 +604,28 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
         e_ij = sum_{k<=j} (-1)^|g_k| e_jk (|Stab k| / |Stab j|) e_{comp(i),k}.
     Middle-degree rows may be withheld via extra_unknown and are then solved
     from their complement partners the same way (selftest check 12 recovers
-    the triangle row of E(4) from the star's).
+    the triangle row of E(4) from the star's).  A row whose partner is
+    unknown too cannot be solved and raises PosetError.
+
+    Members sort by degree, so the unknown rows of one degree D are solved
+    together once every row of lower degree is known.  Each column k their
+    partners' rows read is packed once over those rows, e_jk in field j of
+    `width` bits, and an unknown row i is one signed multiply-add per nonzero
+    of row comp(i), with every field offset by 2^(width - 1):
+        acc = sum_k (-1)^|g_k| |Stab k| e_(comp i),k col_k,
+    decoded by one cast.  The decode is exact: every row read has passed the
+    row check below, so its entries are at most C(top, top // 2) and row
+    comp(i) sums to 2^|g_comp(i)| <= 2^top, hence
+        |acc_j| <= max |Stab| * C(top, top // 2) * 2^top < 2^(width - 1).
+    Each nonzero field must divide exactly by |Stab j| to a positive
+    quotient, and the diagonal, summed from the row's own terms, must be 1;
+    otherwise PosetError.  The cells of degree D off the diagonal are not
+    computed: a member holds no copy of another member with as many edges.
+
+    Every row served, known or solved, passes the rule of
+    `check_transform_rows` (a unit diagonal, positive entries only below it
+    in columns of lower degree, binomial sums by degree) before any row is
+    solved from it; a row that fails raises PosetError.
     """
     n = ambient_n
     if n != poset.ambient_n:
@@ -615,32 +639,69 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     rows: list[dict[int, int] | None] = [
         known.row(i) if i < known.rows and i not in withheld else None for i in range(size)
     ]
-    for i in range(size):
-        if rows[i] is not None:
-            continue
-        ci = comp[i]
-        if rows[ci] is None:
-            raise PosetError(
-                f"cannot solve row {i}: complement row of degree {degs[ci]} unknown"
-            )
-        terms = [(k, (stab[k] if degs[k] % 2 == 0 else -stab[k]) * e_ck) for k, e_ck in rows[ci].items()]
-        row: dict[int, int] = {}
-        for j in range(i + 1):
-            row_j = rows[j] if j < i else row  # j == i: the prefix just solved; row comp(i) has no column i
-            acc = 0
-            for k, w in terms:  # in column order; row j has no entry past column j
-                if k > j:
-                    break
-                acc += w * row_j.get(k, 0)
-            q, r = divmod(acc, stab[j])
-            if r:
-                raise PosetError(f"inconsistent partial data at entry ({i},{j})")
-            if q:
+    unknown = [i for i, row in enumerate(rows) if row is None]
+    for i in unknown:
+        if rows[comp[i]] is None:
+            raise PosetError(f"cannot solve row {i}: complement row of degree {degs[comp[i]]} unknown")
+    for i, row in enumerate(rows):
+        if row is not None:
+            _check_solved_row(i, row, degs)
+    top = degs[-1]
+    bits = (max(stab) * math.comb(top, top // 2) << top).bit_length() + 1  # the bound, and a sign bit
+    # n <= 7 needs 64 bits; the known rows of E(8, 14) are over TRANSFORM_MEMBER_CAP
+    width = next(w for w in _FIELD_CODES if w >= bits)
+    code = _FIELD_CODES[width]
+    weight = [-s if d % 2 else s for s, d in zip(stab, degs)]  # (-1)^|g_k| |Stab k|
+    blocks = [(d, list(block)) for d, block in _groupby(unknown, degs.__getitem__)]
+    needs = [{k for i in block for k in rows[comp[i]] if degs[k] < d} for d, block in blocks]  # the columns each reads
+    later = [set().union(*needs[b + 1:]) for b in range(len(blocks))]  # the columns the blocks after it read
+    columns = {k: array(code, bytes(width // 8 * size)) for k in set().union(*needs)}  # e_jk at item j, as known
+    for j, row in enumerate(rows):
+        for k in columns.keys() & (row or {}).keys():
+            columns[k][j] = row[k]
+    for (d, block), need, kept in zip(blocks, needs, later):
+        start = degs.index(d)  # every row before it has lower degree, and is known
+        signed = {}  # weight_k col_k
+        for k in need:
+            col = columns[k][:start]
+            if sys.byteorder == "big":
+                col.byteswap()
+            signed[k] = weight[k] * int.from_bytes(col, "little")
+        offset = (1 << (width - 1)) * ((1 << (width * start)) - 1) // ((1 << width) - 1)  # 2^(width - 1) in every field
+        for i in block:
+            terms = [(k, e) for k, e in rows[comp[i]].items() if degs[k] < d]
+            acc = offset
+            for k, e in terms:
+                acc += e * signed[k]
+            # each field is acc_j + 2^(width - 1) in [0, 2^width); flipping its top bit leaves acc_j in
+            # two's complement, read by the signed cast.  Native byte order puts field 0 last on big-endian.
+            fields = memoryview((acc ^ offset).to_bytes(width // 8 * start, sys.byteorder)).cast(code.lower())
+            if sys.byteorder == "big":
+                fields = fields[::-1]
+            row = {}
+            for j, x in [(j, x) for j, x in enumerate(fields) if x]:
+                q, r = divmod(x, stab[j])
+                if r:
+                    raise PosetError(f"inconsistent partial data at entry ({i},{j}): {x} is not a multiple of {stab[j]}")
+                if q < 0:
+                    raise PosetError(f"inconsistent partial data at entry ({i},{j}): negative, {q}")
                 row[j] = q
-        if row.get(i) != 1:
-            raise PosetError(f"inconsistent partial data: diagonal at row {i} is {row.get(i, 0)}")
-        rows[i] = row
+            diagonal = sum(weight[k] * e * row.get(k, 0) for k, e in terms)
+            if diagonal != stab[i]:
+                raise PosetError(f"inconsistent partial data: diagonal at row {i} is {Fraction(diagonal, stab[i])}")
+            row[i] = 1
+            _check_solved_row(i, row, degs)
+            rows[i] = row
+            for k in kept.intersection(row):
+                columns[k][i] = row[k]
     return IntMatrix(rows, size)
+
+
+def _check_solved_row(i: int, row: dict[int, int], degrees) -> None:
+    """`_transform_row_fault` of a row of the half-matrix rebuild, as PosetError."""
+    fault = _transform_row_fault(i, row, degrees)
+    if fault:
+        raise PosetError(f"inconsistent partial data: {fault}")
 
 
 # ── minors, rank and solve, block recursion, ordering search ─────────────

@@ -462,8 +462,8 @@ def check_inseparable_pairs():
 
 def check_complement_machinery():
     """Expansion vs direct complement counts on all member pairs; upper-half
-    rebuild, also of the paper's worked example: the triangle row withheld and
-    recovered from its complement partner, the star."""
+    rebuild of E(4) and E(6), also of the paper's worked example: the triangle
+    row withheld and recovered from its complement partner, the star."""
     p = build_full_poset(4)
     e = build_mtransform(p)
     from .graph import complement as _complement
@@ -478,6 +478,9 @@ def check_complement_machinery():
         return False, "upper-half reconstruction differs from the direct build"
     if solve_upper_half(p, 4, extra_unknown=[named_class("K3")]) != e:
         return False, "triangle row recovered from the star differs from the direct build"
+    p6 = build_full_poset(6)
+    if solve_upper_half(p6, 6) != build_mtransform(p6):
+        return False, "upper-half reconstruction of E(6) differs from the direct build"
     quoted = [
         (named_class("K3"), named_class("K2"), 3),
         (named_class("paw"), named_class("K2"), 4),
@@ -487,7 +490,9 @@ def check_complement_machinery():
     for row, col, want in quoted:
         if e.entry(p.position(row), p.position(col)) != want:
             return False, f"entry ({class_name(row)},{class_name(col)}) != {want}"
-    return True, "121 expansion evaluations + reconstruction + triangle row from the star + 4 quoted entries"
+    return True, (
+        "121 expansion evaluations + reconstruction of E(4) and E(6) + triangle row from the star + 4 quoted entries"
+    )
 
 
 def check_rank_properties():

@@ -412,30 +412,15 @@ def test_inverse_cross_assertion(e4_poset, e4_matrix):
 
 
 def test_complete_inverse_is_checked_without_elimination(monkeypatch, e4_poset, e4_matrix):
-    degs = e4_poset.degrees()
+    # S E S is built from E's rows by the sign rule: neither elimination nor the closed form runs
     inv = unitriangular_inverse(e4_matrix)
 
-    def no_elimination(matrix):
-        raise AssertionError("elimination ran on a complete poset")
+    def not_run(*args):
+        raise AssertionError("elimination or the closed form ran")
 
-    monkeypatch.setattr(mtransform, "unitriangular_inverse", no_elimination)
-    assert inverse_mtransform(e4_matrix, degs, complete=True) == inv
-
-    def one_entry_wrong(matrix, degrees, k):
-        closed = mnukhin_power(matrix, degrees, k)
-        rows = list(closed.nonzeros)
-        rows[-1] = {**rows[-1], 3: rows[-1].get(3, 0) + 1}
-        return IntMatrix(rows, closed.cols)
-
-    monkeypatch.setattr(mtransform, "mnukhin_power", one_entry_wrong)
-    with pytest.raises(AssertionError):
-        inverse_mtransform(e4_matrix, degs, complete=True)
-
-    # the served row (253, 0) has E C row 3 + 253 = 2^8, the unit row in 8-bit fields;
-    # (c) compares it with S E S entry by entry, so no field width can let it through
-    monkeypatch.setattr(mtransform, "mnukhin_power", lambda *args, **kw: IntMatrix([{0: 1}, {0: 253}], 2))
-    with pytest.raises(AssertionError):
-        inverse_mtransform(IntMatrix.from_rows([[1, 0], [3, 1]]), (0, 1), complete=True)
+    monkeypatch.setattr(mtransform, "unitriangular_inverse", not_run)
+    monkeypatch.setattr(mtransform, "mnukhin_power", not_run)
+    assert inverse_mtransform(e4_matrix, e4_poset.degrees(), complete=True) == inv
 
 
 def _one_entry_corruptions(e, degrees, count, seed):
@@ -512,7 +497,7 @@ def test_inverse_proof_accepts_the_multiset_orbit_transforms():
     matrices = [multiset.build_general_mtransform(p) for p in posets]
     assert [matrices[0].to_lists(), matrices[1].to_lists()] == [PRINTED_TRIVIAL_7X7, PRINTED_TWO_SYMBOL_5X5]
     for p, e in zip(posets, matrices):
-        assert inverse_mtransform(e, p.degrees()) == unitriangular_inverse(e)
+        assert inverse_mtransform(e, p.degrees()) == mnukhin_power(e, p.degrees(), -1) == unitriangular_inverse(e)
 
 
 def test_solves_use_the_closed_form_not_elimination(monkeypatch, e5_poset):
@@ -641,9 +626,9 @@ def test_inverse_check_derives_its_field_width(e7):
 
 
 def test_sparse_inverse_against_closed_form(e4_poset, e5_poset):
-    p6 = build_full_poset(6)
-    e6 = build_mtransform(p6)
-    assert unitriangular_inverse(e6) == mnukhin_power(e6, p6.degrees(), -1)
+    for p in [*map(build_full_poset, range(7)), build_full_poset(7, 10)]:
+        e, degrees = build_mtransform(p), p.degrees()
+        assert inverse_mtransform(e, degrees) == mnukhin_power(e, degrees, -1) == unitriangular_inverse(e)
     for p in (e4_poset, e5_poset):
         e = build_mtransform(p)
         assert e @ unitriangular_inverse(e) == IntMatrix.identity(len(p))
@@ -687,13 +672,13 @@ def test_complement_pairing(e4_poset, e7):
         complement_pairing(build_full_poset(4, 5))
 
 
-def test_solve_upper_half_matches_direct(monkeypatch, e4_poset, e4_matrix):
+def test_solve_upper_half_matches_direct(monkeypatch, e4_poset, e4_matrix, e7):
     monkeypatch.setattr(mtransform, "subgraph_class_counts", None)  # the known rows are the cover recursion's
     assert solve_upper_half(e4_poset, 4) == e4_matrix
-    e3p = build_full_poset(3)
-    assert solve_upper_half(e3p, 3) == build_mtransform(e3p)
-    e2p = build_full_poset(2)
-    assert solve_upper_half(e2p, 2) == build_mtransform(e2p)
+    for n in (0, 1, 2, 3, 5, 6):
+        p = build_full_poset(n)
+        assert solve_upper_half(p, n) == build_mtransform(p)
+    assert solve_upper_half(e7[0], 7) == e7[1]
 
 
 def test_solve_upper_half_refuses_another_ambient(e4_poset):
@@ -710,6 +695,54 @@ def test_solve_upper_half_with_withheld_middle_row(e4_poset, e4_matrix):
     with pytest.raises(PosetError):
         # withholding both partners of a complement pair is unsolvable
         solve_upper_half(e4_poset, 4, extra_unknown=[named_class("K3"), named_class("K1,3")])
+    # each middle-degree row alone: C(n, 2) is even for n = 4, 5, so its partner
+    # is a known row of its own degree; for n = 6 it is odd, the partner of a
+    # degree-7 row has degree 8 and is rebuilt itself, so both are unknown
+    recovered = 0
+    for n in (4, 5, 6):
+        p = build_full_poset(n)
+        e, comp = build_mtransform(p), complement_pairing(p)
+        half = n * (n - 1) // 2 // 2
+        for i, m in enumerate(p.members):
+            if m.degree != half or comp[i] == i:
+                continue
+            if p.members[comp[i]].degree == half:
+                assert solve_upper_half(p, n, extra_unknown=[m]) == e
+                recovered += 1
+            else:
+                with pytest.raises(PosetError, match="complement row of degree 8 unknown"):
+                    solve_upper_half(p, n, extra_unknown=[m])
+    assert recovered == 2 + 4  # E(4): K3 and K1,3; E(5): the six of degree 5 but C5 and the bull, self-complementary
+
+
+def test_solve_upper_half_refuses_every_corrupted_known_row(monkeypatch):
+    # one known-row entry raised: the rows served are checked like `check_transform_rows`
+    for n, seed in ((5, 5), (6, 6)):
+        p = build_full_poset(n)
+        known = build_mtransform(build_full_poset(n, n * (n - 1) // 2 // 2))
+        refused = 0
+        for bad in _one_entry_corruptions(known, p.degrees()[: known.rows], 100, seed):
+            monkeypatch.setattr(mtransform, "build_mtransform", lambda poset, bad=bad: bad)
+            with pytest.raises(PosetError, match="inconsistent partial data"):
+                solve_upper_half(p, n)
+            refused += 1
+        assert refused == 100
+
+
+def test_solve_upper_half_refuses_a_negative_entry(monkeypatch, e5_poset):
+    # row DK_ of E(5, 5) with its one copy of Bo moved to CK, of the same degree: the
+    # row keeps its binomial sums and passes the row check, but the rebuilt row
+    # C~ (K4) reads a negative count of DK_
+    at = {m.graph6: i for i, m in enumerate(e5_poset.members)}
+    known = build_mtransform(build_full_poset(5, 5))
+    rows = list(known.nonzeros)
+    row = dict(rows[at["DK_"]])
+    row[at["CK"]] += row.pop(at["Bo"])
+    rows[at["DK_"]] = row
+    check_transform_rows(IntMatrix(rows, known.cols), e5_poset.degrees()[: known.rows])
+    monkeypatch.setattr(mtransform, "build_mtransform", lambda poset: IntMatrix(rows, known.cols))
+    with pytest.raises(PosetError, match=rf"entry \({at['C~']},{at['DK_']}\): negative"):
+        solve_upper_half(e5_poset, 5)
 
 
 def test_minor_examples(e4_poset, e4_matrix):
