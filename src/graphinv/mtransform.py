@@ -108,8 +108,9 @@ def build_mtransform(poset: GPoset) -> IntMatrix:
     members = poset.members
     if len(members) > TRANSFORM_MEMBER_CAP:
         raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
-    rows, width = _packed_columns(poset, range(len(members)))
-    return IntMatrix(_unpack_rows(rows, width), len(members))
+    rows, code = _packed_columns(poset, range(len(members)))
+    decoded = ({j: x for j, x in enumerate(_unpack([row], code, [i + 1])) if x} for i, row in enumerate(rows))
+    return IntMatrix(decoded, len(members))
 
 
 def transform_columns(poset: GPoset, invariants) -> list[tuple[int, ...]]:
@@ -120,16 +121,18 @@ def transform_columns(poset: GPoset, invariants) -> list[tuple[int, ...]]:
     than n vertices or d edges and is a copy inside no member."""
     at = [poset.index.get(inv.bits) for inv in invariants]
     positions = sorted(set(at) - {None})
-    rows, width = _packed_columns(poset, positions)
-    field = {pos: width * t for t, pos in enumerate(positions)}
-    mask = (1 << width) - 1
-    cols = [[row >> field[pos] & mask for row in rows] if pos in field else [0] * len(rows) for pos in at]
+    rows, code = _packed_columns(poset, positions)
+    k = len(positions)
+    fields = _unpack(rows, code, [k] * len(rows))  # column t is every k-th field from t
+    field = {pos: t for t, pos in enumerate(positions)}
+    cols = [fields[field[pos]::k] if pos in field else [0] * len(rows) for pos in at]
     return list(zip(*cols)) if cols else [()] * len(rows)
 
 
-def _packed_columns(poset: GPoset, positions) -> tuple[list[int], int]:
-    """(rows, width): the transform's rows in member order on the columns at the
-    ascending member positions `positions`, field t of row g holding e_gj, j = positions[t].
+def _packed_columns(poset: GPoset, positions) -> tuple[list[int], str]:
+    """(rows, code): the transform's rows in member order on the columns at the
+    ascending member positions `positions`, field t of row g holding e_gj, j = positions[t],
+    in fields of the `_FIELD_CODES` typecode `code`.
 
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
@@ -172,7 +175,7 @@ def _packed_columns(poset: GPoset, positions) -> tuple[list[int], int]:
                 break
             row |= _exact_field_quotient((acc >> shift) & mask, g.degree - d, high) << shift
         rows.append(row)
-    return rows, width
+    return rows, _FIELD_CODES[width]
 
 
 @functools.lru_cache(maxsize=COVER_COUNTS_MEMO_SIZE)
@@ -284,7 +287,26 @@ def _lookup(comp: dict[int, int], pos: int | None) -> int:
     return at
 
 
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> memoryview format and array typecode
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> unsigned array typecode
+
+
+def _unpack(ints, code: str, counts) -> array:
+    """Fields 0 .. counts[r] - 1 of each ints[r], concatenated in one array of typecode
+    `code`; field t is bits [w t, w (t + 1)), w the item size, read in two's complement
+    for a signed code.  A negative int, or one wider than its fields, raises OverflowError."""
+    fields = array(code)
+    fields.frombytes(b"".join(x.to_bytes(fields.itemsize * c, "little") for x, c in zip(ints, counts)))
+    if sys.byteorder == "big":  # items are read in native byte order
+        fields.byteswap()
+    return fields
+
+
+def _pack(fields: array) -> int:
+    """The int sum_t fields[t] 2^(w t), each field's bits as stored; the inverse of `_unpack`."""
+    if sys.byteorder == "big":
+        fields = array(fields.typecode, fields)  # a copy: the caller's array stays as it is
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
 
 
 def _high_bits(width: int, bits: int, count: int) -> int:
@@ -306,16 +328,6 @@ def _exact_field_quotient(block: int, divisor: int, high: int) -> int:
     if r or q & high:
         raise AssertionError("cover recursion: inexact division in a degree block")
     return q
-
-
-def _unpack_rows(rows: list[int], width: int) -> list[dict[int, int]]:
-    """Lower-triangular packed rows as sparse {column: value} rows."""
-    out = []
-    for i, row in enumerate(rows):
-        # in native byte order each field reads as one item; big-endian bytes put field 0 last
-        fields = memoryview(row.to_bytes(width // 8 * (i + 1), sys.byteorder)).cast(_FIELD_CODES[width])
-        out.append({j: x for j, x in enumerate(fields if sys.byteorder == "little" else fields[::-1]) if x})
-    return out
 
 
 def check_transform_rows(matrix: IntMatrix, degrees) -> None:
@@ -558,9 +570,7 @@ def _pack_rows(rows, width: int) -> list[int]:
                 fields[j] = x
         except (IndexError, OverflowError):
             raise AssertionError(f"row {i}: an entry past the diagonal or outside its field") from None
-        if sys.byteorder == "big":
-            fields.byteswap()
-        out.append(int.from_bytes(fields, "little"))
+        out.append(_pack(fields))
     return out
 
 
@@ -613,7 +623,7 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     `width` bits, and an unknown row i is one signed multiply-add per nonzero
     of row comp(i), with every field offset by 2^(width - 1):
         acc = sum_k (-1)^|g_k| |Stab k| e_(comp i),k col_k,
-    decoded by one cast.  The decode is exact: every row read has passed the
+    decoded by `_unpack`.  The decode is exact: every row read has passed the
     row check below, so its entries are at most C(top, top // 2) and row
     comp(i) sums to 2^|g_comp(i)| <= 2^top, hence
         |acc_j| <= max |Stab| * C(top, top // 2) * 2^top < 2^(width - 1).
@@ -630,70 +640,59 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     n = ambient_n
     if n != poset.ambient_n:
         raise PreconditionError(f"ambient_n {n} is not the poset's ambient {poset.ambient_n}")
+    degs = poset.degrees()
+    half = n * (n - 1) // 2 // 2
+    count = sum(d <= half for d in degs)  # the members of E(n, half), refused before anything is built
+    if count > TRANSFORM_MEMBER_CAP:
+        raise CapError(f"transform of {count} members, over the cap of {TRANSFORM_MEMBER_CAP}")
     comp = complement_pairing(poset)
     size = len(poset)
     stab = [stab_order(m, n) for m in poset.members]
-    degs = poset.degrees()
     withheld = {poset.position(c) for c in extra_unknown}
-    known = build_mtransform(build_full_poset(n, n * (n - 1) // 2 // 2))
+    known = build_mtransform(build_full_poset(n, half))
     rows: list[dict[int, int] | None] = [
         known.row(i) if i < known.rows and i not in withheld else None for i in range(size)
     ]
-    unknown = [i for i, row in enumerate(rows) if row is None]
-    for i in unknown:
-        if rows[comp[i]] is None:
-            raise PosetError(f"cannot solve row {i}: complement row of degree {degs[comp[i]]} unknown")
     for i, row in enumerate(rows):
         if row is not None:
             _check_solved_row(i, row, degs)
+        elif rows[comp[i]] is None:
+            raise PosetError(f"cannot solve row {i}: complement row of degree {degs[comp[i]]} unknown")
     top = degs[-1]
     bits = (max(stab) * math.comb(top, top // 2) << top).bit_length() + 1  # the bound, and a sign bit
     # n <= 7 needs 64 bits; the known rows of E(8, 14) are over TRANSFORM_MEMBER_CAP
     width = next(w for w in _FIELD_CODES if w >= bits)
     code = _FIELD_CODES[width]
     weight = [-s if d % 2 else s for s, d in zip(stab, degs)]  # (-1)^|g_k| |Stab k|
-    blocks = [(d, list(block)) for d, block in _groupby(unknown, degs.__getitem__)]
-    needs = [{k for i in block for k in rows[comp[i]] if degs[k] < d} for d, block in blocks]  # the columns each reads
-    later = [set().union(*needs[b + 1:]) for b in range(len(blocks))]  # the columns the blocks after it read
-    columns = {k: array(code, bytes(width // 8 * size)) for k in set().union(*needs)}  # e_jk at item j, as known
-    for j, row in enumerate(rows):
-        for k in columns.keys() & (row or {}).keys():
-            columns[k][j] = row[k]
-    for (d, block), need, kept in zip(blocks, needs, later):
-        start = degs.index(d)  # every row before it has lower degree, and is known
-        signed = {}  # weight_k col_k
-        for k in need:
-            col = columns[k][:start]
-            if sys.byteorder == "big":
-                col.byteswap()
-            signed[k] = weight[k] * int.from_bytes(col, "little")
+    unknown = [i for i, row in enumerate(rows) if row is None]
+    for d, block in _groupby(unknown, degs.__getitem__):
+        start = degs.index(d)
+        head = rows[:start]  # every row before the block has lower degree, and is known
+        terms = {i: [(k, e) for k, e in rows[comp[i]].items() if degs[k] < d] for i in block}  # the cells each reads
+        need = {k for row_terms in terms.values() for k, _ in row_terms}
+        columns = {k: array(code, [row.get(k, 0) for row in head]) for k in need}  # e_jk at item j
+        signed = {k: weight[k] * _pack(col) for k, col in columns.items()}  # weight_k col_k
         offset = (1 << (width - 1)) * ((1 << (width * start)) - 1) // ((1 << width) - 1)  # 2^(width - 1) in every field
-        for i in block:
-            terms = [(k, e) for k, e in rows[comp[i]].items() if degs[k] < d]
+        for i, row_terms in terms.items():
             acc = offset
-            for k, e in terms:
+            for k, e in row_terms:
                 acc += e * signed[k]
             # each field is acc_j + 2^(width - 1) in [0, 2^width); flipping its top bit leaves acc_j in
-            # two's complement, read by the signed cast.  Native byte order puts field 0 last on big-endian.
-            fields = memoryview((acc ^ offset).to_bytes(width // 8 * start, sys.byteorder)).cast(code.lower())
-            if sys.byteorder == "big":
-                fields = fields[::-1]
+            # two's complement, read by the signed code
             row = {}
-            for j, x in [(j, x) for j, x in enumerate(fields) if x]:
+            for j, x in [(j, x) for j, x in enumerate(_unpack([acc ^ offset], code.lower(), [start])) if x]:
                 q, r = divmod(x, stab[j])
                 if r:
                     raise PosetError(f"inconsistent partial data at entry ({i},{j}): {x} is not a multiple of {stab[j]}")
                 if q < 0:
                     raise PosetError(f"inconsistent partial data at entry ({i},{j}): negative, {q}")
                 row[j] = q
-            diagonal = sum(weight[k] * e * row.get(k, 0) for k, e in terms)
+            diagonal = sum(weight[k] * e * row.get(k, 0) for k, e in row_terms)
             if diagonal != stab[i]:
                 raise PosetError(f"inconsistent partial data: diagonal at row {i} is {Fraction(diagonal, stab[i])}")
             row[i] = 1
             _check_solved_row(i, row, degs)
             rows[i] = row
-            for k in kept.intersection(row):
-                columns[k][i] = row[k]
     return IntMatrix(rows, size)
 
 
@@ -826,7 +825,7 @@ def find_orderings_matching(poset: GPoset, target_rows) -> list[tuple[IsoClass, 
     for arrangement in _product(*[list(_permutations(b)) for b in blocks]):
         order: list[int] = [i for block in arrangement for i in block]
         ok = all(
-            base.data[order[i]][order[j]] == target_rows[i][j]
+            base.entry(order[i], order[j]) == target_rows[i][j]
             for i in range(size)
             for j in range(size)
         )

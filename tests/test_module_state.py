@@ -269,6 +269,13 @@ def test_only_invert_builds_the_whole_inverse():
     }
 
 
+def test_only_the_field_codec_knows_the_byte_layout():
+    # packed rows and columns are encoded by `_pack` and decoded by `_unpack`, nowhere else
+    codec = {("mtransform", "_pack"), ("mtransform", "_unpack")}
+    assert _references("byteorder") | _references("to_bytes") | _references("from_bytes") <= codec
+    assert _references("memoryview") == set()
+
+
 def test_products_read_only_the_union_block():
     # the transform route is one certified solve on E(n, |a| + |b|)
     assert ("algebra", "product_mtransform") in _references("solve_transform")

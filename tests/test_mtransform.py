@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from graphinv.mtransform import (
     _exact_field_quotient,
     _high_bits,
     _mtransform_by_subsets,
+    _pack,
+    _unpack,
     build_mtransform,
     cached_transform,
     check_transform_rows,
@@ -52,11 +55,40 @@ def test_unitriangular(e3_poset, e4_poset, e5_poset):
         assert all(row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(e.data))
 
 
-def test_cover_recursion_matches_subset_oracle_on_full_posets():
+def test_cover_recursion_matches_subset_oracle_on_full_posets(e7):
     for p in [build_full_poset(n) for n in range(2, 7)] + [build_full_poset(7, max_degree=7)]:
         e = build_mtransform(p)
         assert e == _mtransform_by_subsets(p)
         assert transform_columns(p, p.members) == [tuple(row) for row in e.data]
+    p, e = e7  # every column at once, one decode of 1,044 fields per row
+    assert transform_columns(p, p.members) == [tuple(row) for row in e.data]
+
+
+CODEC_TYPECODES = [c for unsigned in mtransform._FIELD_CODES.values() for c in (unsigned, unsigned.lower())]
+
+
+@pytest.mark.parametrize("code", CODEC_TYPECODES)
+def test_field_codec_round_trips(code):
+    w = array(code).itemsize * 8
+    # 0, the field maximum and the signed minimum, which an unsigned code reads as 2^(w - 1)
+    extremes = [0, (1 << w - 1) - 1, -(1 << w - 1)] if code.islower() else [0, (1 << w) - 1, 1 << w - 1]
+    for x in extremes:
+        fields = array(code, [x])
+        assert _pack(fields) == x % (1 << w)
+        assert _unpack([_pack(fields)], code, [1]) == fields
+    fields = array(code, extremes + extremes[::-1])
+    assert _pack(fields) == sum(x % (1 << w) << w * t for t, x in enumerate(fields))  # field t is bits [w t, w (t + 1))
+    assert _unpack([_pack(fields)], code, [len(fields)]) == fields
+    assert _unpack([_pack(fields[:2]), _pack(fields[2:])], code, [2, len(fields) - 2]) == fields
+
+
+def test_field_codec_pads_with_zeros_and_takes_empty_input():
+    assert _unpack([5, 1 << 16, 0], "H", [3, 2, 1]) == array("H", [5, 0, 0, 0, 1, 0])
+    assert _unpack([], "Q", []) == _unpack([0], "Q", [0]) == array("Q")
+    assert _pack(array("B")) == 0
+    for x in (1 << 16, -1):  # wider than its fields, or negative
+        with pytest.raises(OverflowError):
+            _unpack([x], "H", [1])
 
 
 def test_transform_columns_answer_over_the_member_cap():
@@ -679,6 +711,22 @@ def test_solve_upper_half_matches_direct(monkeypatch, e4_poset, e4_matrix, e7):
         p = build_full_poset(n)
         assert solve_upper_half(p, n) == build_mtransform(p)
     assert solve_upper_half(e7[0], 7) == e7[1]
+
+
+def test_solve_upper_half_refuses_over_the_cap_before_any_work(monkeypatch, e5_poset):
+    known = len(build_full_poset(5, 5))  # the rows of degree <= C(5, 2) // 2
+    e = build_mtransform(e5_poset)
+    monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", known)
+    assert solve_upper_half(e5_poset, 5) == e
+
+    def no_work(*args):
+        raise AssertionError("work began before the cap was checked")
+
+    monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", known - 1)
+    monkeypatch.setattr(mtransform, "complement_pairing", no_work)
+    monkeypatch.setattr(mtransform, "build_full_poset", no_work)
+    with pytest.raises(CapError, match=f"transform of {known} members, over the cap of {known - 1}"):
+        solve_upper_half(e5_poset, 5)
 
 
 def test_solve_upper_half_refuses_another_ambient(e4_poset):
