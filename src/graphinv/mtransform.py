@@ -14,6 +14,7 @@ import functools
 import math
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations as _combinations, groupby as _groupby, permutations as _permutations, product as _product
@@ -105,12 +106,20 @@ class IntMatrix:
 def build_mtransform(poset: GPoset) -> IntMatrix:
     """The transform, entry (i, j) = copies of member j in member i: `_packed_columns`
     on every column, decoded once; `_mtransform_by_subsets` is its oracle."""
-    members = poset.members
-    if len(members) > TRANSFORM_MEMBER_CAP:
-        raise CapError(f"transform of {len(members)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
-    rows, code = _packed_columns(poset, range(len(members)))
-    decoded = ({j: x for j, x in enumerate(_unpack([row], code, [i + 1])) if x} for i, row in enumerate(rows))
-    return IntMatrix(decoded, len(members))
+    rows, code = _capped_transform(poset)
+    return _from_fields((_unpack([row], code, [i + 1]) for i, row in enumerate(rows)), len(rows))
+
+
+def _capped_transform(poset: GPoset) -> tuple[list[int], str]:
+    """`_packed_columns` on every column, refused over TRANSFORM_MEMBER_CAP members."""
+    if len(poset) > TRANSFORM_MEMBER_CAP:
+        raise CapError(f"transform of {len(poset)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
+    return _packed_columns(poset, range(len(poset)))
+
+
+def _from_fields(rows, cols: int) -> IntMatrix:
+    """The IntMatrix of rows given as arrays of fields, zeros dropped."""
+    return IntMatrix(({j: x for j, x in enumerate(fields) if x} for fields in rows), cols)
 
 
 def transform_columns(poset: GPoset, invariants) -> list[tuple[int, ...]]:
@@ -158,8 +167,7 @@ def _packed_columns(poset: GPoset, positions) -> tuple[list[int], str]:
     width = next(w for w in _FIELD_CODES if w >= bits + top.bit_length())
     field = {pos: t for t, pos in enumerate(positions)}
     degrees = [members[pos].degree for pos in positions]
-    starts = [t for t, d in enumerate(degrees) if not t or d != degrees[t - 1]]
-    blocks = [(degrees[a], width * a, (1 << (width * (b - a))) - 1) for a, b in zip(starts, starts[1:] + [len(degrees)])]
+    blocks = [(d, width * a, (1 << (width * (b - a))) - 1) for d, (a, b) in enumerate(_degree_spans(degrees)) if a < b]
     high = _high_bits(width, bits, len(degrees))
     lowest = degrees[0] if degrees else top  # a row of degree <= lowest is at most its diagonal
     rows: list[int] = []
@@ -330,36 +338,43 @@ def _exact_field_quotient(block: int, divisor: int, high: int) -> int:
     return q
 
 
-def check_transform_rows(matrix: IntMatrix, degrees) -> None:
-    """Whole-matrix check of a transform in O(nnz); raises AssertionError.
-
-    One row per member, a unit diagonal, positive entries only below it and
-    only in columns of lower degree, and in each row i, for every d <= deg g_i,
-    the degree-d entries sum to C(deg g_i, d): the d-edge subsets of g_i,
-    each a copy of exactly one member.
-    """
-    if matrix.rows != len(degrees):
-        raise AssertionError(f"transform has {matrix.rows} rows for {len(degrees)} members")
-    for i in range(matrix.rows):
-        fault = _transform_row_fault(i, matrix.row(i), degrees)
-        if fault:
+def check_transform_rows(rows, code: str, degrees) -> list[array]:
+    """Fields 0 .. i of each packed transform row i, typecode `code`, each decoded
+    once and passed by `_row_fault`, for nondecreasing degrees.  A row count other
+    than the degrees', or a row wider than its fields, raises AssertionError."""
+    if len(rows) != len(degrees):
+        raise AssertionError(f"transform has {len(rows)} rows for {len(degrees)} members")
+    spans = _degree_spans(degrees)
+    checked = []
+    for i, row in enumerate(rows):
+        try:
+            fields = _unpack([row], code, [i + 1])
+        except OverflowError:
+            raise AssertionError(f"transform row {i} does not fit its {i + 1} fields") from None
+        if fault := _row_fault(i, fields, degrees, spans):
             raise AssertionError(fault)
+        checked.append(fields)
+    return checked
 
 
-def _transform_row_fault(i: int, row: dict[int, int], degrees) -> str | None:
-    """What breaks the rule of `check_transform_rows` in row i, or None."""
+def _row_fault(i: int, fields: array, degrees, spans) -> str | None:
+    """What breaks the transform row rule in fields 0 .. i of row i, or None.  The
+    rule: a unit diagonal, and for every d <= deg g_i the degree-d fields summing
+    (a slice sum, so exact) to C(deg g_i, d), the d-edge subsets of g_i.  Fields
+    are unsigned, so at d = deg g_i no field but the diagonal may be set."""
     top = degrees[i]
-    sums = [0] * (top + 1)
-    for j, e in row.items():
-        if j == i:
-            if e != 1:
-                return f"transform diagonal entry {i} is {e}"
-        elif not (0 <= j < i and degrees[j] < top and e > 0):
-            return f"transform entry ({i}, {j}) = {e} is out of place"
-        sums[degrees[j]] += e
+    if fields[i] != 1:
+        return f"transform diagonal entry {i} is {fields[i]}"
+    sums = [sum(fields[start:end]) for start, end in spans[: top + 1]]
     if sums != [math.comb(top, d) for d in range(top + 1)]:
         return f"transform row {i}: sums by degree {sums} are not binomial"
     return None
+
+
+def _degree_spans(degrees) -> list[tuple[int, int]]:
+    """(first position, one past the last) of each degree 0 .. max of nondecreasing
+    `degrees`; a degree absent from them spans nothing, where it would go."""
+    return [(bisect_left(degrees, d), bisect_right(degrees, d)) for d in range(degrees[-1] + 1 if degrees else 0)]
 
 
 def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = None) -> tuple[GPoset, IntMatrix]:
@@ -369,8 +384,8 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
     cache when cache_dir is given; the transform is always built from it, as
     no cache entry holds one.  On a loaded poset the build runs no canonical
     search up to E(7): `_cover_counts` names every child and complement by its
-    fingerprint.  Every matrix served passes `check_transform_rows`, which
-    raises AssertionError."""
+    fingerprint.  Every matrix served is decoded from the fields that
+    `check_transform_rows` read and passed, which raises AssertionError."""
     if n >= 8:  # |E(7)| = 1,044 is under the cap, so n <= 7 loads no enumeration
         from .enumeration import graph_count_series
 
@@ -378,9 +393,8 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
         if size > TRANSFORM_MEMBER_CAP:
             raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
     poset = cached_poset(cache_dir, n, max_degree)
-    matrix = build_mtransform(poset)
-    check_transform_rows(matrix, poset.degrees())
-    return poset, matrix
+    rows, code = _capped_transform(poset)
+    return poset, _from_fields(check_transform_rows(rows, code, poset.degrees()), len(rows))
 
 
 def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
@@ -516,32 +530,25 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
         raise PreconditionError("degrees are not nondecreasing")
     if not n:
         return IntMatrix.identity(0)
-    starts, ends = {}, {}  # degree -> its first position, and one past its last
-    for pos, d in enumerate(degrees):
-        starts.setdefault(d, pos)
-        ends[d] = pos + 1
+    spans = _degree_spans(degrees)
     rows = matrix.nonzeros
     down = []  # row i of N, {k: n_ik}
     for i, (row, d) in enumerate(zip(rows, degrees)):
         if row.get(i) != 1 or min(row) < 0:
             raise AssertionError(f"transform row {i}: diagonal entry {row.get(i, 0)}, or a negative column")
-        start = starts[d]
-        below = starts.get(d - 1, start)
+        start = spans[d][0]
+        below = spans[max(d - 1, 0)][0]
         down.append({k: x for k, x in row.items() if below <= k < start})
     top = max(map(max, map(dict.values, rows)))
     bits = (max(degrees[-1] - degrees[0], *map(sum, map(dict.values, down))) * top).bit_length()
     width = next((w for w in _FIELD_CODES if w >= bits), bits)  # the narrowest machine field, if one holds it
     packed = _pack_rows(rows, width)  # (a): every entry in 0 <= e < 2^width, none past the diagonal
-    low = degrees[0]
-    prefixes, at = [], 0  # prefixes[u - low]: the fields of degree <= u
-    for u in range(low, degrees[-1]):
-        at = ends.get(u, at)
-        prefixes.append((1 << (width * at)) - 1)
+    prefixes = [(1 << (width * end)) - 1 for _, end in spans]  # prefixes[u]: the fields of degree <= u
     for i, (p, d, row_n) in enumerate(zip(packed, degrees, down)):
-        start = starts[d]
+        start = spans[d][0]
         if p >> (width * start) != 1 << (width * (i - start)):  # (a): of its own degree, only the diagonal
             raise AssertionError(f"transform row {i} has an entry of its own degree off the diagonal")
-        if sum(map(p.__and__, prefixes[: d - low])) != sum(c * packed[k] for k, c in row_n.items()):
+        if sum(map(p.__and__, prefixes[:d])) != sum(c * packed[k] for k, c in row_n.items()):
             raise AssertionError(f"E is not exp(N): row {i} fails (d_i - d_j) e_ij = sum_k n_ik e_kj")
     signs = [(-1) ** d for d in degrees]
     flipped = [-s for s in signs]
@@ -608,8 +615,8 @@ def complement_pairing(poset: GPoset) -> list[int]:
 def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatrix:
     """Rebuild the full transform of E(n) from rows of degree <= half = floor(C(n,2)/2).
 
-    The known rows are those of `build_mtransform` on E(n, half), whose
-    members are a prefix of E(n); every higher row is recovered from the
+    The known rows are the packed rows of `_packed_columns` on E(n, half),
+    whose members are a prefix of E(n); every higher row is recovered from the
     complement recursion
         e_ij = sum_{k<=j} (-1)^|g_k| e_jk (|Stab k| / |Stab j|) e_{comp(i),k}.
     Middle-degree rows may be withheld via extra_unknown and are then solved
@@ -618,24 +625,21 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     unknown too cannot be solved and raises PosetError.
 
     Members sort by degree, so the unknown rows of one degree D are solved
-    together once every row of lower degree is known.  Each column k their
-    partners' rows read is packed once over those rows, e_jk in field j of
-    `width` bits, and an unknown row i is one signed multiply-add per nonzero
-    of row comp(i), with every field offset by 2^(width - 1):
+    together once every row of lower degree is known.  Each row is written
+    once into a table of `width`-bit fields, e_ij at item i * |E(n)| + j; a
+    column k is its strided slice over the rows before the block, packed by
+    `_pack`, and an unknown row i is one signed multiply-add per nonzero of
+    the known row comp(i), with every field offset by 2^(width - 1):
         acc = sum_k (-1)^|g_k| |Stab k| e_(comp i),k col_k,
-    decoded by `_unpack`.  The decode is exact: every row read has passed the
-    row check below, so its entries are at most C(top, top // 2) and row
-    comp(i) sums to 2^|g_comp(i)| <= 2^top, hence
+    decoded by `_unpack`.  The decode is exact: every row, known (by
+    `check_transform_rows`) or solved, passes `_row_fault` before any row is
+    solved from it, else PosetError, so the entries read are at most
+    C(top, top // 2) and row comp(i) sums to 2^|g_comp(i)| <= 2^top, hence
         |acc_j| <= max |Stab| * C(top, top // 2) * 2^top < 2^(width - 1).
     Each nonzero field must divide exactly by |Stab j| to a positive
     quotient, and the diagonal, summed from the row's own terms, must be 1;
     otherwise PosetError.  The cells of degree D off the diagonal are not
     computed: a member holds no copy of another member with as many edges.
-
-    Every row served, known or solved, passes the rule of
-    `check_transform_rows` (a unit diagonal, positive entries only below it
-    in columns of lower degree, binomial sums by degree) before any row is
-    solved from it; a row that fails raises PosetError.
     """
     n = ambient_n
     if n != poset.ambient_n:
@@ -649,29 +653,31 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     size = len(poset)
     stab = [stab_order(m, n) for m in poset.members]
     withheld = {poset.position(c) for c in extra_unknown}
-    known = build_mtransform(build_full_poset(n, half))
-    rows: list[dict[int, int] | None] = [
-        known.row(i) if i < known.rows and i not in withheld else None for i in range(size)
-    ]
-    for i, row in enumerate(rows):
-        if row is not None:
-            _check_solved_row(i, row, degs)
-        elif rows[comp[i]] is None:
+    known, known_code = _packed_columns(build_full_poset(n, half), range(count))
+    try:
+        known_fields = check_transform_rows(known, known_code, degs[:count])
+    except AssertionError as fault:
+        raise PosetError(f"inconsistent partial data: {fault}") from None
+    unknown = [i for i in range(size) if i >= count or i in withheld]
+    for i in unknown:
+        if comp[i] >= count or comp[i] in withheld:
             raise PosetError(f"cannot solve row {i}: complement row of degree {degs[comp[i]]} unknown")
     top = degs[-1]
     bits = (max(stab) * math.comb(top, top // 2) << top).bit_length() + 1  # the bound, and a sign bit
     # n <= 7 needs 64 bits; the known rows of E(8, 14) are over TRANSFORM_MEMBER_CAP
     width = next(w for w in _FIELD_CODES if w >= bits)
     code = _FIELD_CODES[width]
+    table = array(code, [0]) * (size * size)
+    for i, fields in enumerate(known_fields):
+        if i not in withheld:
+            table[i * size : i * size + i + 1] = array(code, fields)
     weight = [-s if d % 2 else s for s, d in zip(stab, degs)]  # (-1)^|g_k| |Stab k|
-    unknown = [i for i, row in enumerate(rows) if row is None]
+    spans = _degree_spans(degs)
     for d, block in _groupby(unknown, degs.__getitem__):
-        start = degs.index(d)
-        head = rows[:start]  # every row before the block has lower degree, and is known
-        terms = {i: [(k, e) for k, e in rows[comp[i]].items() if degs[k] < d] for i in block}  # the cells each reads
+        start = spans[d][0]  # every row before the block has lower degree, and is in the table
+        terms = {i: [(k, e) for k, e in enumerate(known_fields[comp[i]][:start]) if e] for i in block}  # partners are known
         need = {k for row_terms in terms.values() for k, _ in row_terms}
-        columns = {k: array(code, [row.get(k, 0) for row in head]) for k in need}  # e_jk at item j
-        signed = {k: weight[k] * _pack(col) for k, col in columns.items()}  # weight_k col_k
+        signed = {k: weight[k] * _pack(table[k : start * size : size]) for k in need}  # weight_k col_k
         offset = (1 << (width - 1)) * ((1 << (width * start)) - 1) // ((1 << width) - 1)  # 2^(width - 1) in every field
         for i, row_terms in terms.items():
             acc = offset
@@ -679,28 +685,21 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
                 acc += e * signed[k]
             # each field is acc_j + 2^(width - 1) in [0, 2^width); flipping its top bit leaves acc_j in
             # two's complement, read by the signed code
-            row = {}
+            at = i * size
             for j, x in [(j, x) for j, x in enumerate(_unpack([acc ^ offset], code.lower(), [start])) if x]:
                 q, r = divmod(x, stab[j])
                 if r:
                     raise PosetError(f"inconsistent partial data at entry ({i},{j}): {x} is not a multiple of {stab[j]}")
                 if q < 0:
                     raise PosetError(f"inconsistent partial data at entry ({i},{j}): negative, {q}")
-                row[j] = q
-            diagonal = sum(weight[k] * e * row.get(k, 0) for k, e in row_terms)
+                table[at + j] = q
+            diagonal = sum(weight[k] * e * table[at + k] for k, e in row_terms)
             if diagonal != stab[i]:
                 raise PosetError(f"inconsistent partial data: diagonal at row {i} is {Fraction(diagonal, stab[i])}")
-            row[i] = 1
-            _check_solved_row(i, row, degs)
-            rows[i] = row
-    return IntMatrix(rows, size)
-
-
-def _check_solved_row(i: int, row: dict[int, int], degrees) -> None:
-    """`_transform_row_fault` of a row of the half-matrix rebuild, as PosetError."""
-    fault = _transform_row_fault(i, row, degrees)
-    if fault:
-        raise PosetError(f"inconsistent partial data: {fault}")
+            table[at + i] = 1
+            if fault := _row_fault(i, table[at : at + i + 1], degs, spans):
+                raise PosetError(f"inconsistent partial data: {fault}")
+    return _from_fields((table[i * size : i * size + i + 1] for i in range(size)), size)
 
 
 # ── minors, rank and solve, block recursion, ordering search ─────────────

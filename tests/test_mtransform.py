@@ -17,6 +17,8 @@ from graphinv.mtransform import (
     _high_bits,
     _mtransform_by_subsets,
     _pack,
+    _pack_rows,
+    _packed_columns,
     _unpack,
     build_mtransform,
     cached_transform,
@@ -353,7 +355,10 @@ def e7():
 
 def test_e7_entries_against_injection_oracle(e7):
     p, e = e7
-    check_transform_rows(e, p.degrees())  # 32-bit fields: entries up to C(21, 10)
+    rows, code = _packed_columns(p, range(len(p)))
+    assert code == "I"  # 32-bit fields: entries up to C(21, 10)
+    checked = check_transform_rows(rows, code, p.degrees())
+    assert [{j: x for j, x in enumerate(fields) if x} for fields in checked] == list(e.nonzeros)
     rng = random.Random(7)
     members = p.members
     for _ in range(40):
@@ -372,20 +377,35 @@ def test_exact_field_quotient_needs_every_field_to_divide():
         _exact_field_quotient(3, 2, high)
 
 
+def _packed_build(matrix):
+    """A stand-in for `_packed_columns` that serves the rows of `matrix`, packed
+    in 32-bit fields, whatever poset and columns it is asked for."""
+    return lambda poset, positions: (_pack_rows(matrix.nonzeros, 32), "I")
+
+
 def test_cached_transform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_poset, e4_matrix):
     assert cached_transform(None, 4) == (e4_poset, e4_matrix)
     forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
-    monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
+    monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(forged))
     with pytest.raises(AssertionError):
         cached_transform(None, 4)
 
 
-def test_cached_transform_serves_the_matrix_it_built_and_checks_it(monkeypatch, tmp_path, e4_matrix):
-    monkeypatch.setattr(mtransform, "build_mtransform", lambda p: e4_matrix)
+def test_cached_transform_serves_the_matrix_it_built_and_checks_it(monkeypatch, tmp_path, e4_poset, e4_matrix):
+    # rows that pass the row rule but are not E(4): P4's copy of 2K2 moved to P3,
+    # of the same degree, so the matrix served can only be the decode of these rows
+    at = {m.graph6: i for i, m in enumerate(e4_poset.members)}
+    rows = list(e4_matrix.nonzeros)
+    row = dict(rows[at["Ck"]])
+    row[at["Bo"]] += row.pop(at["CK"])
+    rows[at["Ck"]] = row
+    moved = IntMatrix(rows, e4_matrix.cols)
+    monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(moved))
     for _pass in ("built poset", "loaded poset"):  # the transform is built either way
-        assert cached_transform(str(tmp_path), 4)[1] is e4_matrix
+        served = cached_transform(str(tmp_path), 4)[1]
+        assert served == moved and served != e4_matrix
     forged = IntMatrix([*e4_matrix.nonzeros[:-1], {**e4_matrix.row(10), 0: 2}], e4_matrix.cols)
-    monkeypatch.setattr(mtransform, "build_mtransform", lambda p: forged)
+    monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(forged))
     with pytest.raises(AssertionError):
         cached_transform(str(tmp_path / "fresh"), 4)
 
@@ -763,6 +783,33 @@ def test_solve_upper_half_with_withheld_middle_row(e4_poset, e4_matrix):
     assert recovered == 2 + 4  # E(4): K3 and K1,3; E(5): the six of degree 5 but C5 and the bull, self-complementary
 
 
+def test_solve_upper_half_works_without_build_mtransform(monkeypatch, e7):
+    # the known rows are read packed, never as the dict rows of a built matrix
+    posets = [build_full_poset(n) for n in range(7)] + [e7[0]]
+    direct = [build_mtransform(p) for p in posets[:-1]] + [e7[1]]
+
+    def no_build(poset):
+        raise AssertionError("solve_upper_half called build_mtransform")
+
+    monkeypatch.setattr(mtransform, "build_mtransform", no_build)
+    withheld = 0
+    for n, (p, e) in enumerate(zip(posets, direct)):
+        assert solve_upper_half(p, n) == e
+        if not 4 <= n <= 6:
+            continue
+        comp, half = complement_pairing(p), n * (n - 1) // 2 // 2
+        for i, m in enumerate(p.members):
+            if m.degree != half:
+                continue
+            withheld += 1
+            if comp[i] != i and p.members[comp[i]].degree == half:
+                assert solve_upper_half(p, n, extra_unknown=[m]) == e
+            else:  # a self-complementary row, or (n = 6) a partner rebuilt itself
+                with pytest.raises(PosetError, match="cannot solve row"):
+                    solve_upper_half(p, n, extra_unknown=[m])
+    assert withheld == 3 + 6 + 24  # the members of degree C(n, 2) // 2 of E(4), E(5), E(6)
+
+
 def test_solve_upper_half_refuses_every_corrupted_known_row(monkeypatch):
     # one known-row entry raised: the rows served are checked like `check_transform_rows`
     for n, seed in ((5, 5), (6, 6)):
@@ -770,7 +817,7 @@ def test_solve_upper_half_refuses_every_corrupted_known_row(monkeypatch):
         known = build_mtransform(build_full_poset(n, n * (n - 1) // 2 // 2))
         refused = 0
         for bad in _one_entry_corruptions(known, p.degrees()[: known.rows], 100, seed):
-            monkeypatch.setattr(mtransform, "build_mtransform", lambda poset, bad=bad: bad)
+            monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(bad))
             with pytest.raises(PosetError, match="inconsistent partial data"):
                 solve_upper_half(p, n)
             refused += 1
@@ -787,10 +834,40 @@ def test_solve_upper_half_refuses_a_negative_entry(monkeypatch, e5_poset):
     row = dict(rows[at["DK_"]])
     row[at["CK"]] += row.pop(at["Bo"])
     rows[at["DK_"]] = row
-    check_transform_rows(IntMatrix(rows, known.cols), e5_poset.degrees()[: known.rows])
-    monkeypatch.setattr(mtransform, "build_mtransform", lambda poset: IntMatrix(rows, known.cols))
+    check_transform_rows(_pack_rows(rows, 32), "I", e5_poset.degrees()[: known.rows])
+    monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(IntMatrix(rows, known.cols)))
     with pytest.raises(PosetError, match=rf"entry \({at['C~']},{at['DK_']}\): negative"):
         solve_upper_half(e5_poset, 5)
+
+
+def test_check_transform_rows_refuses_every_one_entry_corruption(e5_poset):
+    for p, seed in ((e5_poset, 5), (build_full_poset(6), 6), (build_full_poset(7, 10), 7)):
+        e, degrees = build_mtransform(p), p.degrees()
+        checked = check_transform_rows(_pack_rows(e.nonzeros, 32), "I", degrees)
+        assert [{j: x for j, x in enumerate(fields) if x} for fields in checked] == list(e.nonzeros)
+        refused = 0
+        for bad in _one_entry_corruptions(e, degrees, 100, seed):
+            with pytest.raises(AssertionError, match="not binomial"):
+                check_transform_rows(_pack_rows(bad.nonzeros, 32), "I", degrees)
+            refused += 1
+        assert refused == 100
+    # one case each that a raised entry below the row's degree does not make
+    e, degrees = build_mtransform(e5_poset), e5_poset.degrees()
+    rows = _pack_rows(e.nonzeros, 32)
+    i = next(i for i in range(len(rows) // 2, len(rows)) if degrees[i - 1] == degrees[i])
+
+    def with_row(row):
+        return _pack_rows([*e.nonzeros[:i], row, *e.nonzeros[i + 1 :]], 32)
+
+    cases = [
+        ([*rows[:i], rows[i] | 1 << (32 * (i + 1)), *rows[i + 1 :]], "does not fit its"),  # a field past the diagonal
+        (with_row({**e.row(i), i - 1: 1}), "not binomial"),  # a second field of the row's own degree
+        (with_row({**e.row(i), i: 2}), "diagonal entry"),
+        (rows[:-1], "rows for"),  # a missing row
+    ]
+    for bad, message in cases:
+        with pytest.raises(AssertionError, match=message):
+            check_transform_rows(bad, "I", degrees)
 
 
 def test_minor_examples(e4_poset, e4_matrix):
