@@ -55,9 +55,9 @@ def _emit_table(obj, indent: str = "") -> None:
         print(f"{indent}{obj}")
 
 
-def _matrix_csv(m: IntMatrix, row_labels, col_labels) -> str:
-    lines = ["," + ",".join(col_labels)]
-    for label, row in zip(row_labels, m.data):
+def _matrix_csv(m: IntMatrix, labels) -> str:
+    lines = ["," + ",".join(labels)]
+    for label, row in zip(labels, m.data):
         lines.append(label + "," + ",".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -143,28 +143,17 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_mtransform(args) -> int:
+def _cmd_matrix(args) -> int:
     from . import mtransform
 
     p, m = mtransform.cached_transform(args.cache_dir, args.n, args.max_degree)
+    if args.invert:
+        m = mtransform.inverse_mtransform(m, p.degrees())
     labels = [c.graph6 for c in p.members]
     if args.format == "csv":
-        sys.stdout.write(_matrix_csv(m, labels, labels))
+        sys.stdout.write(_matrix_csv(m, labels))
     else:
         _emit({"labels": labels, "matrix": m.to_lists()}, args.format)
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    from . import mtransform
-
-    p, m = mtransform.cached_transform(args.cache_dir, args.n, args.max_degree)
-    inv = mtransform.inverse_mtransform(m, p.degrees())
-    labels = [c.graph6 for c in p.members]
-    if args.format == "csv":
-        sys.stdout.write(_matrix_csv(inv, labels, labels))
-    else:
-        _emit({"labels": labels, "matrix": inv.to_lists()}, args.format)
     return 0
 
 
@@ -463,17 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, csv=True)
     sp.set_defaults(func=_cmd_enumerate)
 
-    sp = sub.add_parser("mtransform", help="transform matrix of a poset")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-degree", type=int, default=None)
-    _add_common(sp, csv=True)
-    sp.set_defaults(func=_cmd_mtransform)
-
-    sp = sub.add_parser("invert", help="exact inverse of the transform matrix")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-degree", type=int, default=None)
-    _add_common(sp, csv=True)
-    sp.set_defaults(func=_cmd_invert)
+    for name, invert, text in (("mtransform", False, "transform matrix of a poset"),
+                               ("invert", True, "exact inverse of the transform matrix")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--max-degree", type=int, default=None)
+        _add_common(sp, csv=True)
+        sp.set_defaults(func=_cmd_matrix, invert=invert)
 
     sp = sub.add_parser("count", help="count copies of a pattern inside a host")
     sp.add_argument("--pattern", required=True)

@@ -21,15 +21,14 @@ from itertools import combinations as _combinations, groupby as _groupby, permut
 from typing import TYPE_CHECKING
 
 from .errors import CapError, PosetError, PreconditionError
-from .graph import IsoClass, _adjacency, canonicalize_bits, stab_order, subgraph_class_counts
-from .poset import GPoset, _fingerprint, build_full_poset, cached_poset, one_edge_additions
+from .graph import IsoClass, stab_order, subgraph_class_counts
+from .poset import FULL_POSET_VERTEX_CAP, GPoset, cached_poset
 
 if TYPE_CHECKING:
     from .algebra import LinComb
 
 SUBSET_MINOR_CAP = 10**6  # C(N, Delta) * C(N, delta) entries of a subset minor
 TRANSFORM_MEMBER_CAP = 2_000  # members of a built transform: |E(7)| = 1,044, |E(8)| = 12,346
-COVER_COUNTS_MEMO_SIZE = 8  # posets whose cover counts `_poset_covers` keeps, the posets with them
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,20 @@ class IntMatrix:
 def build_mtransform(poset: GPoset) -> IntMatrix:
     """The transform, entry (i, j) = copies of member j in member i: `_packed_columns`
     on every column, decoded once; `_mtransform_by_subsets` is its oracle."""
-    rows, code = _capped_transform(poset)
+    _refuse_transform(poset.ambient_n, poset.__len__)
+    rows, code = _packed_columns(poset, range(len(poset)))
     return _from_fields((_unpack([row], code, [i + 1]) for i, row in enumerate(rows)), len(rows))
 
 
-def _capped_transform(poset: GPoset) -> tuple[list[int], str]:
-    """`_packed_columns` on every column, refused over TRANSFORM_MEMBER_CAP members."""
-    if len(poset) > TRANSFORM_MEMBER_CAP:
-        raise CapError(f"transform of {len(poset)} members, over the cap of {TRANSFORM_MEMBER_CAP}")
-    return _packed_columns(poset, range(len(poset)))
+def _refuse_transform(n: int, count) -> None:
+    """CapError before any work: for a poset on more than FULL_POSET_VERTEX_CAP
+    vertices, then for a transform of more than TRANSFORM_MEMBER_CAP members,
+    count() counting them."""
+    if n > FULL_POSET_VERTEX_CAP:
+        raise CapError(f"full poset build capped at n <= {FULL_POSET_VERTEX_CAP}")
+    size = count()
+    if size > TRANSFORM_MEMBER_CAP:
+        raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
 
 
 def _from_fields(rows, cols: int) -> IntMatrix:
@@ -138,20 +142,19 @@ def transform_columns(poset: GPoset, invariants) -> list[tuple[int, ...]]:
     return list(zip(*cols)) if cols else [()] * len(rows)
 
 
-def _packed_columns(poset: GPoset, positions) -> tuple[list[int], str]:
-    """(rows, code): the transform's rows in member order on the columns at the
-    ascending member positions `positions`, field t of row g holding e_gj, j = positions[t],
-    in fields of the `_FIELD_CODES` typecode `code`.
+def _packed_columns(poset: GPoset, positions, size: int | None = None) -> tuple[list[int], str]:
+    """(rows, code): the transform's rows of the first `size` members (all of
+    them by default) in member order on the columns at the ascending member
+    positions `positions`, field t of row g holding e_gj, j = positions[t], in
+    fields of the `_FIELD_CODES` typecode `code`.
 
     Rows come from the one-edge cover recursion, a double count of the chains
     J < K < g with J a copy of member j and K = g minus one edge:
         (|g| - |g_j|) * e_gj = sum_k c_gk * e_kj,
-    where c_gk counts the one-edge deletions of g that land in member k, taken
-    from `_poset_covers`, which names the grown class of each addition by its
-    vertex-invariant fingerprint and searches only where two members share
-    one; the rows run no search.  The poset is an E(n, d), closed under edge
-    deletion, so each k is an earlier member whose row is already built; the
-    columns j it reads are only its own.
+    where c_gk counts the one-edge deletions of g that land in member k, the
+    poset's `cover_counts`; the rows run no search.  The poset is an E(n, d),
+    closed under edge deletion, so each k is an earlier member whose row is
+    already built; the columns j it reads are only its own.
 
     The sum over k is a few big-integer multiply-adds, and each degree block
     of fields (contiguous, as members sort by degree) is divided by
@@ -160,7 +163,7 @@ def _packed_columns(poset: GPoset, positions) -> tuple[list[int], str]:
     under D * 2^bits <= 2^width and no carry crosses fields.
     `_exact_field_quotient` proves each field divided exactly.
     """
-    members = poset.members
+    members = poset.members[:size]
     top = members[-1].degree if members else 0
     bits = math.comb(top, top // 2).bit_length()
     # top <= C(8, 2) = 28 under the poset vertex cap, so bits + 5 <= 31 fits 32-bit fields
@@ -171,7 +174,7 @@ def _packed_columns(poset: GPoset, positions) -> tuple[list[int], str]:
     high = _high_bits(width, bits, len(degrees))
     lowest = degrees[0] if degrees else top  # a row of degree <= lowest is at most its diagonal
     rows: list[int] = []
-    for pos, (g, down) in enumerate(zip(members, _poset_covers(poset))):
+    for pos, (g, down) in enumerate(zip(members, poset.cover_counts)):
         t = field.get(pos)
         row = 0 if t is None else 1 << (width * t)
         acc = 0
@@ -184,115 +187,6 @@ def _packed_columns(poset: GPoset, positions) -> tuple[list[int], str]:
             row |= _exact_field_quotient((acc >> shift) & mask, g.degree - d, high) << shift
         rows.append(row)
     return rows, _FIELD_CODES[width]
-
-
-@functools.lru_cache(maxsize=COVER_COUNTS_MEMO_SIZE)
-def _poset_covers(poset: GPoset) -> tuple[dict[int, int], ...]:
-    """`_cover_counts`, memoized by poset; the dicts are shared, not to be mutated."""
-    return tuple(_cover_counts(poset))
-
-
-def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
-    """c_gk by position: for each member g, {k: the one-edge deletions of g that land in k}.
-
-    Members of degree at most half = C(n, 2) // 2 take them from the other
-    side of each cover: `one_edge_additions` of k gives a_kg, the non-edges
-    of one labeled copy of k in K_n whose addition makes g.  Counting the
-    (labeled copy of g, edge) pairs both ways gives c_gk * orb(g) = a_kg *
-    orb(k), where orb(x) = n! / ((n - cv)! aut) counts the labeled copies of x
-    in K_n; a quotient that is not exact raises AssertionError.
-
-    A member g above half takes them from its complement: deleting an edge of
-    g adds it to the complement, so c_gk = a_(comp g)(comp k) exactly.  The
-    complement map is built from the members at or below half by
-    `_complement_positions`, each complement named by fingerprint as below.
-    A complement outside the poset, or a map that is not a bijection, raises
-    PosetError.
-
-    So the additions of the members up to the middle degree are read once,
-    from `poset.one_edge_additions`, and the upper half reuses them.  On a
-    built poset the build has named every one of them below the middle
-    degree, so they cost no fingerprint and no search.  The middle degree,
-    and every degree of a loaded poset, is named there through the poset's
-    `fingerprints`, which are empty unless the orbit count proves the poset
-    all of E(n, top): then every child is a member, and only a child whose
-    fingerprint another member shares is searched (none up to E(7)).  A
-    hand-built poset that fails the proof has every case searched, so the
-    errors below stay as they are.
-
-    The c_gk of g must sum to |g|: a deletion that lands outside the poset
-    leaves the sum short and raises PosetError, as does a member that does
-    not fit in K_n.
-    """
-    members = poset.members
-    n = poset.ambient_n
-    if any(g.cv > n for g in members):
-        raise PosetError(f"a member of the poset does not fit in K_{n}")
-    nslots = n * (n - 1) // 2
-    half = nslots // 2
-    top = max((g.degree for g in members), default=0)
-
-    def known() -> dict:  # read only for a class the build did not name
-        return poset.fingerprints
-
-    ups: list[dict[int, int]] = [{} for _ in members]  # ups[g][k] = a_kg
-    for pos, k in enumerate(members):
-        if k.degree >= min(top, half):
-            break
-        for grown, weight in one_edge_additions(k, n, known).items():
-            at = poset.index.get(grown.bits)  # None: the addition leaves the poset
-            if at is not None:
-                ups[at][pos] = ups[at].get(pos, 0) + weight
-    comp = _complement_positions(poset, nslots - top, half) if top > half else {}
-    orbits = [math.perm(n, g.cv) // g.aut_support for g in members]
-    covers = []
-    for pos, (g, up, orbit) in enumerate(zip(members, ups, orbits)):
-        down: dict[int, int] = {}
-        if g.degree > half:
-            for grown, weight in one_edge_additions(members[_lookup(comp, pos)], n, known).items():
-                k = _lookup(comp, poset.index.get(grown.bits))
-                down[k] = down.get(k, 0) + weight
-        for k, a in up.items():
-            c, rest = divmod(a * orbits[k], orbit)
-            if rest:
-                raise AssertionError(f"cover counts of {g.graph6!r}: inexact orbit quotient")
-            down[k] = c
-        if sum(down.values()) != g.degree:
-            raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
-        covers.append(down)
-    return covers
-
-
-def _complement_positions(poset: GPoset, low: int, high: int) -> dict[int, int]:
-    """The complement in K_n of each member of degree low..high, and back, by position.
-
-    A complement is named by its fingerprint in the poset's `fingerprints`,
-    as in `one_edge_additions`: one that is missing or shared there is
-    searched by `canonicalize_bits`."""
-    n = poset.ambient_n
-    nslots = n * (n - 1) // 2
-    full = (1 << nslots) - 1
-    known = poset.fingerprints
-    comp: dict[int, int] = {}
-    for pos, x in enumerate(poset.members):
-        if x.degree > high:
-            break
-        if x.degree >= low:
-            y = known.get((nslots - x.degree, _fingerprint(_adjacency(n, full ^ x.bits))))
-            at = poset.index.get((y or canonicalize_bits(full ^ x.bits)).bits)
-            if at is None:
-                raise PosetError(f"the complement of {x.graph6!r} is not a member of the poset")
-            if comp.setdefault(pos, at) != at or comp.setdefault(at, pos) != pos:
-                raise PosetError("complementation is not a bijection of the poset's members")
-    return comp
-
-
-def _lookup(comp: dict[int, int], pos: int | None) -> int:
-    """comp[pos], raising PosetError for a position outside the complement map."""
-    at = comp.get(pos)
-    if at is None:
-        raise PosetError("a complement in K_n is not a member of the poset")
-    return at
 
 
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field width in bits -> unsigned array typecode
@@ -378,22 +272,23 @@ def _degree_spans(degrees) -> list[tuple[int, int]]:
 
 
 def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = None) -> tuple[GPoset, IntMatrix]:
-    """E(n, max_degree) and its transform.  An E(n, d) over TRANSFORM_MEMBER_CAP
-    members, counted by `enumeration.graph_count_series`, is refused before
-    anything is built.  The poset comes from `cached_poset`, through the file
-    cache when cache_dir is given; the transform is always built from it, as
-    no cache entry holds one.  On a loaded poset the build runs no canonical
-    search up to E(7): `_cover_counts` names every child and complement by its
-    fingerprint.  Every matrix served is decoded from the fields that
-    `check_transform_rows` read and passed, which raises AssertionError."""
-    if n >= 8:  # |E(7)| = 1,044 is under the cap, so n <= 7 loads no enumeration
+    """E(n, max_degree) and its transform, refused by `_refuse_transform`: from
+    n = 8 on before anything is built, with E(n, d) counted by
+    `enumeration.graph_count_series`, and below on the poset, as |E(7)| =
+    1,044 is under the cap and n <= 7 loads no enumeration.  The poset comes
+    from `cached_poset`, through the file cache when cache_dir is given; the
+    transform is always built from it, as no cache entry holds one.  On a
+    loaded poset the build runs no canonical search up to E(7): its cover
+    counts name every child and complement by fingerprint.  Every matrix
+    served is decoded from the fields that `check_transform_rows` read and
+    passed, which raises AssertionError."""
+    if n >= 8:
         from .enumeration import graph_count_series
 
-        size = sum(graph_count_series(n, max_degree))
-        if size > TRANSFORM_MEMBER_CAP:
-            raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
+        _refuse_transform(n, lambda: sum(graph_count_series(n, max_degree)))
     poset = cached_poset(cache_dir, n, max_degree)
-    rows, code = _capped_transform(poset)
+    _refuse_transform(n, poset.__len__)
+    rows, code = _packed_columns(poset, range(len(poset)))
     return poset, _from_fields(check_transform_rows(rows, code, poset.degrees()), len(rows))
 
 
@@ -604,20 +499,20 @@ def complement_invariant_expansion(g: IsoClass, poset: GPoset, ambient_n: int) -
 
 
 def complement_pairing(poset: GPoset) -> list[int]:
-    """Position of the complement class in K_n of each member, taken from the
-    members at or below the middle degree and named by fingerprint as in
-    `_cover_counts`; raises PosetError if any is missing."""
-    n = poset.ambient_n
-    comp = _complement_positions(poset, 0, n * (n - 1) // 2 // 2)
-    return [_lookup(comp, pos) for pos in range(len(poset))]
+    """Position of the complement class in K_n of each member, from the
+    poset's `complements`; raises PosetError if any is missing."""
+    comp = poset.complements
+    if len(comp) != len(poset):
+        raise PosetError("a complement in K_n is not a member of the poset")
+    return [comp[pos] for pos in range(len(poset))]
 
 
 def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatrix:
     """Rebuild the full transform of E(n) from rows of degree <= half = floor(C(n,2)/2).
 
-    The known rows are the packed rows of `_packed_columns` on E(n, half),
-    whose members are a prefix of E(n); every higher row is recovered from the
-    complement recursion
+    The known rows are the packed rows of `_packed_columns` on the prefix of
+    the poset of degree <= half, E(n, half); every higher row is recovered
+    from the complement recursion
         e_ij = sum_{k<=j} (-1)^|g_k| e_jk (|Stab k| / |Stab j|) e_{comp(i),k}.
     Middle-degree rows may be withheld via extra_unknown and are then solved
     from their complement partners the same way (selftest check 12 recovers
@@ -647,13 +542,12 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     degs = poset.degrees()
     half = n * (n - 1) // 2 // 2
     count = sum(d <= half for d in degs)  # the members of E(n, half), refused before anything is built
-    if count > TRANSFORM_MEMBER_CAP:
-        raise CapError(f"transform of {count} members, over the cap of {TRANSFORM_MEMBER_CAP}")
+    _refuse_transform(n, lambda: count)
     comp = complement_pairing(poset)
     size = len(poset)
     stab = [stab_order(m, n) for m in poset.members]
     withheld = {poset.position(c) for c in extra_unknown}
-    known, known_code = _packed_columns(build_full_poset(n, half), range(count))
+    known, known_code = _packed_columns(poset, range(count), count)
     try:
         known_fields = check_transform_rows(known, known_code, degs[:count])
     except AssertionError as fault:

@@ -9,6 +9,12 @@ Complementation in K_n maps degree k to C(n, 2) - k, so only the lower half
 of the degrees is grown edge by edge; each member above the middle degree is
 the complement of one below it.  The same growth, `_grow_level`, grows the
 connected classes for `enumeration.connected_classes_by_degree`.
+
+What the transform reads of a poset lives on its `GPoset`, computed at most
+once and freed with it: the one-edge additions the build named, the
+fingerprint index, the complement map and the one-edge cover counts c_gk.
+`build_full_poset` keeps the last POSET_MEMO_SIZE builds, so a repeated build
+is the same object with all of these.
 """
 
 from __future__ import annotations
@@ -32,23 +38,28 @@ from .graph import (
 
 FULL_POSET_VERTEX_CAP = 8  # |E(8)| = 12,346 members
 FINGERPRINT_PRIME = (1 << 61) - 1  # the modulus of `_vertex_weight`
-FINGERPRINT_MEMO_SIZE = 8  # posets whose index `fingerprint_index` keeps
+POSET_MEMO_SIZE = 8  # E(n, d) builds that `_full_poset` keeps, each with what is derived from it
 
 
 @dataclass(frozen=True)
 class GPoset:
     """The members of E(ambient_n, max_degree) in (degree, bits) order, indexed
-    by canonical bits.  `complete` (closed under edge deletion) is True on
-    every poset the package builds or loads, and no package code reads it."""
+    by canonical bits.  `additions` holds the one-edge additions the build
+    named, by member bits; a loaded or hand-built poset has none.
+    `fingerprints`, `complements` and `cover_counts` are computed on first
+    read.  `complete` (closed under edge deletion) is True on every poset the
+    package builds or loads, and no package code reads it."""
 
     members: tuple[IsoClass, ...]
     ambient_n: int
     max_degree: int
     complete: bool
     index: dict = field(init=False, repr=False, compare=False)  # canonical bits -> position
+    additions: dict = field(init=False, repr=False, compare=False)  # member bits -> {grown class: weight}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", {m.bits: pos for pos, m in enumerate(self.members)})
+        object.__setattr__(self, "additions", {})
 
     def __len__(self) -> int:
         return len(self.members)
@@ -79,52 +90,66 @@ class GPoset:
 
     @functools.cached_property
     def fingerprints(self) -> dict:
-        """`fingerprint_index(self)`, kept on the poset after the first read."""
-        return fingerprint_index(self)
+        """`_fingerprint_index`; not to be mutated."""
+        return _fingerprint_index(self)
+
+    @functools.cached_property
+    def complements(self) -> dict[int, int]:
+        """`_complement_positions`; not to be mutated."""
+        return _complement_positions(self)
+
+    @functools.cached_property
+    def cover_counts(self) -> tuple[dict[int, int], ...]:
+        """`_cover_counts`; the dicts are not to be mutated."""
+        return tuple(_cover_counts(self))
 
 
 def build_full_poset(n: int, max_degree: int | None = None) -> GPoset:
-    """All classes with cv <= n and degree <= max_degree.
-
-    Degrees up to half = C(n, 2) // 2 are grown by `_grow_level`, one
-    canonical search per fingerprint of the next degree, each checked by the
-    cover double count (1,043 searches for E(7), 521 of them in the growth);
-    it names every one-edge addition of each class it grows, so a degree
-    whose classes are all named already is read back with no search.  Each
-    degree k above half is taken whole from degree C(n, 2) - k <= half:
-    complementation in K_n is a bijection of the classes, so the complements
-    of its members are exactly the members of degree k, one search each.  A
-    complement may leave vertices isolated, so it goes through
-    `canonicalize_bits`, which repacks the support.
-    """
+    """All classes with cv <= n and degree <= max_degree: `_full_poset` on the
+    degree bound, so each bound of E(n) is one object while the memo keeps it."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     if n > FULL_POSET_VERTEX_CAP:
         raise CapError(f"full poset build capped at n <= {FULL_POSET_VERTEX_CAP}")
     if max_degree is not None and max_degree < 0:
         raise PreconditionError("max_degree must be nonnegative")
-    max_degree = _degree_bound(n, max_degree)
+    return _full_poset(n, _degree_bound(n, max_degree))
+
+
+@functools.lru_cache(maxsize=POSET_MEMO_SIZE)
+def _full_poset(n: int, max_degree: int) -> GPoset:
+    """E(n, max_degree), max_degree at most C(n, 2).
+
+    Degrees up to half = C(n, 2) // 2 are grown by `_grow_level`, one
+    canonical search per fingerprint of the next degree, each checked by the
+    cover double count (1,043 searches for E(7), 521 of them in the growth);
+    it names every one-edge addition of each class it grows, and the poset
+    keeps them as its `additions`.  Each degree k above half is taken whole
+    from degree C(n, 2) - k <= half: complementation in K_n is a bijection of
+    the classes, so the complements of its members are exactly the members of
+    degree k, one search each.  A complement may leave vertices isolated, so
+    it goes through `canonicalize_bits`, which repacks the support.
+    """
     nslots = n * (n - 1) // 2
     levels = [{0: EMPTY_CLASS}]  # levels[k]: the members of degree k, by canonical bits
+    named: dict[int, dict[IsoClass, int]] = {}
     for k in range(min(max_degree, nslots // 2)):
-        named = [_named_additions(cls, n) for cls in levels[-1].values()]
-        if all(named):
-            levels.append({grown.bits: grown for additions in named for grown in additions})
-        else:
-            levels.append(_grow_level(levels[-1].values(), n, k))
+        levels.append(_grow_level(levels[-1].values(), n, k, named))
     full = (1 << nslots) - 1
     for k in range(len(levels), max_degree + 1):
         levels.append({c.bits: c for c in (canonicalize_bits(full ^ bits) for bits in levels[nslots - k])})
-    return GPoset(tuple(level[bits] for level in levels for bits in sorted(level)), n, max_degree, True)
+    p = GPoset(tuple(level[bits] for level in levels for bits in sorted(level)), n, max_degree, True)
+    p.additions.update(named)
+    return p
 
 
-def _grow_level(parents, n: int, degree: int, *, connected: bool = False) -> dict[int, IsoClass]:
+def _grow_level(parents, n: int, degree: int, named: dict | None = None, *, connected: bool = False) -> dict[int, IsoClass]:
     """The classes of degree + 1 in K_n by canonical bits, grown from parents,
-    all the classes of `degree`, each once; names every one-edge addition of
-    every parent in `_named_additions`.  With connected, parents are all the
-    connected classes of `degree` and the children all those of degree + 1:
-    the fresh pair (cv, cv + 1), the one case whose child is disconnected, is
-    dropped, so the additions are not all named and none is written.
+    all the classes of `degree`, each once; named[parent bits] becomes the
+    {grown class: weight} of every one-edge addition of the parent.  With
+    connected, parents are all the connected classes of `degree` and the
+    children all those of degree + 1: the fresh pair (cv, cv + 1), the one
+    case whose child is disconnected, is dropped, so no additions are named.
 
     Each case of `_addition_cases` is keyed by its child's fingerprint
     (`_keyed_cases`), and only the first child under each key is searched.
@@ -152,19 +177,20 @@ def _grow_level(parents, n: int, degree: int, *, connected: bool = False) -> dic
             else:
                 group[0] += weight * orbit
         grown.append((cls, cases))
-    named: dict[int, IsoClass | None] = {}  # key -> the class it names, None where the count does not close
+    by_key: dict[int, IsoClass | None] = {}  # key -> the class it names, None where the count does not close
     for key, (total, cv, bits) in groups.items():
         first = _canon_from_packed(cv, bits)
         edges = _reversible_edges(cv, bits) if connected else degree + 1
-        named[key] = first if total == edges * (math.perm(n, cv) // first.aut_support) else None
+        by_key[key] = first if total == edges * (math.perm(n, cv) // first.aut_support) else None
     level: dict[int, IsoClass] = {}
     for cls, cases in grown:
-        additions = {} if connected else _named_additions(cls, n)
-        additions.clear()
+        additions: dict[IsoClass, int] = {}
         for key, cv, bits, weight in cases:
-            child = named[key] or _canon_from_packed(cv, bits)
+            child = by_key[key] or _canon_from_packed(cv, bits)
             additions[child] = additions.get(child, 0) + weight
             level[child.bits] = child
+        if named is not None:
+            named[cls.bits] = additions
     return level
 
 
@@ -191,52 +217,33 @@ def _reversible_edges(cv: int, bits: int) -> int:
     return count
 
 
-@functools.cache
-def _named_additions(cls: IsoClass, n: int) -> dict[IsoClass, int]:
-    """The shared {grown class: weight} of the one-edge additions of cls in
-    K_n, empty until named: `_grow_level` names every class it grows into
-    E(n) (not the connected growth) and `one_edge_additions` any other class
-    it is asked for.  A class of degree below C(n, 2) has an addition, so a
-    named entry is never empty."""
-    return {}
-
-
 def one_edge_additions(cls: IsoClass, n: int, fingerprints) -> dict[IsoClass, int]:
     """Each way to add one edge to cls placed in K_n, up to relabeling:
     {grown class: weight}, the weight being how many of the C(n, 2) - |cls|
-    non-edges of one labeled copy make that class.  Shared through
-    `_named_additions`, not to be mutated.
+    non-edges of one labeled copy make that class.
 
-    A class the build grew is named already and is returned as it is.  For
-    any other class (a middle degree, which the build takes as complements,
-    or a loaded poset), each case of `_addition_cases` (the non-edges of the
-    support grouped by swapping twins, the support to the fresh vertex cv,
-    and the fresh pair (cv, cv + 1)) gives the member that `fingerprints()`,
-    which returns a `fingerprint_index` and is called only here, holds for
-    the child's degree and `_keyed_cases` key, with no search: up to E(7)
-    every key is unique.  A key that is missing or shared costs one canonical
-    search; `dict` as fingerprints searches every case.
+    Each case of `_addition_cases` (the non-edges of the support grouped by
+    swapping twins, the support to the fresh vertex cv, and the fresh pair
+    (cv, cv + 1)) gives the member that fingerprints, a `_fingerprint_index`,
+    holds for the child's degree and `_keyed_cases` key, with no search: up
+    to E(7) every key is unique.  A key that is missing or shared costs one
+    canonical search; an empty mapping searches every case.
     """
-    named = _named_additions(cls, n)
-    if named:
-        return named
-    known = fingerprints()
+    named: dict[IsoClass, int] = {}
     degree = cls.degree + 1
     for key, cv, bits, weight in _keyed_cases(cls, n):
-        grown = known.get((degree, key)) or _canon_from_packed(cv, bits)
+        grown = fingerprints.get((degree, key)) or _canon_from_packed(cv, bits)
         named[grown] = named.get(grown, 0) + weight
     return named
 
 
-@functools.lru_cache(maxsize=FINGERPRINT_MEMO_SIZE)
-def fingerprint_index(p: GPoset) -> dict:
+def _fingerprint_index(p: GPoset) -> dict:
     """{(degree, `_fingerprint`): member} over p's members in K_n, None where
-    two members share both, for `one_edge_additions`; memoized by poset, so
-    equal posets share one, and not to be mutated.  A unique entry names a
-    child only if the child is known to be a member, so the index is empty
-    unless `is_all_of_e` proves the members to be all of E(n, top), top their
-    largest degree: then every child of degree <= top is a member, and a child
-    of a higher degree finds no entry."""
+    two members share both.  A unique entry names a child only if the child
+    is known to be a member, so the index is empty unless `is_all_of_e`
+    proves the members to be all of E(n, top), top their largest degree: then
+    every child of degree <= top is a member, and a child of a higher degree
+    finds no entry."""
     members, n = p.members, p.ambient_n
     top = max((m.degree for m in members), default=0)
     if not is_all_of_e(members, n, top):
@@ -246,6 +253,111 @@ def fingerprint_index(p: GPoset) -> dict:
         key = m.degree, _fingerprint(_adjacency(m.cv, m.bits))
         index[key] = None if key in index else m
     return index
+
+
+def _cover_counts(poset: GPoset) -> list[dict[int, int]]:
+    """c_gk by position: for each member g, {k: the one-edge deletions of g that land in k}.
+
+    Members of degree at most half = C(n, 2) // 2 take them from the other
+    side of each cover: the one-edge additions of k give a_kg, the non-edges
+    of one labeled copy of k in K_n whose addition makes g.  Counting the
+    (labeled copy of g, edge) pairs both ways gives c_gk * orb(g) = a_kg *
+    orb(k), where orb(x) = n! / ((n - cv)! aut) counts the labeled copies of x
+    in K_n; a quotient that is not exact raises AssertionError.
+
+    A member g above half takes them from its complement: deleting an edge of
+    g adds it to the complement, so c_gk = a_(comp g)(comp k) exactly, comp
+    the poset's `complements`.  A complement outside that map raises
+    PosetError.
+
+    So the additions of the members up to the middle degree are read once,
+    and the upper half reuses them.  Below the middle degree they are the
+    build's `additions`, with no fingerprint and no search.  The middle
+    degree, and every degree of a loaded poset, is named by
+    `one_edge_additions` through the poset's `fingerprints`, which are empty
+    unless the orbit count proves the poset all of E(n, top): then every child
+    is a member, and only a child whose fingerprint another member shares is
+    searched (none up to E(7)).  A hand-built poset that fails the proof has
+    every case searched, so the errors below stay as they are.
+
+    The c_gk of g must sum to |g|: a deletion that lands outside the poset
+    leaves the sum short and raises PosetError, as does a member that does
+    not fit in K_n.
+    """
+    members = poset.members
+    n = poset.ambient_n
+    if any(g.cv > n for g in members):
+        raise PosetError(f"a member of the poset does not fit in K_{n}")
+    half = n * (n - 1) // 2 // 2
+    top = max((g.degree for g in members), default=0)
+
+    def additions(k: IsoClass) -> dict[IsoClass, int]:
+        return poset.additions.get(k.bits) or one_edge_additions(k, n, poset.fingerprints)
+
+    ups: list[dict[int, int]] = [{} for _ in members]  # ups[g][k] = a_kg
+    for pos, k in enumerate(members):
+        if k.degree >= min(top, half):
+            break
+        for grown, weight in additions(k).items():
+            at = poset.index.get(grown.bits)  # None: the addition leaves the poset
+            if at is not None:
+                ups[at][pos] = ups[at].get(pos, 0) + weight
+    comp = poset.complements if top > half else {}
+    orbits = [math.perm(n, g.cv) // g.aut_support for g in members]
+    covers = []
+    for pos, (g, up, orbit) in enumerate(zip(members, ups, orbits)):
+        down: dict[int, int] = {}
+        if g.degree > half:
+            for grown, weight in additions(members[_lookup(comp, pos)]).items():
+                k = _lookup(comp, poset.index.get(grown.bits))
+                down[k] = down.get(k, 0) + weight
+        for k, a in up.items():
+            c, rest = divmod(a * orbits[k], orbit)
+            if rest:
+                raise AssertionError(f"cover counts of {g.graph6!r}: inexact orbit quotient")
+            down[k] = c
+        if sum(down.values()) != g.degree:
+            raise PosetError(f"a one-edge deletion of {g.graph6!r} is not a member of the poset")
+        covers.append(down)
+    return covers
+
+
+def _complement_positions(poset: GPoset) -> dict[int, int]:
+    """The complement in K_n of each member whose complement can be a member,
+    and back, by position: the members of degree C(n, 2) - top .. half, top
+    their largest degree and half = C(n, 2) // 2, and their complements.
+
+    A complement is named by its fingerprint in the poset's `fingerprints`,
+    as in `one_edge_additions`: one that is missing or shared there is
+    searched by `canonicalize_bits`.  A complement outside the poset, or a
+    map that is not a bijection, raises PosetError."""
+    n = poset.ambient_n
+    nslots = n * (n - 1) // 2
+    low, high = nslots - max((m.degree for m in poset.members), default=0), nslots // 2
+    if low > high:
+        return {}
+    full = (1 << nslots) - 1
+    known = poset.fingerprints
+    comp: dict[int, int] = {}
+    for pos, x in enumerate(poset.members):
+        if x.degree > high:
+            break
+        if x.degree >= low:
+            y = known.get((nslots - x.degree, _fingerprint(_adjacency(n, full ^ x.bits))))
+            at = poset.index.get((y or canonicalize_bits(full ^ x.bits)).bits)
+            if at is None:
+                raise PosetError(f"the complement of {x.graph6!r} is not a member of the poset")
+            if comp.setdefault(pos, at) != at or comp.setdefault(at, pos) != pos:
+                raise PosetError("complementation is not a bijection of the poset's members")
+    return comp
+
+
+def _lookup(comp: dict[int, int], pos: int | None) -> int:
+    """comp[pos], raising PosetError for a position outside the complement map."""
+    at = comp.get(pos)
+    if at is None:
+        raise PosetError("a complement in K_n is not a member of the poset")
+    return at
 
 
 def _fingerprint(adj: list[int]) -> int:

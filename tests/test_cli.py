@@ -530,7 +530,7 @@ def test_warm_commands_canonicalize_nothing(tmp_path, capsys):
     for argv, reference in zip(commands, cold):
         graph.canonicalize_bits.cache_clear()  # else the front memo answers what the cold run saw
         graph._canon_from_packed.cache_clear()
-        mtransform._poset_covers.cache_clear()  # a warm process builds the transform afresh
+        poset._full_poset.cache_clear()  # a warm process has built no poset
         assert run_cli(capsys, *argv, *cached) == reference
         assert graph._canon_from_packed.cache_info().misses == operands.get(argv[0], 0), argv
 
@@ -637,6 +637,19 @@ def test_oversized_transform_refused_before_the_poset_build(capsys, monkeypatch)
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "mtransform", "--n", "8", "--max-degree", "4")
     assert code == 0 and len(json.loads(out)["labels"]) == 20
+
+
+@pytest.mark.parametrize("n", [9, 13])
+def test_transform_commands_over_the_poset_cap_name_it(capsys, n):
+    # the poset cap is checked first, so n = 13 is not refused by the graph-count cap
+    # and n = 9 is not counted against the member cap
+    want = f"error: full poset build capped at n <= {poset.FULL_POSET_VERTEX_CAP}\n"
+    k2 = "0-1"
+    for argv in (
+        ["mtransform"], ["invert"], ["rank-minor", "--delta", "1", "--Delta", "2"],
+        ["product", "--a", k2, "--b", k2], ["product", "--a", k2, "--b", k2, "--method", "kocay"],
+    ):
+        assert run_cli(capsys, *argv, "--n", str(n)) == (2, "", want), argv
 
 
 def test_product_at_n8_reads_only_the_union_degrees(capsys):
@@ -875,7 +888,7 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
 def test_transform_member_cap_refuses_before_the_build(capsys, monkeypatch):
     assert 1044 < mtransform.TRANSFORM_MEMBER_CAP < 12346  # admits E(7), refuses E(8)
     monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", 10)  # |E(4)| = 11
-    monkeypatch.setattr(mtransform, "one_edge_additions", None)  # the recursion must not start
+    monkeypatch.setattr(mtransform, "_packed_columns", None)  # the recursion must not start
     for command in ("mtransform", "invert"):
         code, out, err = run_cli(capsys, command, "--n", "4")
         assert code == 2 and out == "" and err.startswith("error:") and "cap" in err

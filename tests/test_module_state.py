@@ -68,8 +68,8 @@ _CACHES = _functools_caches()
 def test_cache_registry_finds_the_known_memos():
     assert {
         "canonicalize_bits", "_canon_from_packed", "_class_counts", "support_automorphisms",
-        "_distinct_copies", "_edge_series", "connected_classes_by_degree", "_poset_covers",
-        "_named_additions", "_vertex_weight", "fingerprint_index",
+        "_distinct_copies", "_edge_series", "connected_classes_by_degree", "_vertex_weight",
+        "_full_poset",
     } <= set(_CACHES)
 
 
@@ -84,7 +84,6 @@ def _work():
         algebra.general_product(k2, p3),
         generators.is_separator([k2, p3], p4),
         poset._grow_level([k2], 4, 1),  # unmemoized: refills `_canon_from_packed`
-        poset.build_full_poset(4).fingerprints,  # a new poset object reads `fingerprint_index`
     )
 
 
@@ -263,7 +262,7 @@ def test_only_invert_builds_the_whole_inverse():
     # every solve goes through `solve_transform`; the whole inverse is for the `invert`
     # command, and for the selftest check that proves it on the printed matrices
     assert _references("inverse_mtransform") == {
-        ("cli", "_cmd_invert"),
+        ("cli", "_cmd_matrix"),
         ("selftest", "ImportFrom"),
         ("selftest", "check_mnukhin_laws"),
     }
@@ -274,6 +273,18 @@ def test_only_the_field_codec_knows_the_byte_layout():
     codec = {("mtransform", "_pack"), ("mtransform", "_unpack")}
     assert _references("byteorder") | _references("to_bytes") | _references("from_bytes") <= codec
     assert _references("memoryview") == set()
+
+
+def test_the_transform_reads_no_private_name_of_the_poset_or_the_graph():
+    # the cover counts and the complement map are read from the poset that owns them
+    tree = ast.parse((Path(graphinv.__file__).parent / "mtransform.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert ("poset", "GPoset") in imported
+    assert [(m, name) for m, name in imported if m in ("poset", "graph") and name.startswith("_")] == []
 
 
 def test_products_read_only_the_union_block():

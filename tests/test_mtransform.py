@@ -12,7 +12,6 @@ from graphinv.errors import CapError, PosetError, PreconditionError
 from graphinv.graph import canonicalize_bits, complement, count_subgraphs, count_subgraphs_injective
 from graphinv.mtransform import (
     IntMatrix,
-    _cover_counts,
     _exact_field_quotient,
     _high_bits,
     _mtransform_by_subsets,
@@ -37,7 +36,8 @@ from graphinv.mtransform import (
     transform_columns,
     unitriangular_inverse,
 )
-from graphinv.poset import GPoset, build_full_poset, poset_from_sidecar, poset_sidecar
+from graphinv.generators import is_separator
+from graphinv.poset import GPoset, _cover_counts, build_full_poset, poset_from_sidecar, poset_sidecar
 from graphinv.smallgraphs import named_class
 
 
@@ -165,8 +165,7 @@ def test_cover_counts_from_additions_equal_counted_deletions(n, max_degree):
 
 
 def _clear_search_memos():
-    memos = (graph._canon_from_packed, graph.canonicalize_bits, poset._named_additions, poset.fingerprint_index)
-    for memo in memos + (mtransform._poset_covers,):
+    for memo in (graph._canon_from_packed, graph.canonicalize_bits, poset._full_poset):
         memo.cache_clear()
 
 
@@ -203,6 +202,25 @@ def test_full_transform_searches_the_crossing_layer_once():
     assert graph._canon_from_packed.cache_info().misses <= 1_043
 
 
+def test_a_poset_derives_each_thing_once(monkeypatch):
+    # the transform, its columns, the upper-half rebuild and a separator check all
+    # read the cover counts, fingerprints and complement map of the poset they are given
+    calls = Counter()
+    for name in ("_cover_counts", "_fingerprint_index", "_complement_positions"):
+        def counted(p, derive=getattr(poset, name), name=name):
+            calls[name] += 1
+            return derive(p)
+
+        monkeypatch.setattr(poset, name, counted)
+    p = GPoset(build_full_poset(6).members, 6, 15, True)
+    e = build_mtransform(p)
+    assert dict(calls) == {"_cover_counts": 1, "_fingerprint_index": 1, "_complement_positions": 1}
+    assert transform_columns(p, p.members[1:4]) == [tuple(row.get(j, 0) for j in range(1, 4)) for row in e.nonzeros]
+    assert solve_upper_half(p, 6) == e
+    assert is_separator([named_class("K2"), named_class("P3")], p).witness is not None
+    assert dict(calls) == {"_cover_counts": 1, "_fingerprint_index": 1, "_complement_positions": 1}
+
+
 @pytest.fixture(scope="module")
 def e8_d7():
     return build_full_poset(8, 7)
@@ -218,12 +236,10 @@ def _shared_fingerprints(p):
 
 @pytest.fixture
 def patched_fingerprints():
-    """Clears `poset.fingerprint_index` before and after a test whose patches
-    change what an index holds, so no other test reads such an index."""
-    memo = poset.fingerprint_index  # the memo itself, should a test patch the name
-    memo.cache_clear()
+    """Clears the build memo after a test that builds under patches that change
+    what a poset derives, so no other test reads such a poset."""
     yield
-    memo.cache_clear()
+    poset._full_poset.cache_clear()
 
 
 def _count_children_and_searches(monkeypatch):
@@ -243,28 +259,24 @@ def _count_children_and_searches(monkeypatch):
 
 
 def test_cover_counts_search_only_the_cases_whose_fingerprint_is_shared(monkeypatch, e8_d7):
-    # E(8, 7) is the least E(n, d) where two members share a fingerprint; with the
-    # build's names cleared, the cover counts name every case through the index
+    # E(8, 7) is the least E(n, d) where two members share a fingerprint; without
+    # the build's names, the cover counts name every case through the index
     (pair,) = _shared_fingerprints(e8_d7)
     assert len(pair) == 2
-    poset._named_additions.cache_clear()
+    bare = GPoset(e8_d7.members, 8, 7, True)
     children, searches = _count_children_and_searches(monkeypatch)
-    assert _cover_counts(e8_d7) == _deleted_covers(e8_d7)
+    assert _cover_counts(bare) == _deleted_covers(e8_d7)
     assert 0 < len(searches) == sum(canonicalize_bits(bits) in pair for bits in children) < len(children)
 
 
-def test_cover_counts_search_every_case_when_no_fingerprint_is_unique(monkeypatch, patched_fingerprints):
-    # with the build's names cleared, the cover counts name every case through the index
+def test_cover_counts_search_every_case_when_no_fingerprint_is_unique(monkeypatch):
+    # without the build's names, the cover counts name every case through the index
     p = build_full_poset(6)  # the upper half reads its complements' additions
-    poset._named_additions.cache_clear()
     children, searches = _count_children_and_searches(monkeypatch)
-    covers = _cover_counts(p)
+    covers = _cover_counts(GPoset(p.members, 6, p.max_degree, True))
     assert children and not searches  # every member of E(6) has a fingerprint of its own
     children.clear()
-    poset._named_additions.cache_clear()
-    poset.fingerprint_index.cache_clear()  # the index of E(6) read above
-    for module in (poset, mtransform):
-        monkeypatch.setattr(module, "_fingerprint", lambda adj: 0)
+    monkeypatch.setattr(poset, "_fingerprint", lambda adj: 0)
     same = GPoset(p.members, 6, p.max_degree, True)  # its fingerprints are read under the patch
     assert _cover_counts(same) == covers == _deleted_covers(p)
     assert len(searches) == len(children) > 0
@@ -272,15 +284,16 @@ def test_cover_counts_search_every_case_when_no_fingerprint_is_unique(monkeypatc
 
 def test_cover_counts_of_a_built_poset_read_the_build_names(monkeypatch):
     # the build names every addition below the middle degree, 7 in E(6); the cover
-    # counts name the middle degree's once, by fingerprint, and then read them too
-    poset._named_additions.cache_clear()
+    # counts name the middle degree's by fingerprint, once for the poset
+    poset._full_poset.cache_clear()
     p = build_full_poset(6)
+    assert sorted(p.additions) == sorted(m.bits for m in p if m.degree < 7)
     middle = [bits for m in p if m.degree == 7 for _key, _cv, bits, _weight in poset._keyed_cases(m, 6)]
     children, searches = _count_children_and_searches(monkeypatch)
-    covers = _cover_counts(p)
+    covers = p.cover_counts
     assert sorted(children) == sorted(middle) and searches == []
     children.clear()
-    assert build_full_poset(6) == p and _cover_counts(p) == covers == _deleted_covers(p)
+    assert build_full_poset(6) is p and p.cover_counts is covers and list(covers) == _deleted_covers(p)
     assert children == [] == searches
 
 
@@ -291,8 +304,7 @@ def test_a_constant_key_searches_every_case_and_changes_nothing(monkeypatch, pat
     _clear_search_memos()
     keyed = poset._keyed_cases
     monkeypatch.setattr(poset, "_keyed_cases", lambda cls, n: [(0, *case) for _key, *case in keyed(cls, n)])
-    for module in (poset, mtransform):  # no member or complement is named by fingerprint
-        monkeypatch.setattr(module, "_fingerprint", lambda adj: 0)
+    monkeypatch.setattr(poset, "_fingerprint", lambda adj: 0)  # no member or complement is named by fingerprint
     children, searches = _count_children_and_searches(monkeypatch)
     again = build_full_poset(n, max_degree)
     assert again.members == p.members and [m.aut_support for m in again] == [m.aut_support for m in p]
@@ -312,7 +324,6 @@ def test_orbit_proof_refuses_a_poset_missing_one_of_a_fingerprint_pair(e8_d7):
     assert poset.is_all_of_e(e8_d7.members, 8, 7)
     assert not poset.is_all_of_e(dropped.members, 8, 7)
     assert dropped.fingerprints == {}
-    poset._named_additions.cache_clear()
     assert _cover_counts(dropped)[dropped.position(kept)] == _cover_counts(e8_d7)[e8_d7.position(kept)]
 
 
@@ -329,11 +340,12 @@ def test_cover_counts_refuse_a_missing_complement(e4_poset):
         _cover_counts(_missing(e4_poset, "C4"))
 
 
-def test_cover_counts_refuse_a_complement_map_that_is_not_a_bijection(monkeypatch, patched_fingerprints):
-    monkeypatch.setattr(poset, "fingerprint_index", lambda p: {})  # every complement is searched
-    monkeypatch.setattr(mtransform, "canonicalize_bits", lambda bits: named_class("K3"))
+def test_cover_counts_refuse_a_complement_map_that_is_not_a_bijection(monkeypatch):
+    p = GPoset(build_full_poset(3).members, 3, 3, True)  # a new poset, whose fingerprints are read under the patch
+    monkeypatch.setattr(poset, "_fingerprint_index", lambda p: {})  # every complement is searched
+    monkeypatch.setattr(poset, "canonicalize_bits", lambda bits: named_class("K3"))
     with pytest.raises(PosetError, match="bijection"):
-        _cover_counts(build_full_poset(3))  # a new poset, whose fingerprints are read under the patch
+        _cover_counts(p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +392,7 @@ def test_exact_field_quotient_needs_every_field_to_divide():
 def _packed_build(matrix):
     """A stand-in for `_packed_columns` that serves the rows of `matrix`, packed
     in 32-bit fields, whatever poset and columns it is asked for."""
-    return lambda poset, positions: (_pack_rows(matrix.nonzeros, 32), "I")
+    return lambda poset, positions, size=None: (_pack_rows(matrix.nonzeros, 32), "I")
 
 
 def test_cached_transform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_poset, e4_matrix):
@@ -744,7 +756,7 @@ def test_solve_upper_half_refuses_over_the_cap_before_any_work(monkeypatch, e5_p
 
     monkeypatch.setattr(mtransform, "TRANSFORM_MEMBER_CAP", known - 1)
     monkeypatch.setattr(mtransform, "complement_pairing", no_work)
-    monkeypatch.setattr(mtransform, "build_full_poset", no_work)
+    monkeypatch.setattr(mtransform, "_packed_columns", no_work)
     with pytest.raises(CapError, match=f"transform of {known} members, over the cap of {known - 1}"):
         solve_upper_half(e5_poset, 5)
 

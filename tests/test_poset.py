@@ -62,9 +62,10 @@ def test_addition_weights_count_the_non_edges_in_k_n():
     # and searched above it, give the same weights as one search per non-edge
     for n in range(8):
         p = build_full_poset(n)
+        assert sorted(p.additions) == sorted(k.bits for k in p if k.degree < n * (n - 1) // 4)
         for k in p.members:
-            grouped = one_edge_additions(k, n, dict)
-            assert grouped == _labeled_additions(k, n), (n, k)
+            grouped = one_edge_additions(k, n, {})
+            assert grouped == _labeled_additions(k, n) == p.additions.get(k.bits, grouped), (n, k)
             assert all(grown in p and grown.degree == k.degree + 1 for grown in grouped)
 
 
@@ -155,7 +156,7 @@ def test_only_the_shared_keys_fail_the_cover_count(monkeypatch):
         searched[bits.bit_count(), poset._fingerprint(graph._adjacency(cv, bits))] += 1
         return search(cv, bits)
 
-    poset._named_additions.cache_clear()
+    poset._full_poset.cache_clear()
     monkeypatch.setattr(poset, "_canon_from_packed", counted)
     p = build_full_poset(8, 8)
     by_key = Counter((m.degree, poset._fingerprint(graph._adjacency(m.cv, m.bits))) for m in p.members)
@@ -188,8 +189,6 @@ def test_connected_growth_searches_every_case_where_no_key_closes(monkeypatch):
         searched.append(bits)
         return search(cv, bits)
 
-    build_full_poset(5)
-    named = poset._named_additions.cache_info()
     monkeypatch.setattr(poset, "_keyed_cases", lambda cls, n: [(0, *case[1:]) for case in cases(cls, n)])
     monkeypatch.setattr(poset, "_canon_from_packed", counted)
     levels = connected_classes_by_degree.__wrapped__(7)
@@ -199,7 +198,6 @@ def test_connected_growth_searches_every_case_where_no_key_closes(monkeypatch):
         grown = sum(1 for cls in levels[d] for case in cases(cls, d + 2) if case[1] < cls.cv + 2)
         expected += 1 + (grown if len(levels[d + 1]) > 1 else 0)
     assert len(searched) == expected
-    assert poset._named_additions.cache_info() == named  # connected growth names no addition
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -217,7 +215,7 @@ def test_connected_classes_equal_the_connected_members_of_e_n(n):
 def test_cold_connected_growth_searches_once_per_key():
     # canonical augmentation made 534 searches cold and 489 after `build_full_poset(7)`;
     # one search per key, with 2 keys that do not close, makes 383 and 184
-    memos = graph._canon_from_packed, graph.canonicalize_bits, poset._named_additions, connected_classes_by_degree
+    memos = graph._canon_from_packed, graph.canonicalize_bits, poset._full_poset, connected_classes_by_degree
     for memo in memos:
         memo.cache_clear()
     connected_classes_by_degree(8)
@@ -234,7 +232,7 @@ def _grown_through_every_degree(n):
     """E(n) grown one edge at a time through all C(n, 2) degrees, without complements."""
     levels = [{0: EMPTY_CLASS}]
     for _k in range(n * (n - 1) // 2):
-        levels.append({g.bits: g for c in levels[-1].values() for g in one_edge_additions(c, n, dict)})
+        levels.append({g.bits: g for c in levels[-1].values() for g in one_edge_additions(c, n, {})})
     members = [m for level in levels for m in sorted(level.values(), key=lambda c: c.sort_key)]
     return [(m.bits, m.degree, m.cv, m.aut_support) for m in members]
 
@@ -267,9 +265,25 @@ def test_cold_build_searches_only_the_lower_half():
     # fingerprint, each the one class of its key, 521 + 522 = 1,043
     graph._canon_from_packed.cache_clear()
     graph.canonicalize_bits.cache_clear()
-    poset._named_additions.cache_clear()
+    poset._full_poset.cache_clear()
     build_full_poset(7)
     assert graph._canon_from_packed.cache_info().misses <= 1_043
+
+
+def test_a_repeated_build_is_one_object():
+    # the build memo is keyed by the degree bound, so E(6) and E(6, 15) are one poset
+    p = build_full_poset(6)
+    assert build_full_poset(6, 15) is p is build_full_poset(6, 99)
+    assert build_full_poset(6, 14) is not p
+
+
+def test_a_loaded_poset_has_no_build_names_and_derives_the_same():
+    for n in (4, 6, 7):
+        built = build_full_poset(n)
+        loaded = poset_from_sidecar(poset_sidecar(built), n)
+        assert built.additions and loaded.additions == {}
+        assert loaded.cover_counts == built.cover_counts
+        assert loaded.complements == built.complements
 
 
 def test_build_determinism():
