@@ -24,9 +24,9 @@ alone; a test guards that every other public function has a caller:
     every member, checks the cover recursion in `build_mtransform`;
   * `mtransform.unitriangular_inverse`, elimination by forward substitution,
     checks the closed form `mnukhin_power(-1)` and the inverse S E S that
-    `inverse_mtransform` builds from E's rows by the same sign rule and
-    serves to `invert` once an exact packed check proves E = exp(N), N the
-    one-degree block of E, so that E^-1 = S E S, and
+    `inverse_mtransform` serves to `invert` as E's own packed rows under the
+    same sign rule, once an exact check on those rows proves E = exp(N), N
+    the one-degree block of E, so that E^-1 = S E S, and
     `solve_transform`, the one solve of a square transform system, graph or
     multiset, which proves E c = v exactly on its answer;
   * `algebra.product_kocay`, `product_fleischmann` and `product_mtransform`

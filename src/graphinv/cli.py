@@ -55,11 +55,29 @@ def _emit_table(obj, indent: str = "") -> None:
         print(f"{indent}{obj}")
 
 
-def _matrix_csv(m: IntMatrix, labels) -> str:
-    lines = ["," + ",".join(labels)]
-    for label, row in zip(labels, m.data):
-        lines.append(label + "," + ",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _matrix_csv(m: IntMatrix, labels) -> list[str]:
+    """The CSV text of a packed transform, one line per piece."""
+    return ["," + ",".join(labels) + "\n", *(f"{label},{text}\n" for label, text in zip(labels, _row_texts(m, ",")))]
+
+
+def _matrix_json(m: IntMatrix, labels) -> list[str]:
+    """The text of `_emit({"labels": labels, "matrix": m.to_lists()}, "json")` in one
+    piece per row: with `indent` set, `json.dumps` runs its pure-Python encoder."""
+    rows = [f"[\n      {text}\n    ]" for text in _row_texts(m, ",\n      ")]
+    head = f'{{\n  "labels": {"".join(_json_list([json.dumps(x) for x in labels]))},\n  "matrix": '
+    return [head, *_json_list(rows), "\n}\n"]
+
+
+def _json_list(texts: list[str]) -> list[str]:
+    """JSON texts as a list one level down, laid out as `json.dumps(indent=2)` lays it out, in pieces."""
+    return ["[\n    " + texts[0], *(",\n    " + text for text in texts[1:]), "\n  ]"] if texts else ["[]"]
+
+
+def _row_texts(m: IntMatrix, sep: str) -> list[str]:
+    """Each row of a packed transform, its entries joined by `sep`: the fields of
+    columns 0 .. i, then the zeros past the diagonal, cut from one string."""
+    tail = (sep + "0") * m.cols
+    return [sep.join(map(str, row)) + tail[: (len(sep) + 1) * (m.cols - i - 1)] for i, row in enumerate(m.lower)]
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -150,10 +168,10 @@ def _cmd_matrix(args) -> int:
     if args.invert:
         m = mtransform.inverse_mtransform(m, p.degrees())
     labels = [c.graph6 for c in p.members]
-    if args.format == "csv":
-        sys.stdout.write(_matrix_csv(m, labels))
-    else:
+    if args.format == "table":
         _emit({"labels": labels, "matrix": m.to_lists()}, args.format)
+    else:  # in pieces, so that a reader closing stdout early is seen at the next write
+        sys.stdout.writelines((_matrix_csv if args.format == "csv" else _matrix_json)(m, labels))
     return 0
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations as _combinations, groupby as _groupby, permutations as _permutations, product as _product
+from itertools import combinations as _combinations, compress as _compress, count as _count, groupby as _groupby
+from itertools import permutations as _permutations, product as _product
 from typing import TYPE_CHECKING
 
 from .errors import CapError, PosetError, PreconditionError
@@ -31,20 +32,27 @@ SUBSET_MINOR_CAP = 10**6  # C(N, Delta) * C(N, delta) entries of a subset minor
 TRANSFORM_MEMBER_CAP = 2_000  # members of a built transform: |E(7)| = 1,044, |E(8)| = 12,346
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Exact-integer matrix stored as sparse rows: one {column: value} map per
-    row, zeros never stored, and the column count.  As in the dense view, a
-    matrix without rows has no columns.  `data` is the dense view, for output
-    and inspection only; no computation reads it."""
+    """Exact-integer matrix.  Sparse: one {column: value} map per row (`nonzeros`,
+    zeros never stored) and the column count, 0 without rows.  Packed, as every
+    transform and inverse is served (`from_packed`): square, row i one int whose
+    fields 0 .. i of typecode `code` hold e_i0 .. e_ii, read as (-1)^(d_i - d_j)
+    e_ij when `degrees` are given, S E S held as E's rows; its fields are decoded
+    by one `_unpack` on first read, its sparse rows from them on theirs.  `data`
+    is the dense view, for output and inspection.  Equality compares entries."""
 
-    nonzeros: tuple[dict[int, int], ...]
-    cols: int
+    def __init__(self, nonzeros, cols: int) -> None:
+        self.nonzeros = tuple(nonzeros)  # shadows the decode below
+        self.rows = len(self.nonzeros)
+        self.cols = cols if self.rows else 0
+        self.packed = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nonzeros", tuple(self.nonzeros))
-        if not self.nonzeros:
-            object.__setattr__(self, "cols", 0)
+    @classmethod
+    def from_packed(cls, ints, code: str, degrees=None) -> IntMatrix:
+        m = cls.__new__(cls)
+        m.packed, m.code, m.degrees = tuple(ints), code, degrees
+        m.rows = m.cols = len(m.packed)
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
@@ -58,9 +66,21 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(({i: 1} for i in range(n)), n)
 
-    @property
-    def rows(self) -> int:
-        return len(self.nonzeros)
+    @functools.cached_property
+    def lower(self) -> list:
+        """Each row i of a packed matrix in columns 0 .. i, signed by its rule; a
+        row wider than its fields, or negative, raises OverflowError."""
+        fields = _unpack(self.packed, self.code, range(1, self.rows + 1))
+        rows = [fields[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(self.rows)]
+        if self.degrees is None:
+            return rows
+        signs = [[(-1) ** (d_i + d) for d in self.degrees] for d_i in (0, 1)]  # signs[d_i % 2][j]
+        return [list(map(operator.mul, row, signs[d % 2])) for row, d in zip(rows, self.degrees)]
+
+    @functools.cached_property
+    def nonzeros(self) -> tuple[dict[int, int], ...]:
+        """The sparse rows of a packed matrix, decoded on first read."""
+        return tuple(dict(zip(_compress(_count(), row), _compress(row, row))) for row in self.lower)
 
     def row(self, i: int) -> dict[int, int]:
         """The nonzero entries of row i as {column: value}; not to be mutated."""
@@ -76,7 +96,13 @@ class IntMatrix:
     @functools.cached_property
     def data(self) -> tuple[tuple[int, ...], ...]:
         """The dense tuple-of-tuples view, built on first read."""
-        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.nonzeros)
+        if self.packed is None:
+            return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.nonzeros)
+        zeros = (0,) * self.cols
+        return tuple((*row, *zeros[i + 1 :]) for i, row in enumerate(self.lower))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntMatrix) and self.cols == other.cols and self.nonzeros == other.nonzeros
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -103,11 +129,10 @@ class IntMatrix:
 
 
 def build_mtransform(poset: GPoset) -> IntMatrix:
-    """The transform, entry (i, j) = copies of member j in member i: `_packed_columns`
-    on every column, decoded once; `_mtransform_by_subsets` is its oracle."""
+    """The transform, entry (i, j) = copies of member j in member i: the packed
+    rows of `_packed_columns` on every column; `_mtransform_by_subsets` is its oracle."""
     _refuse_transform(poset.ambient_n, poset.__len__)
-    rows, code = _packed_columns(poset, range(len(poset)))
-    return _from_fields((_unpack([row], code, [i + 1]) for i, row in enumerate(rows)), len(rows))
+    return IntMatrix.from_packed(*_packed_columns(poset, range(len(poset))))
 
 
 def _refuse_transform(n: int, count) -> None:
@@ -119,11 +144,6 @@ def _refuse_transform(n: int, count) -> None:
     size = count()
     if size > TRANSFORM_MEMBER_CAP:
         raise CapError(f"transform of {size} members, over the cap of {TRANSFORM_MEMBER_CAP}")
-
-
-def _from_fields(rows, cols: int) -> IntMatrix:
-    """The IntMatrix of rows given as arrays of fields, zeros dropped."""
-    return IntMatrix(({j: x for j, x in enumerate(fields) if x} for fields in rows), cols)
 
 
 def transform_columns(poset: GPoset, invariants) -> list[tuple[int, ...]]:
@@ -279,9 +299,8 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
     from `cached_poset`, through the file cache when cache_dir is given; the
     transform is always built from it, as no cache entry holds one.  On a
     loaded poset the build runs no canonical search up to E(7): its cover
-    counts name every child and complement by fingerprint.  Every matrix
-    served is decoded from the fields that `check_transform_rows` read and
-    passed, which raises AssertionError."""
+    counts name every child and complement by fingerprint.  The matrix served
+    holds the rows that `check_transform_rows` passed, or raised AssertionError."""
     if n >= 8:
         from .enumeration import graph_count_series
 
@@ -289,7 +308,8 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
     poset = cached_poset(cache_dir, n, max_degree)
     _refuse_transform(n, poset.__len__)
     rows, code = _packed_columns(poset, range(len(poset)))
-    return poset, _from_fields(check_transform_rows(rows, code, poset.degrees()), len(rows))
+    check_transform_rows(rows, code, poset.degrees())
+    return poset, IntMatrix.from_packed(rows, code)
 
 
 def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
@@ -380,12 +400,11 @@ def solve_transform(matrix: IntMatrix, degrees, values) -> list:
 
 
 def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> IntMatrix:
-    """Inverse of a transform: S E S, built once from E's rows by the sign rule
-    (-1)^(d_i - d_j) e_ij, the closed form `mnukhin_power(-1)` also gives, and
-    served once an exact proof on E's own rows shows that it is the inverse.
-    Only the `invert` command needs the whole inverse; a solve goes through
-    `solve_transform`.  The elimination `unitriangular_inverse` is the tests'
-    oracle for it.
+    """Inverse of a transform: S E S, held as E's packed rows with the sign rule
+    (-1)^(d_i - d_j) e_ij that `mnukhin_power(-1)` also gives, served once an
+    exact proof on those rows shows that it is the inverse.  Only `invert`
+    needs it; a solve goes through `solve_transform`.  The elimination
+    `unitriangular_inverse` is the tests' oracle for it.
 
     The theorem is the one behind the Pascal matrix, the exponential of its
     subdiagonal.  Let N be E's one-degree block, n_ik = e_ik where
@@ -398,15 +417,16 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
     whose entry (i, j) is (-1)^(d_i - d_j) e_ij.  Two exact checks prove
     it, each failure an AssertionError, and the matrix served is S E S by
     construction:
-      (a) e_ii = 1, and every other nonzero e_ij is positive with d_j < d_i,
-          all checked before S E S is built;
+      (a) e_ii = 1, and every other nonzero e_ij is positive with d_j < d_i;
       (b) the recursion on E's rows packed unsigned in fields of `width`
           bits, one row at a time: the left side is one mask per degree
           below d_i (d_i - d_j counts them), the right side one
           multiply-add per nonzero of N.
-    The width rule: every field on either side of (b) is nonnegative and at
-    most max(d_max - d_min, max_i sum_k n_ik) * max e < 2^width, so equal
-    packed rows have equal fields: no carry lets a wrong row pass.
+    The width rule, read from the fields: every field on either side of (b)
+    is nonnegative and at most max(d_max - d_min, max_i sum_k n_ik) * max e
+    < 2^width, so equal packed rows have equal fields: no carry lets a wrong
+    row pass; narrower rows are packed again, by shifts past 64 bits.  Sparse
+    or signed rows are packed once into 64-bit fields, refused outside them.
 
     `complete=False` raises PosetError.  A poset that is not closed under
     edge deletion, its flag forged, is refused by (b) wherever its E is not
@@ -425,55 +445,34 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
         raise PreconditionError("degrees are not nondecreasing")
     if not n:
         return IntMatrix.identity(0)
+    rows = matrix.nonzeros if matrix.packed is None or matrix.degrees is not None else ()  # sparse or signed: packed once
+    if any(max(row, default=0) > i or min(row, default=0) < 0 for i, row in enumerate(rows)):
+        raise AssertionError("a transform row has an entry past the diagonal or in a negative column")
+    try:
+        if rows:
+            matrix = IntMatrix.from_packed([_pack(array("Q", [row.get(j, 0) for j in range(i + 1)])) for i, row in enumerate(rows)], "Q")
+        lower = matrix.lower
+    except OverflowError:
+        raise AssertionError("a transform row has an entry past the diagonal or outside its field") from None
     spans = _degree_spans(degrees)
-    rows = matrix.nonzeros
-    down = []  # row i of N, {k: n_ik}
-    for i, (row, d) in enumerate(zip(rows, degrees)):
-        if row.get(i) != 1 or min(row) < 0:
-            raise AssertionError(f"transform row {i}: diagonal entry {row.get(i, 0)}, or a negative column")
-        start = spans[d][0]
-        below = spans[max(d - 1, 0)][0]
-        down.append({k: x for k, x in row.items() if below <= k < start})
-    top = max(map(max, map(dict.values, rows)))
-    bits = (max(degrees[-1] - degrees[0], *map(sum, map(dict.values, down))) * top).bit_length()
-    width = next((w for w in _FIELD_CODES if w >= bits), bits)  # the narrowest machine field, if one holds it
-    packed = _pack_rows(rows, width)  # (a): every entry in 0 <= e < 2^width, none past the diagonal
+    ends = [(spans[max(d - 1, 0)][0], spans[d][0]) for d in degrees]  # row i of N: fields ends[i][0] .. ends[i][1] - 1
+    most = max(degrees[-1] - degrees[0], *(sum(row[a:b]) for row, (a, b) in zip(lower, ends)))
+    # field j of the rows' OR has the bit length of column j's largest entry: max e <= top < 2 max e
+    top = max(_unpack([functools.reduce(operator.or_, matrix.packed)], matrix.code, [n]))
+    bits, width, packed = (most * top).bit_length(), array(matrix.code).itemsize * 8, matrix.packed
+    if bits > width:  # (b) needs wider fields than the rows came in
+        width = next((w for w in _FIELD_CODES if w >= bits), bits)
+        code = _FIELD_CODES.get(width)
+        packed = [_pack(array(code, row)) if code else sum(x << (width * j) for j, x in enumerate(row)) for row in lower]
     prefixes = [(1 << (width * end)) - 1 for _, end in spans]  # prefixes[u]: the fields of degree <= u
-    for i, (p, d, row_n) in enumerate(zip(packed, degrees, down)):
-        start = spans[d][0]
-        if p >> (width * start) != 1 << (width * (i - start)):  # (a): of its own degree, only the diagonal
-            raise AssertionError(f"transform row {i} has an entry of its own degree off the diagonal")
-        if sum(map(p.__and__, prefixes[:d])) != sum(c * packed[k] for k, c in row_n.items()):
+    for i, (p, d, (below, start)) in enumerate(zip(packed, degrees, ends)):
+        if p >> (width * start) != 1 << (width * (i - start)):  # (a): of its own degree, only the unit diagonal
+            fault = f"diagonal entry {lower[i][i]}" if lower[i][i] != 1 else "an entry of its own degree off the diagonal"
+            raise AssertionError(f"transform row {i}: {fault}")
+        n_i = lower[i][below:start]  # one multiply-add per nonzero of N
+        if sum(map(p.__and__, prefixes[:d])) != sum(map(operator.mul, _compress(n_i, n_i), _compress(packed[below:start], n_i))):
             raise AssertionError(f"E is not exp(N): row {i} fails (d_i - d_j) e_ij = sum_k n_ik e_kj")
-    signs = [(-1) ** d for d in degrees]
-    flipped = [-s for s in signs]
-    return IntMatrix((  # row i of S E S: sign[j] = (-1)^(d_i - d_j)
-        {j: x * sign[j] for j, x in row.items()} for row, sign in zip(rows, (flipped if d % 2 else signs for d in degrees))
-    ), n)
-
-
-def _pack_rows(rows, width: int) -> list[int]:
-    """Row i of a lower-triangular matrix as the one int sum_j e_ij 2^(width j),
-    through an array of machine fields where one holds the width, by shifts
-    otherwise.  An entry outside 0 <= e_ij < 2^width, or in a column past i,
-    raises AssertionError; columns are taken to be nonnegative."""
-    code = _FIELD_CODES.get(width)
-    if code is None:
-        for i, row in enumerate(rows):
-            if max(row, default=0) > i or min(row.values(), default=0) < 0 or max(row.values(), default=0) >> width:
-                raise AssertionError(f"row {i}: an entry past the diagonal or outside its field")
-        return [sum(x << (width * j) for j, x in row.items()) for row in rows]
-    zeros = array(code, bytes(width // 8 * len(rows)))
-    out = []
-    for i, row in enumerate(rows):
-        fields = zeros[: i + 1]
-        try:
-            for j, x in row.items():
-                fields[j] = x
-        except (IndexError, OverflowError):
-            raise AssertionError(f"row {i}: an entry past the diagonal or outside its field") from None
-        out.append(_pack(fields))
-    return out
+    return IntMatrix.from_packed(matrix.packed, matrix.code, tuple(degrees))
 
 
 # ── complement identities and half-matrix reconstruction ─────────────────
@@ -593,7 +592,7 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
             table[at + i] = 1
             if fault := _row_fault(i, table[at : at + i + 1], degs, spans):
                 raise PosetError(f"inconsistent partial data: {fault}")
-    return _from_fields((table[i * size : i * size + i + 1] for i in range(size)), size)
+    return IntMatrix.from_packed((_pack(table[i * size : i * size + i + 1]) for i in range(size)), code)
 
 
 # ── minors, rank and solve, block recursion, ordering search ─────────────

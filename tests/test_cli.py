@@ -100,6 +100,41 @@ def test_invert_csv(capsys):
     ]
 
 
+def _reference_matrix_text(command, args, fmt):
+    """The matrix commands' stdout as `json.dumps(indent=2)` and a CSV join of the dense rows lay it out."""
+    n, d = int(args[1]), int(args[3]) if len(args) > 2 else None
+    p, e = mtransform.cached_transform(None, n, d)
+    rows = mtransform.unitriangular_inverse(e).data if command == "invert" else e.data
+    labels = [m.graph6 for m in p.members]
+    if fmt == "json":
+        return json.dumps({"labels": labels, "matrix": [list(r) for r in rows]}, sort_keys=True, indent=2) + "\n"
+    return "".join([f",{','.join(labels)}\n"] + [f"{label},{','.join(map(str, r))}\n" for label, r in zip(labels, rows)])
+
+
+@pytest.mark.parametrize(
+    "args", [["--n", "0"], ["--n", "1"], ["--n", "4", "--max-degree", "0"], ["--n", "5", "--max-degree", "3"], ["--n", "5"]]
+)
+@pytest.mark.parametrize("command", ["mtransform", "invert"])
+def test_matrix_writer_lays_out_json_and_csv_as_before(capsys, args, command):
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, command, *args, "--format", fmt)
+        assert code == 0 and out == _reference_matrix_text(command, args, fmt), (fmt, out[:200])
+
+
+MATRIX_DIGESTS_N7 = {  # sha256 of the stdout of `<command> --n 7 --format <format>`, as the json.dumps writer printed it
+    ("mtransform", "json"): "5ab5c942ecaa0e6926ad7a33d2b5ec95698469cc7cde715007baf8207650fea5",
+    ("mtransform", "csv"): "61c2ffaa1f16ef6a4e011fcaf67a358127824ad6fcbb8f2ab72f204658e38faf",
+    ("invert", "json"): "3e2731b97cb7e9d41c9b12d82fd9280dec3df71ee73fc2ddc16cfd5f1cb28525",
+    ("invert", "csv"): "0beb11d3a326248173aa82b50d26cd3c702b1d2a84dc856145e1ecdaec5cfe2f",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(MATRIX_DIGESTS_N7))
+def test_matrix_writer_output_at_n7_is_unchanged(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, command, "--n", "7", "--format", fmt)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == MATRIX_DIGESTS_N7[command, fmt]
+
+
 def test_separators_search(capsys):
     code, out, _ = run_cli(capsys, "separators", "--n", "3")
     assert code == 0

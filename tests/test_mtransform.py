@@ -16,7 +16,6 @@ from graphinv.mtransform import (
     _high_bits,
     _mtransform_by_subsets,
     _pack,
-    _pack_rows,
     _packed_columns,
     _unpack,
     build_mtransform,
@@ -389,10 +388,15 @@ def test_exact_field_quotient_needs_every_field_to_divide():
         _exact_field_quotient(3, 2, high)
 
 
+def _packed_rows(rows):
+    """Sparse rows of a lower-triangular matrix packed in 32-bit fields, row i in fields 0 .. i."""
+    return [_pack(array("I", [row.get(j, 0) for j in range(i + 1)])) for i, row in enumerate(rows)]
+
+
 def _packed_build(matrix):
     """A stand-in for `_packed_columns` that serves the rows of `matrix`, packed
     in 32-bit fields, whatever poset and columns it is asked for."""
-    return lambda poset, positions, size=None: (_pack_rows(matrix.nonzeros, 32), "I")
+    return lambda poset, positions, size=None: (_packed_rows(matrix.nonzeros), "I")
 
 
 def test_cached_transform_without_a_cache_dir_still_checks_rows(monkeypatch, e4_poset, e4_matrix):
@@ -534,8 +538,9 @@ def test_inverse_refuses_a_malformed_transform_before_the_closed_form(monkeypatc
         ([[1, 0], [4, 1]], (1, 1), "of its own degree off the diagonal"),
         ([[1, 0], [-3, 1]], (0, 1), "outside its field"),
         ([[1, 0], [3, 2]], (0, 1), "diagonal entry 2"),
-        ([[1, 0, 0], [2**70, 1, 0], [-1, 2, 1]], (0, 1, 2), "outside its field"),  # fields past 64 bits
-        ([[1, 0, 0], [2**70, 1, 0], [0, 2**70, 1]], (0, 1, 2), r"E is not exp\(N\): row 2"),
+        ([[1, 0, 0], [2**70, 1, 0], [-1, 2, 1]], (0, 1, 2), "outside its field"),
+        ([[1, 0, 0], [2**70, 1, 0], [0, 2**70, 1]], (0, 1, 2), "outside its field"),  # sparse rows pack into 64 bits
+        ([[1, 0, 0], [2**62, 1, 0], [0, 2**62, 1]], (0, 1, 2), r"E is not exp\(N\): row 2"),  # (b) in 125-bit fields
     ):
         with pytest.raises(AssertionError, match=message):
             inverse_mtransform(IntMatrix.from_rows(rows), degrees)
@@ -846,7 +851,7 @@ def test_solve_upper_half_refuses_a_negative_entry(monkeypatch, e5_poset):
     row = dict(rows[at["DK_"]])
     row[at["CK"]] += row.pop(at["Bo"])
     rows[at["DK_"]] = row
-    check_transform_rows(_pack_rows(rows, 32), "I", e5_poset.degrees()[: known.rows])
+    check_transform_rows(_packed_rows(rows), "I", e5_poset.degrees()[: known.rows])
     monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(IntMatrix(rows, known.cols)))
     with pytest.raises(PosetError, match=rf"entry \({at['C~']},{at['DK_']}\): negative"):
         solve_upper_half(e5_poset, 5)
@@ -855,21 +860,21 @@ def test_solve_upper_half_refuses_a_negative_entry(monkeypatch, e5_poset):
 def test_check_transform_rows_refuses_every_one_entry_corruption(e5_poset):
     for p, seed in ((e5_poset, 5), (build_full_poset(6), 6), (build_full_poset(7, 10), 7)):
         e, degrees = build_mtransform(p), p.degrees()
-        checked = check_transform_rows(_pack_rows(e.nonzeros, 32), "I", degrees)
+        checked = check_transform_rows(_packed_rows(e.nonzeros), "I", degrees)
         assert [{j: x for j, x in enumerate(fields) if x} for fields in checked] == list(e.nonzeros)
         refused = 0
         for bad in _one_entry_corruptions(e, degrees, 100, seed):
             with pytest.raises(AssertionError, match="not binomial"):
-                check_transform_rows(_pack_rows(bad.nonzeros, 32), "I", degrees)
+                check_transform_rows(_packed_rows(bad.nonzeros), "I", degrees)
             refused += 1
         assert refused == 100
     # one case each that a raised entry below the row's degree does not make
     e, degrees = build_mtransform(e5_poset), e5_poset.degrees()
-    rows = _pack_rows(e.nonzeros, 32)
+    rows = _packed_rows(e.nonzeros)
     i = next(i for i in range(len(rows) // 2, len(rows)) if degrees[i - 1] == degrees[i])
 
     def with_row(row):
-        return _pack_rows([*e.nonzeros[:i], row, *e.nonzeros[i + 1 :]], 32)
+        return _packed_rows([*e.nonzeros[:i], row, *e.nonzeros[i + 1 :]])
 
     cases = [
         ([*rows[:i], rows[i] | 1 << (32 * (i + 1)), *rows[i + 1 :]], "does not fit its"),  # a field past the diagonal
