@@ -66,10 +66,13 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(({i: 1} for i in range(n)), n)
 
+    def __repr__(self) -> str:
+        return f"IntMatrix({list(self.nonzeros)!r}, {self.cols})"
+
     @functools.cached_property
     def lower(self) -> list:
-        """Each row i of a packed matrix in columns 0 .. i, signed by its rule; a
-        row wider than its fields, or negative, raises OverflowError."""
+        """Each row i of a packed matrix in columns 0 .. i, signed by its rule, not
+        to be mutated; a row wider than its fields, or negative, raises OverflowError."""
         fields = _unpack(self.packed, self.code, range(1, self.rows + 1))
         rows = [fields[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(self.rows)]
         if self.degrees is None:
@@ -252,23 +255,21 @@ def _exact_field_quotient(block: int, divisor: int, high: int) -> int:
     return q
 
 
-def check_transform_rows(rows, code: str, degrees) -> list[array]:
-    """Fields 0 .. i of each packed transform row i, typecode `code`, each decoded
-    once and passed by `_row_fault`, for nondecreasing degrees.  A row count other
-    than the degrees', or a row wider than its fields, raises AssertionError."""
-    if len(rows) != len(degrees):
-        raise AssertionError(f"transform has {len(rows)} rows for {len(degrees)} members")
+def check_transform_rows(matrix: IntMatrix, degrees) -> list[array]:
+    """Fields 0 .. i of each row i of the packed transform `matrix` (its `lower`,
+    decoded once), each passed by `_row_fault`, for nondecreasing degrees.  A row
+    count other than the degrees', or a row wider than its fields, raises AssertionError."""
+    if matrix.rows != len(degrees):
+        raise AssertionError(f"transform has {matrix.rows} rows for {len(degrees)} members")
+    try:
+        rows = matrix.lower
+    except OverflowError:
+        raise AssertionError("a transform row does not fit its fields") from None
     spans = _degree_spans(degrees)
-    checked = []
-    for i, row in enumerate(rows):
-        try:
-            fields = _unpack([row], code, [i + 1])
-        except OverflowError:
-            raise AssertionError(f"transform row {i} does not fit its {i + 1} fields") from None
+    for i, fields in enumerate(rows):
         if fault := _row_fault(i, fields, degrees, spans):
             raise AssertionError(fault)
-        checked.append(fields)
-    return checked
+    return rows
 
 
 def _row_fault(i: int, fields: array, degrees, spans) -> str | None:
@@ -300,16 +301,16 @@ def cached_transform(cache_dir: str | None, n: int, max_degree: int | None = Non
     transform is always built from it, as no cache entry holds one.  On a
     loaded poset the build runs no canonical search up to E(7): its cover
     counts name every child and complement by fingerprint.  The matrix served
-    holds the rows that `check_transform_rows` passed, or raised AssertionError."""
+    is the one `check_transform_rows` decoded and passed, or raised AssertionError."""
     if n >= 8:
         from .enumeration import graph_count_series
 
         _refuse_transform(n, lambda: sum(graph_count_series(n, max_degree)))
     poset = cached_poset(cache_dir, n, max_degree)
     _refuse_transform(n, poset.__len__)
-    rows, code = _packed_columns(poset, range(len(poset)))
-    check_transform_rows(rows, code, poset.degrees())
-    return poset, IntMatrix.from_packed(rows, code)
+    matrix = IntMatrix.from_packed(*_packed_columns(poset, range(len(poset))))
+    check_transform_rows(matrix, poset.degrees())
+    return poset, matrix
 
 
 def _mtransform_by_subsets(poset: GPoset) -> IntMatrix:
@@ -426,7 +427,8 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
     is nonnegative and at most max(d_max - d_min, max_i sum_k n_ik) * max e
     < 2^width, so equal packed rows have equal fields: no carry lets a wrong
     row pass; narrower rows are packed again, by shifts past 64 bits.  Sparse
-    or signed rows are packed once into 64-bit fields, refused outside them.
+    or signed rows, a negative entry refused, are packed at the width the
+    rule gives, and their inverse is served as `mnukhin_power(-1)` gives it.
 
     `complete=False` raises PosetError.  A poset that is not closed under
     edge deletion, its flag forged, is refused by (b) wherever its E is not
@@ -445,22 +447,22 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
         raise PreconditionError("degrees are not nondecreasing")
     if not n:
         return IntMatrix.identity(0)
-    rows = matrix.nonzeros if matrix.packed is None or matrix.degrees is not None else ()  # sparse or signed: packed once
-    if any(max(row, default=0) > i or min(row, default=0) < 0 for i, row in enumerate(rows)):
-        raise AssertionError("a transform row has an entry past the diagonal or in a negative column")
-    try:
-        if rows:
-            matrix = IntMatrix.from_packed([_pack(array("Q", [row.get(j, 0) for j in range(i + 1)])) for i, row in enumerate(rows)], "Q")
-        lower = matrix.lower
-    except OverflowError:
-        raise AssertionError("a transform row has an entry past the diagonal or outside its field") from None
+    if sparse := matrix.packed is None or matrix.degrees is not None:  # read as dense rows, packed below
+        if any(max(row, default=0) > i or min((*row, *row.values()), default=0) < 0 for i, row in enumerate(matrix.nonzeros)):
+            raise AssertionError("a transform row has an entry past the diagonal, in a negative column or outside its field")
+        lower, packed, width = [[row.get(j, 0) for j in range(i + 1)] for i, row in enumerate(matrix.nonzeros)], None, 0
+    else:
+        try:
+            lower = matrix.lower
+        except OverflowError:
+            raise AssertionError("a transform row has an entry past the diagonal or outside its field") from None
+        packed, width = matrix.packed, array(matrix.code).itemsize * 8
     spans = _degree_spans(degrees)
     ends = [(spans[max(d - 1, 0)][0], spans[d][0]) for d in degrees]  # row i of N: fields ends[i][0] .. ends[i][1] - 1
-    most = max(degrees[-1] - degrees[0], *(sum(row[a:b]) for row, (a, b) in zip(lower, ends)))
-    # field j of the rows' OR has the bit length of column j's largest entry: max e <= top < 2 max e
-    top = max(_unpack([functools.reduce(operator.or_, matrix.packed)], matrix.code, [n]))
-    bits, width, packed = (most * top).bit_length(), array(matrix.code).itemsize * 8, matrix.packed
-    if bits > width:  # (b) needs wider fields than the rows came in
+    most = max(1, degrees[-1] - degrees[0], *(sum(row[a:b]) for row, (a, b) in zip(lower, ends)))
+    top = max(_unpack([functools.reduce(operator.or_, packed)], matrix.code, [n])) if packed else max(map(max, lower))
+    bits = (most * top).bit_length()  # packed, field j of the rows' OR bounds column j: max e <= top < 2 max e
+    if bits > width:  # (b) needs wider fields than the rows came in, if they came packed
         width = next((w for w in _FIELD_CODES if w >= bits), bits)
         code = _FIELD_CODES.get(width)
         packed = [_pack(array(code, row)) if code else sum(x << (width * j) for j, x in enumerate(row)) for row in lower]
@@ -472,7 +474,7 @@ def inverse_mtransform(matrix: IntMatrix, degrees, complete: bool = True) -> Int
         n_i = lower[i][below:start]  # one multiply-add per nonzero of N
         if sum(map(p.__and__, prefixes[:d])) != sum(map(operator.mul, _compress(n_i, n_i), _compress(packed[below:start], n_i))):
             raise AssertionError(f"E is not exp(N): row {i} fails (d_i - d_j) e_ij = sum_k n_ik e_kj")
-    return IntMatrix.from_packed(matrix.packed, matrix.code, tuple(degrees))
+    return mnukhin_power(matrix, degrees, -1) if sparse else IntMatrix.from_packed(matrix.packed, matrix.code, tuple(degrees))
 
 
 # ── complement identities and half-matrix reconstruction ─────────────────
@@ -546,9 +548,8 @@ def solve_upper_half(poset: GPoset, ambient_n: int, extra_unknown=()) -> IntMatr
     size = len(poset)
     stab = [stab_order(m, n) for m in poset.members]
     withheld = {poset.position(c) for c in extra_unknown}
-    known, known_code = _packed_columns(poset, range(count), count)
     try:
-        known_fields = check_transform_rows(known, known_code, degs[:count])
+        known_fields = check_transform_rows(IntMatrix.from_packed(*_packed_columns(poset, range(count), count)), degs[:count])
     except AssertionError as fault:
         raise PosetError(f"inconsistent partial data: {fault}") from None
     unknown = [i for i in range(size) if i >= count or i in withheld]

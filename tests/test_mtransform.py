@@ -1,3 +1,4 @@
+import math
 import random
 from array import array
 from collections import Counter
@@ -368,7 +369,7 @@ def test_e7_entries_against_injection_oracle(e7):
     p, e = e7
     rows, code = _packed_columns(p, range(len(p)))
     assert code == "I"  # 32-bit fields: entries up to C(21, 10)
-    checked = check_transform_rows(rows, code, p.degrees())
+    checked = check_transform_rows(IntMatrix.from_packed(rows, code), p.degrees())
     assert [{j: x for j, x in enumerate(fields) if x} for fields in checked] == list(e.nonzeros)
     rng = random.Random(7)
     members = p.members
@@ -538,9 +539,8 @@ def test_inverse_refuses_a_malformed_transform_before_the_closed_form(monkeypatc
         ([[1, 0], [4, 1]], (1, 1), "of its own degree off the diagonal"),
         ([[1, 0], [-3, 1]], (0, 1), "outside its field"),
         ([[1, 0], [3, 2]], (0, 1), "diagonal entry 2"),
-        ([[1, 0, 0], [2**70, 1, 0], [-1, 2, 1]], (0, 1, 2), "outside its field"),
-        ([[1, 0, 0], [2**70, 1, 0], [0, 2**70, 1]], (0, 1, 2), "outside its field"),  # sparse rows pack into 64 bits
-        ([[1, 0, 0], [2**62, 1, 0], [0, 2**62, 1]], (0, 1, 2), r"E is not exp\(N\): row 2"),  # (b) in 125-bit fields
+        ([[1, 0, 0], [2**70, 1, 0], [-1, 2, 1]], (0, 1, 2), "outside its field"),  # fields past 64 bits
+        ([[1, 0, 0], [2**70, 1, 0], [0, 2**70, 1]], (0, 1, 2), r"E is not exp\(N\): row 2"),
     ):
         with pytest.raises(AssertionError, match=message):
             inverse_mtransform(IntMatrix.from_rows(rows), degrees)
@@ -562,8 +562,10 @@ def test_inverse_proof_accepts_the_multiset_orbit_transforms():
         multiset.build_multiset_poset(close_generators(3, [Permutation((1, 0, 2))]), 1, include_empty=False),
         multiset.build_multiset_poset(symmetric_group(3), 2),
         multiset.build_multiset_poset(trivial_group(3), 2),
+        multiset.build_multiset_poset(trivial_group(1), 70),  # the Pascal matrix C(i, j) for i, j <= 70
     ]
     matrices = [multiset.build_general_mtransform(p) for p in posets]
+    assert matrices[-1].entry(70, 35) == math.comb(70, 35) > 2**66  # the proof runs in fields past 64 bits
     assert [matrices[0].to_lists(), matrices[1].to_lists()] == [PRINTED_TRIVIAL_7X7, PRINTED_TWO_SYMBOL_5X5]
     for p, e in zip(posets, matrices):
         assert inverse_mtransform(e, p.degrees()) == mnukhin_power(e, p.degrees(), -1) == unitriangular_inverse(e)
@@ -851,7 +853,7 @@ def test_solve_upper_half_refuses_a_negative_entry(monkeypatch, e5_poset):
     row = dict(rows[at["DK_"]])
     row[at["CK"]] += row.pop(at["Bo"])
     rows[at["DK_"]] = row
-    check_transform_rows(_packed_rows(rows), "I", e5_poset.degrees()[: known.rows])
+    check_transform_rows(IntMatrix.from_packed(_packed_rows(rows), "I"), e5_poset.degrees()[: known.rows])
     monkeypatch.setattr(mtransform, "_packed_columns", _packed_build(IntMatrix(rows, known.cols)))
     with pytest.raises(PosetError, match=rf"entry \({at['C~']},{at['DK_']}\): negative"):
         solve_upper_half(e5_poset, 5)
@@ -860,12 +862,12 @@ def test_solve_upper_half_refuses_a_negative_entry(monkeypatch, e5_poset):
 def test_check_transform_rows_refuses_every_one_entry_corruption(e5_poset):
     for p, seed in ((e5_poset, 5), (build_full_poset(6), 6), (build_full_poset(7, 10), 7)):
         e, degrees = build_mtransform(p), p.degrees()
-        checked = check_transform_rows(_packed_rows(e.nonzeros), "I", degrees)
+        checked = check_transform_rows(IntMatrix.from_packed(_packed_rows(e.nonzeros), "I"), degrees)
         assert [{j: x for j, x in enumerate(fields) if x} for fields in checked] == list(e.nonzeros)
         refused = 0
         for bad in _one_entry_corruptions(e, degrees, 100, seed):
             with pytest.raises(AssertionError, match="not binomial"):
-                check_transform_rows(_packed_rows(bad.nonzeros), "I", degrees)
+                check_transform_rows(IntMatrix.from_packed(_packed_rows(bad.nonzeros), "I"), degrees)
             refused += 1
         assert refused == 100
     # one case each that a raised entry below the row's degree does not make
@@ -884,7 +886,7 @@ def test_check_transform_rows_refuses_every_one_entry_corruption(e5_poset):
     ]
     for bad, message in cases:
         with pytest.raises(AssertionError, match=message):
-            check_transform_rows(bad, "I", degrees)
+            check_transform_rows(IntMatrix.from_packed(bad, "I"), degrees)
 
 
 def test_minor_examples(e4_poset, e4_matrix):

@@ -100,6 +100,12 @@ def test_the_dense_view_of_a_packed_inverse_is_signed():
     assert inv.lower == [[1], [-1, 1], [1, -2, 1], [-1, 3, -3, 1]]
 
 
+def test_repr_shows_the_entries_however_the_rows_are_held(e4_poset):
+    e = build_mtransform(e4_poset)
+    assert repr(e) == repr(_sparse_rows(e4_poset)) == f"IntMatrix({list(e.nonzeros)!r}, {e.cols})"
+    assert repr(inverse_mtransform(e, e4_poset.degrees())).startswith("IntMatrix([{0: 1}, {0: -1, 1: 1}, ")
+
+
 def _no_sparse_rows(monkeypatch):
     def refuse(self):
         raise AssertionError("sparse rows decoded")
